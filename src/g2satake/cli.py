@@ -30,7 +30,8 @@ from .igusa import (AbsoluteInvariants, IgusaInvariants, SiegelForms,
 from .qpoly import Poly, discriminant
 from .roots import gaussian_roots
 from .satake import (PowerSums, phi_map, power_sums_from_igusa,
-                     reconstruct_from_satake_roots, satake_sextic,
+                     power_sums_from_siegel, reconstruct_from_satake_roots,
+                     satake_sextic, satake_sextic_from_siegel,
                      theta_power_sum_consistency)
 from .theta import (PeriodMatrix, check_frobenius, even_theta_constants,
                     rosenhain_from_theta, satake_from_theta)
@@ -157,6 +158,7 @@ def cmd_igusa(args):
 
 
 def cmd_satake_sextic(args):
+    s = None
     if getattr(args, "power_sums", None):
         vals = _parse_fraction_list(args.power_sums, 6, "--power-sums")
         if vals[0] != 0:
@@ -170,22 +172,24 @@ def cmd_satake_sextic(args):
                 return vals[3]
 
         ps = _RawPS(s2=vals[1], s3=vals[2], s5=vals[4], s6=vals[5])
-        inv = None
     else:
-        inv = _invariants_from_args(args)
-        ps = power_sums_from_igusa(inv)
+        s = _siegel_from_args(args)
+        ps = power_sums_from_siegel(s)
     f = satake_sextic(ps)
+    disc = discriminant(f)
     out = {
         "power_sums": {"s1": ps.s1, "s2": ps.s2, "s3": ps.s3,
                        "s4": ps.s4, "s5": ps.s5, "s6": ps.s6},
         "coefficients": list(f.coeffs),
-        "discriminant": discriminant(f),
+        "discriminant": disc,
         "dual_construction_checked": True,
     }
-    if inv is not None:
-        out["Q"] = q_form(siegel_from_igusa(inv))
-        out["discriminant_identity"] = (
-            discriminant(f) == 2**52 * 3**21 * out["Q"])
+    if s is not None:
+        if f != satake_sextic_from_siegel(s):
+            raise IdentityViolationError(
+                "power-sum and Siegel-form constructions of the sextic disagree")
+        out["Q"] = q_form(s)
+        out["discriminant_identity"] = disc == 2**52 * 3**21 * out["Q"]
     return out
 
 
@@ -224,6 +228,9 @@ def cmd_fibration(args):
         model = alternate_model_ftheory(_siegel_from_args(args))
     else:
         inv = _invariants_from_args(args)
+        if inv.degenerate:
+            raise DomainError("I10 = 0: the sextic is singular; there is no "
+                              "genus-two curve and no K3 fibration")
         if args.model == "kummer23":
             model = kumfib2_model(inv)
         elif args.model == "alternate":
@@ -301,8 +308,9 @@ def cmd_theta(args):
 
 def cmd_predicates(args):
     s = _siegel_from_args(args)
-    out = {"humbert": humbert_predicates(s),
-           "chi35_squared": chi35_squared(s), "Q": q_form(s)}
+    q = q_form(s)
+    out = {"humbert": humbert_predicates(s, q),
+           "chi35_squared": chi35_squared(s, q), "Q": q}
     if s.chi10 != 0:
         inv = igusa_from_siegel(s)
         p = FibrationParams.from_igusa(inv)
@@ -389,7 +397,7 @@ def _args_from_job(doc):
         flag = "--" + key.replace("_", "-")
         if isinstance(val, (list, tuple)):
             val = ",".join(str(x) for x in val)
-        argv += [flag, str(val)]
+        argv.append(f"{flag}={val}")   # one token, so "-1/2,..." stays a value
     return build_parser().parse_args(argv)
 
 
@@ -398,7 +406,10 @@ def run(argv=None):
     try:
         args = build_parser().parse_args(argv)
         if args.command == "run":
-            text = sys.stdin.read() if args.job == "-" else open(args.job).read()
+            try:
+                text = sys.stdin.read() if args.job == "-" else open(args.job).read()
+            except OSError as e:
+                raise SchemaError(f"cannot read job document: {e}")
             try:
                 doc = json.loads(text)
             except json.JSONDecodeError as e:

@@ -8,6 +8,10 @@ conjugate roots share one fiber type) and at t = infinity via
 homogenization to degrees (4N, 6N, 12N), and matches the order pattern
 against the Kodaira table.  Orders outside the table raise
 NonMinimalModelError instead of silently reducing the model.
+
+Exact models are classified on primitive integer multiples of g2, g3 and
+Delta, each decomposed once; rational fiber locations are split off
+every cluster exactly (p-adic lifting, no floating point).
 """
 
 from __future__ import annotations
@@ -17,8 +21,9 @@ from fractions import Fraction
 
 from .errors import DomainError, NonMinimalModelError
 from .igusa import _exact, siegel_from_igusa
-from .qpoly import (EpsSeries, Poly, discriminant, laurent_limit, poly_gcd,
-                    squarefree_decomposition)
+from .qpoly import (EpsSeries, Poly, discriminant, graded_integral_scale,
+                    integer_gcd, integer_quotient, integer_squarefree,
+                    laurent_limit, primitive_part, split_rational_roots)
 from .roots import complex_roots
 
 INFINITY = "infinity"
@@ -124,57 +129,50 @@ class WeierstrassModel:
         return g2 * g2 * g2 - 27 * g3 * g3
 
 
-def _to_fraction_poly(p):
-    return Poly([Fraction(c) for c in p.coeffs])
-
-
 def _is_exact(p):
     return all(isinstance(c, (int, Fraction)) for c in p.coeffs)
 
 
-def _order_profile(cluster, g):
-    """Split a monic squarefree cluster by the vanishing order of g.
+def _integral_short_form(model):
+    """Primitive integer polynomials G2, G3, D in T, and rho with t = rho T.
 
-    Returns [(subcluster, order)] covering the cluster.  ``g`` identically
-    zero gives order None (infinite).
+    x -> x / s and t -> rho T make A, B, C integral (``graded_integral_scale``
+    keeps the integers small); then g2 = -(4/3) (3B - A^2) / s^2 and
+    g3 = -(4/27) (2A^3 - 9AB + 27C) / s^3, so G2, G3 and D = 4 G2^3 + G3^2
+    are constant multiples of g2, g3 and Delta in T: same vanishing orders
+    and degrees, roots divided by rho.  Identically vanishing polynomials
+    come back as the zero Poly.
     """
-    if g.is_zero():
+    parts = (model.A.coeffs, model.B.coeffs, model.C.coeffs)
+    s, rho = graded_integral_scale(
+        (k, i, c) for k, cs in enumerate(parts, 1) for i, c in enumerate(cs))
+    A, B, C = (Poly([(c * s**k * rho**i).numerator for i, c in enumerate(cs)])
+               for k, cs in enumerate(parts, 1))
+    g2 = 3 * B - A * A
+    g3 = 2 * A * A * A - 9 * A * B + 27 * C
+    delta = 4 * g2 * g2 * g2 + g3 * g3
+    return tuple(primitive_part(p) if p else p for p in (g2, g3, delta)), rho
+
+
+def _order_profile(cluster, parts):
+    """Split a squarefree cluster by vanishing order, given the squarefree
+    decomposition ``parts`` of a polynomial (None: it vanishes identically,
+    infinite order).
+
+    Returns [(subcluster, order)] covering the cluster.
+    """
+    if parts is None:
         return [(cluster, None)]
     remaining = cluster
     out = []
-    for factor, mult in squarefree_decomposition(g):
-        common = poly_gcd(remaining, factor)
+    for factor, mult in parts:
+        common = integer_gcd(remaining, factor)
         if common.degree() > 0:
             out.append((common, mult))
-            remaining = (remaining // common).monic()
+            remaining = integer_quotient(remaining, common)
     if remaining.degree() > 0:
         out.append((remaining, 0))
     return out
-
-
-def _split_rational_roots(cluster):
-    """Exact rational roots of a monic squarefree cluster, plus the rest.
-
-    Candidates come from rationalizing numeric roots; every candidate is
-    verified by exact evaluation before it is split off, so the result
-    is exact.  Whatever does not verify stays in the residual cluster
-    (an irreducible bundle of conjugate locations).
-    """
-    roots = []
-    rest = cluster
-    if rest.degree() >= 1:
-        try:
-            numeric = complex_roots(rest, tol=1e-6)
-        except Exception:
-            numeric = []
-        for z in numeric:
-            if abs(z.imag) > 1e-8 * (1 + abs(z)):
-                continue
-            cand = Fraction(z.real).limit_denominator(10**9)
-            if rest.degree() >= 1 and rest(cand) == 0:
-                roots.append(cand)
-                rest = (rest // Poly([-cand, 1])).monic()
-    return roots, rest
 
 
 def classify_fibers(model, surface_degree=None):
@@ -183,10 +181,9 @@ def classify_fibers(model, surface_degree=None):
     ``surface_degree`` is the N with deg g2 <= 4N, deg g3 <= 6N (N=2 for
     K3); by default the smallest admissible N is used.
     """
+    if all(_is_exact(p) for p in (model.A, model.B, model.C)):
+        return _classify_exact(model, surface_degree)
     g2, g3 = model.short_form()
-    if _is_exact(g2) and _is_exact(g3):
-        return _classify_exact(_to_fraction_poly(g2), _to_fraction_poly(g3),
-                               surface_degree)
     return _classify_numeric(g2, g3, surface_degree)
 
 
@@ -204,23 +201,9 @@ def _surface_degree(g2, g3, delta, requested):
     return requested
 
 
-def _classify_exact(g2, g3, surface_degree):
-    delta = g2**3 - 27 * g3**2
-    if delta.is_zero():
-        raise DomainError("discriminant vanishes identically; not an elliptic surface")
-    fibers = []
-    for cluster, d in squarefree_decomposition(delta):
-        for sub2, a in _order_profile(cluster, g2):
-            for sub3, b in _order_profile(sub2, g3):
-                ftype = kodaira_type(a, b, d)
-                rational, rest = _split_rational_roots(sub3)
-                for r in rational:
-                    fibers.append(KodairaFiber(
-                        fiber_type=ftype, location=r, orders=(a, b, d)))
-                if rest.degree() > 0:
-                    fibers.append(KodairaFiber(
-                        fiber_type=ftype, location=rest,
-                        orders=(a, b, d), count=rest.degree()))
+def _census(fibers, g2, g3, delta, surface_degree):
+    """The finite fibers plus the fiber at t = infinity, read off the
+    degree deficits of g2, g3 and Delta after homogenization."""
     n = _surface_degree(g2, g3, delta, surface_degree)
     a_inf = (4 * n - g2.degree()) if not g2.is_zero() else None
     b_inf = (6 * n - g3.degree()) if not g3.is_zero() else None
@@ -230,6 +213,31 @@ def _classify_exact(g2, g3, surface_degree):
             fiber_type=kodaira_type(a_inf, b_inf, d_inf),
             location=INFINITY, orders=(a_inf, b_inf, d_inf)))
     return FiberCensus(fibers=tuple(fibers))
+
+
+def _classify_exact(model, surface_degree):
+    (g2, g3, delta), rho = _integral_short_form(model)
+    if delta.is_zero():
+        raise DomainError("discriminant vanishes identically; not an elliptic surface")
+    parts2 = integer_squarefree(g2) if g2 else None
+    parts3 = integer_squarefree(g3) if g3 else None
+    fibers = []
+    for cluster, d in integer_squarefree(delta):
+        for sub2, a in _order_profile(cluster, parts2):
+            for sub3, b in _order_profile(sub2, parts3):
+                ftype = kodaira_type(a, b, d)
+                rational, rest = split_rational_roots(sub3)
+                for r in rational:
+                    fibers.append(KodairaFiber(
+                        fiber_type=ftype, location=r * rho, orders=(a, b, d)))
+                n = rest.degree()
+                if n > 0:
+                    # the monic cluster in t = rho T
+                    located = Poly([c * rho ** (n - i) for i, c in enumerate(rest.coeffs)])
+                    fibers.append(KodairaFiber(
+                        fiber_type=ftype, location=located.monic(),
+                        orders=(a, b, d), count=n))
+    return _census(fibers, g2, g3, delta, surface_degree)
 
 
 def _numeric_order(p, point, tol=1e-8):
@@ -265,15 +273,7 @@ def _classify_numeric(g2, g3, surface_degree, tol=1e-8):
         fibers.append(KodairaFiber(
             fiber_type=kodaira_type(a, b, d), location=center,
             orders=(a, b, d)))
-    n = _surface_degree(g2, g3, delta, surface_degree)
-    a_inf = (4 * n - g2.degree()) if not g2.is_zero() else None
-    b_inf = (6 * n - g3.degree()) if not g3.is_zero() else None
-    d_inf = 12 * n - delta.degree()
-    if d_inf > 0:
-        fibers.append(KodairaFiber(
-            fiber_type=kodaira_type(a_inf, b_inf, d_inf),
-            location=INFINITY, orders=(a_inf, b_inf, d_inf)))
-    return FiberCensus(fibers=tuple(fibers))
+    return _census(fibers, g2, g3, delta, surface_degree)
 
 
 # ---------------------------------------------------------------------------

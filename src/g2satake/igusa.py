@@ -23,7 +23,11 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .errors import DomainError, ProductLocusError
-from .qpoly import Poly, discriminant
+from .qpoly import Poly, discriminant, integral_representative
+
+# weights of (I2, I4, I6, I10) and of (psi4, psi6, chi10, chi12)
+IGUSA_WEIGHTS = (2, 4, 6, 10)
+SIEGEL_WEIGHTS = (4, 6, 10, 12)
 
 # ---------------------------------------------------------------------------
 # invariant containers
@@ -191,19 +195,9 @@ def _transvectant(fc, m, gc, n, k):
     return [pref * t for t in acc]
 
 
-def igusa_from_sextic(f):
-    """Invariants of Y^2 = f(X) for deg f in {5, 6}.
-
-    Exact over Fraction coefficients; also works with complex
-    coefficients (the transvectant arithmetic is generic).
-    """
-    if not isinstance(f, Poly):
-        f = Poly(f)
-    deg = f.degree()
-    if deg not in (5, 6):
-        raise DomainError(f"expected a degree-5 or degree-6 polynomial, got {deg}")
-    cs = [Fraction(c) if isinstance(c, int) else c for c in f.coeffs]
-    c6 = cs + [0] * (7 - len(cs))
+def _even_invariants(cs):
+    """(I2, I4, I6) of the binary sextic with coefficients cs (low first)."""
+    c6 = list(cs) + [0] * (7 - len(cs))
     A = _transvectant(c6, 6, c6, 6, 6)[0]
     i4 = _transvectant(c6, 6, c6, 6, 4)
     B = _transvectant(i4, 4, i4, 4, 4)[0]
@@ -212,6 +206,30 @@ def igusa_from_sextic(f):
     I2 = -120 * A
     I4 = -720 * A**2 + 6750 * B
     I6 = 8640 * A**3 - 108000 * A * B + 202500 * C
+    return I2, I4, I6
+
+
+def igusa_from_sextic(f):
+    """Invariants of Y^2 = f(X) for deg f in {5, 6}.
+
+    Exact over Fraction coefficients; also works with complex
+    coefficients (the transvectant arithmetic is generic).  Exact input
+    runs on the integer form F(x) = r^6 f(x / r) / lc(f), whose degree-k
+    invariant is r^(3k) / lc(f)^k times that of f.
+    """
+    if not isinstance(f, Poly):
+        f = Poly(f)
+    deg = f.degree()
+    if deg not in (5, 6):
+        raise DomainError(f"expected a degree-5 or degree-6 polynomial, got {deg}")
+    if all(isinstance(c, (int, Fraction)) for c in f.coeffs):
+        lc = Fraction(f.lead())
+        r, ints = integral_representative([c / lc for c in f.coeffs[:-1]],
+                                          range(6, 6 - deg, -1))
+        I2, I4, I6 = (lc**k * v / r ** (3 * k) for k, v in
+                      zip((2, 4, 6), _even_invariants(ints + [r ** (6 - deg)])))
+    else:
+        I2, I4, I6 = _even_invariants(f.coeffs)
     I10 = discriminant(f)
     if deg == 5:
         I10 = f.lead() ** 2 * I10
@@ -267,54 +285,77 @@ def igusa_from_siegel(s):
     return IgusaInvariants(I2, I4, I6, I10)
 
 
+def _powers(x, n):
+    out = [1, x]
+    for _ in range(n - 1):
+        out.append(out[-1] * x)
+    return out
+
+
+def _q_poly(p4, p6, c10, c12):
+    """Q as a polynomial, with the powers of each generator shared."""
+    P, S, C, D = _powers(p4, 7), _powers(p6, 5), _powers(c10, 6), _powers(c12, 5)
+    return (
+        2**24 * 3**15 * D[5]
+        - 2**13 * 3**9 * P[3] * D[4]
+        - 2**13 * 3**9 * S[2] * D[4]
+        + 3**3 * P[6] * D[3]
+        - 2 * 3**3 * P[3] * S[2] * D[3]
+        - 2**14 * 3**8 * P[2] * p6 * c10 * D[3]
+        - 2**23 * 3**12 * 5**2 * p4 * C[2] * D[3]
+        + 3**3 * S[4] * D[3]
+        + 2**11 * 3**6 * 37 * P[4] * C[2] * D[2]
+        + 2**11 * 3**6 * 5 * 7 * p4 * S[2] * C[2] * D[2]
+        - 2**23 * 3**9 * 5**3 * p6 * C[3] * D[2]
+        - 3**2 * P[7] * C[2] * c12
+        + 2 * 3**2 * P[4] * S[2] * C[2] * c12
+        + 2**11 * 3**5 * 5 * 19 * P[3] * p6 * C[3] * c12
+        + 2**20 * 3**8 * 5**3 * 11 * P[2] * C[4] * c12
+        - 3**2 * p4 * S[4] * C[2] * c12
+        + 2**11 * 3**5 * 5**2 * S[3] * C[3] * c12
+        - 2 * P[6] * p6 * C[3]
+        - 2**12 * 3**4 * P[5] * C[4]
+        + 2**2 * P[3] * S[3] * C[3]
+        + 2**12 * 3**4 * 5**2 * P[2] * S[2] * C[4]
+        + 2**21 * 3**7 * 5**4 * p4 * p6 * C[5]
+        - 2 * S[5] * C[3]
+        + 2**32 * 3**9 * 5**5 * C[6]
+    )
+
+
 def q_form(s):
     """The degree-60 polynomial Q in the even generators.
 
     Q is 2^12 3^9 chi35^2 / chi10 with the chi10 factor cancelled
-    symbolically, hence well-defined on the chi10 = 0 boundary.
+    symbolically, hence well-defined on the chi10 = 0 boundary.  Exact
+    form values are evaluated on an integer representative of their
+    weighted class and divided by r^60 once.
     """
-    p4, p6, c10, c12 = s.astuple()
-    return (
-        2**24 * 3**15 * c12**5
-        - 2**13 * 3**9 * p4**3 * c12**4
-        - 2**13 * 3**9 * p6**2 * c12**4
-        + 3**3 * p4**6 * c12**3
-        - 2 * 3**3 * p4**3 * p6**2 * c12**3
-        - 2**14 * 3**8 * p4**2 * p6 * c10 * c12**3
-        - 2**23 * 3**12 * 5**2 * p4 * c10**2 * c12**3
-        + 3**3 * p6**4 * c12**3
-        + 2**11 * 3**6 * 37 * p4**4 * c10**2 * c12**2
-        + 2**11 * 3**6 * 5 * 7 * p4 * p6**2 * c10**2 * c12**2
-        - 2**23 * 3**9 * 5**3 * p6 * c10**3 * c12**2
-        - 3**2 * p4**7 * c10**2 * c12
-        + 2 * 3**2 * p4**4 * p6**2 * c10**2 * c12
-        + 2**11 * 3**5 * 5 * 19 * p4**3 * p6 * c10**3 * c12
-        + 2**20 * 3**8 * 5**3 * 11 * p4**2 * c10**4 * c12
-        - 3**2 * p4 * p6**4 * c10**2 * c12
-        + 2**11 * 3**5 * 5**2 * p6**3 * c10**3 * c12
-        - 2 * p4**6 * p6 * c10**3
-        - 2**12 * 3**4 * p4**5 * c10**4
-        + 2**2 * p4**3 * p6**3 * c10**3
-        + 2**12 * 3**4 * 5**2 * p4**2 * p6**2 * c10**4
-        + 2**21 * 3**7 * 5**4 * p4 * p6 * c10**5
-        - 2 * p6**5 * c10**3
-        + 2**32 * 3**9 * 5**5 * c10**6
-    )
+    rep = integral_representative(s.astuple(), SIEGEL_WEIGHTS)
+    if rep is None:
+        return _q_poly(*s.astuple())
+    r, ints = rep
+    return Fraction(_q_poly(*ints), r**60)
 
 
-def chi35_squared(s):
-    """chi35^2 = chi10 * Q / (2^12 3^9), exact."""
-    return s.chi10 * q_form(s) / Fraction(2**12 * 3**9)
+def chi35_squared(s, q=None):
+    """chi35^2 = chi10 * Q / (2^12 3^9), exact; ``q`` is Q if already known."""
+    if q is None:
+        q = q_form(s)
+    return s.chi10 * q / Fraction(2**12 * 3**9)
 
 
 def derived_forms(s):
-    return DerivedForms(chi35_squared=chi35_squared(s), q=q_form(s))
+    q = q_form(s)
+    return DerivedForms(chi35_squared=chi35_squared(s, q), q=q)
 
 
-def humbert_predicates(s):
+def humbert_predicates(s, q=None):
     """Membership flags for the Humbert surfaces H_1 and H_4.
 
     H_1 (product of elliptic curves) is chi10 = 0; H_4 (Bolza extra
-    involution) is Q = 0.
+    involution) is Q = 0.  ``q`` is Q if already known.
     """
-    return {"on_H1": s.chi10 == 0, "on_H4": q_form(s) == 0}
+    if q is None:
+        q = q_form(s)
+    return {"on_H1": s.chi10 == 0, "on_H4": q == 0}

@@ -5,16 +5,14 @@ the input; the backward-error residual contract is verified for every
 returned root and non-convergence is reported, never silent.  Roots of
 exact-coefficient polynomials can additionally be polished by Newton
 steps in exact Gaussian-rational arithmetic, which removes the
-double-precision conditioning floor for simple roots.
+double-precision conditioning floor for simple roots.  numpy is
+imported by ``complex_roots`` when it first runs, not with the module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
-from . import _kernels
 from .errors import DomainError, RootFindingError
 from .qpoly import GaussianRational, Poly
 
@@ -71,7 +69,13 @@ def complex_roots(p, tol=DEFAULT_TOL, max_iter=MAX_ITER, polish=False):
     roots and residuals attached) if the residual bound is not met
     within ``max_iter`` Aberth sweeps.  ``polish=True`` runs the exact
     Newton polish afterwards (coefficients must then be int/Fraction).
+    numpy and the kernels load here, on first use, so that the exact
+    pipelines never import them.
     """
+    import numpy as np
+
+    from . import _kernels
+
     coeffs = list(p.coeffs) if isinstance(p, Poly) else list(p)
     c = np.array([complex(v) for v in coeffs], dtype=np.complex128)
     if c.size == 0 or c.size == 1:

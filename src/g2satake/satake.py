@@ -13,14 +13,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, isqrt, lcm
 
 from .errors import (DegeneratePointError, DomainError, IdentityViolationError,
                      InversionSingularError)
-from .igusa import (AbsoluteInvariants, IgusaInvariants,
-                    absolute_invariants, igusa_from_absolute, igusa_from_rosenhain,
-                    igusa_from_sextic, q_form, siegel_from_igusa, _exact)
-from .qpoly import Poly, discriminant
+from .igusa import (IGUSA_WEIGHTS, SIEGEL_WEIGHTS, AbsoluteInvariants,
+                    IgusaInvariants, absolute_invariants,
+                    igusa_from_absolute, igusa_from_rosenhain, igusa_from_sextic,
+                    q_form, siegel_from_igusa, _exact)
+from .qpoly import Poly, discriminant, integral_representative
 from .theta import (rosenhain_from_theta, rosenhain_from_theta4,
                     satake_from_theta, theta4_from_satake)
 
@@ -52,15 +53,45 @@ class PowerSums:
         return (self.s1, self.s2, self.s3, self.s4, self.s5, self.s6)
 
 
-def power_sums_from_igusa(inv):
-    I2, I4, I6, I10 = (_exact(v) for v in inv.astuple())
+def _on_representative(body, values, weights, out_weights):
+    """``body`` (weighted homogeneous) at a weighted point: evaluated on
+    its integer representative and divided by r^w once per output, or
+    directly on non-exact (complex, GaussianRational) values."""
+    rep = integral_representative(values, weights)
+    if rep is None:
+        return body(*(_exact(v) for v in values))
+    r, ints = rep
+    return tuple(Fraction(v) / r**w for v, w in zip(body(*ints), out_weights))
+
+
+def _power_sums_igusa(I2, I4, I6, I10):
     s2 = 3 * I4
     s3 = Fraction(3, 2) * I2 * I4 - Fraction(9, 2) * I6
     s5 = Fraction(15, 8) * I2 * I4**2 - Fraction(45, 8) * I4 * I6 + 1215 * I10
     s6 = (Fraction(27, 16) * I4**3 + Fraction(3, 8) * I2**2 * I4**2
           - Fraction(9, 4) * I2 * I4 * I6 + Fraction(27, 8) * I6**2
           + Fraction(729, 4) * I2 * I10)
-    return PowerSums(s2=s2, s3=s3, s5=s5, s6=s6)
+    return s2, s3, s5, s6
+
+
+def _power_sums_siegel(p4, p6, c10, c12):
+    s2 = 12 * p4
+    s3 = 12 * p6
+    s5 = 60 * p4 * p6 - 1215 * 2**14 * c10
+    s6 = 108 * p4**3 + 24 * p6**2 + 2**15 * 3**7 * c12
+    return s2, s3, s5, s6
+
+
+def power_sums_from_igusa(inv):
+    return PowerSums(*_on_representative(
+        _power_sums_igusa, inv.astuple(), IGUSA_WEIGHTS, SIEGEL_WEIGHTS))
+
+
+def power_sums_from_siegel(s):
+    """The same power sums as polynomials in the form values, so they stay
+    defined on chi10 = 0, where the Igusa invariants are not."""
+    return PowerSums(*_on_representative(
+        _power_sums_siegel, s.astuple(), SIEGEL_WEIGHTS, SIEGEL_WEIGHTS))
 
 
 def igusa_from_power_sums(ps):
@@ -225,39 +256,47 @@ def theta_power_sum_consistency(tc):
 # ---------------------------------------------------------------------------
 
 
-def _phi_m(j1, j2, j3):
-    return -j2**2 * j1 + 6 * j2 * j3 * j1 - 9 * j3**2 * j1 + j2**3 + 540 * j1**2
+# The appendix polynomials m, k, w (g3 factor) and q of the moduli map,
+# homogenized by h: each is h^deg * p(j1/h, j2/h, j3/h) with deg 3, 6, 9
+# and 12, so integer coordinates (j1, j2, j3, h) give integer values and
+# h = 1 gives the polynomial itself.
 
 
-def _phi_k(j1, j2, j3):
+def _phi_m(j1, j2, j3, h=1):
+    return -j2**2 * j1 + 6 * j2 * j3 * j1 - 9 * j3**2 * j1 + j2**3 + 540 * j1**2 * h
+
+
+def _phi_k(j1, j2, j3, h=1):
     return (j2**4 * j1**2 - 12 * j1**2 * j2**3 * j3 + 54 * j1**2 * j2**2 * j3**2
             - 108 * j1**2 * j2 * j3**3 + 81 * j1**2 * j3**4 - 2 * j1 * j2**5
             + 12 * j1 * j2**4 * j3 - 18 * j1 * j2**3 * j3**2 + j2**6
-            - 756 * j2**2 * j1**3 + 4536 * j1**3 * j2 * j3 - 6804 * j1**3 * j3**2
-            + 5130 * j1**2 * j2**3 - 17496 * j1**2 * j2**2 * j3 + 131220 * j1**4
-            - 2332800 * j2 * j1**3)
+            - 756 * j2**2 * j1**3 * h + 4536 * j1**3 * j2 * j3 * h
+            - 6804 * j1**3 * j3**2 * h + 5130 * j1**2 * j2**3 * h
+            - 17496 * j1**2 * j2**2 * j3 * h + 131220 * j1**4 * h**2
+            - 2332800 * j2 * j1**3 * h**2)
 
 
-def _phi_w(j1, j2, j3):
+def _phi_w(j1, j2, j3, h=1):
     return (-j1**3 * j2**6 + 18 * j1**3 * j2**5 * j3 - 135 * j1**3 * j2**4 * j3**2
             + 540 * j1**3 * j2**3 * j3**3 - 1215 * j1**3 * j2**2 * j3**4
             + 1458 * j1**3 * j2 * j3**5 - 729 * j1**3 * j3**6 + 3 * j1**2 * j2**7
             - 36 * j1**2 * j2**6 * j3 + 162 * j1**2 * j2**5 * j3**2
             - 324 * j1**2 * j2**4 * j3**3 + 243 * j1**2 * j2**3 * j3**4
             - 3 * j1 * j2**8 + 18 * j1 * j2**7 * j3 - 27 * j1 * j2**6 * j3**2
-            + j2**9 + 1350 * j1**4 * j2**4 - 16200 * j1**4 * j2**3 * j3
-            + 72900 * j1**4 * j2**2 * j3**2 - 145800 * j1**4 * j2 * j3**3
-            + 109350 * j1**4 * j3**4 - 6345 * j1**3 * j2**5
-            + 52650 * j1**3 * j2**4 * j3 - 144585 * j1**3 * j2**3 * j3**2
-            + 131220 * j1**3 * j2**2 * j3**3 + 4995 * j1**2 * j2**6
-            - 14580 * j1**2 * j2**5 * j3 - 599724 * j1**5 * j2**2
-            + 3598344 * j1**5 * j2 * j3 - 5397516 * j1**5 * j3**2
-            + 4175226 * j1**4 * j2**3 - 15390648 * j1**4 * j2**2 * j3
-            + 4898880 * j1**4 * j2 * j3**2 - 1961496 * j1**3 * j2**4
-            + 87392520 * j1**6 - 881798400 * j1**5 * j2 - 1259712000 * j1**5 * j3)
+            + j2**9 + 1350 * j1**4 * j2**4 * h - 16200 * j1**4 * j2**3 * j3 * h
+            + 72900 * j1**4 * j2**2 * j3**2 * h - 145800 * j1**4 * j2 * j3**3 * h
+            + 109350 * j1**4 * j3**4 * h - 6345 * j1**3 * j2**5 * h
+            + 52650 * j1**3 * j2**4 * j3 * h - 144585 * j1**3 * j2**3 * j3**2 * h
+            + 131220 * j1**3 * j2**2 * j3**3 * h + 4995 * j1**2 * j2**6 * h
+            - 14580 * j1**2 * j2**5 * j3 * h - 599724 * j1**5 * j2**2 * h**2
+            + 3598344 * j1**5 * j2 * j3 * h**2 - 5397516 * j1**5 * j3**2 * h**2
+            + 4175226 * j1**4 * j2**3 * h**2 - 15390648 * j1**4 * j2**2 * j3 * h**2
+            + 4898880 * j1**4 * j2 * j3**2 * h**2 - 1961496 * j1**3 * j2**4 * h**2
+            + 87392520 * j1**6 * h**3 - 881798400 * j1**5 * j2 * h**3
+            - 1259712000 * j1**5 * j3 * h**3)
 
 
-def _phi_q(j1, j2, j3):
+def _phi_q(j1, j2, j3, h=1):
     return j1**5 * (
         j2**4 * j1**3 - 12 * j1**3 * j2**3 * j3 + 54 * j1**3 * j2**2 * j3**2
         - 108 * j1**3 * j2 * j3**3 + 81 * j1**3 * j3**4 + 78 * j2**5 * j1**2
@@ -265,14 +304,15 @@ def _phi_q(j1, j2, j3):
         - 29376 * j1**2 * j2**2 * j3**3 + 47952 * j1**2 * j2 * j3**4
         - 31104 * j1**2 * j3**5 - 159 * j1 * j2**6 + 1728 * j1 * j2**5 * j3
         - 6048 * j1 * j2**4 * j3**2 + 6912 * j1 * j2**3 * j3**3 + 80 * j2**7
-        - 384 * j2**6 * j3 - 972 * j1**4 * j2**2 + 5832 * j1**4 * j2 * j3
-        - 8748 * j1**4 * j3**2 - 77436 * j1**3 * j2**3
-        + 870912 * j1**3 * j2**2 * j3 - 3090960 * j1**3 * j2 * j3**2
-        + 3499200 * j1**3 * j3**3 + 592272 * j2**4 * j1**2
-        - 4743360 * j1**2 * j2**3 * j3 + 9331200 * j1**2 * j2**2 * j3**2
-        - 41472 * j1 * j2**5 + 236196 * j1**5 + 19245600 * j2 * j1**4
-        - 104976000 * j1**4 * j3 - 507384000 * j2**2 * j1**3
-        + 2099520000 * j1**3 * j2 * j3 + 125971200000 * j1**4)
+        - 384 * j2**6 * j3 - 972 * j1**4 * j2**2 * h + 5832 * j1**4 * j2 * j3 * h
+        - 8748 * j1**4 * j3**2 * h - 77436 * j1**3 * j2**3 * h
+        + 870912 * j1**3 * j2**2 * j3 * h - 3090960 * j1**3 * j2 * j3**2 * h
+        + 3499200 * j1**3 * j3**3 * h + 592272 * j2**4 * j1**2 * h
+        - 4743360 * j1**2 * j2**3 * j3 * h + 9331200 * j1**2 * j2**2 * j3**2 * h
+        - 41472 * j1 * j2**5 * h + 236196 * j1**5 * h**2
+        + 19245600 * j2 * j1**4 * h**2 - 104976000 * j1**4 * j3 * h**2
+        - 507384000 * j2**2 * j1**3 * h**2 + 2099520000 * j1**3 * j2 * j3 * h**2
+        + 125971200000 * j1**4 * h**3)
 
 
 def is_rational_square(v):
@@ -306,24 +346,31 @@ def phi_map(j):
     direct route (build the sextic, take its invariants); any
     disagreement raises IdentityViolationError.  Requires j1 != 0 and
     the denominator polynomial q != 0.
+
+    The components are evaluated on homogeneous integer coordinates
+    (J1, J2, J3, h) of j and divided by their powers of h once; the
+    direct route runs on integer representatives inside the power sums,
+    the sextic invariants and Q.
     """
-    j1, j2, j3 = (_exact(v) for v in j.astuple())
+    j1, j2, j3 = (Fraction(v) for v in j.astuple())
     if j1 == 0:
         raise DomainError("j1 = 0: moduli map undefined (I2 = 0 locus)")
-    qv = _phi_q(j1, j2, j3)
+    h = lcm(j1.denominator, j2.denominator, j3.denominator)
+    J1, J2, J3 = (v.numerator * (h // v.denominator) for v in (j1, j2, j3))
+    qv = _phi_q(J1, J2, J3, h)      # h^12 q(j)
     if qv == 0:
         raise DegeneratePointError(
             "denominator q = 0: point lies on the chi35 vanishing divisor")
-    mv = _phi_m(j1, j2, j3)
-    kv = _phi_k(j1, j2, j3)
-    wv = _phi_w(j1, j2, j3)
-    j1p = Fraction(64, 729) * mv**5 / qv
-    j2p = Fraction(4, 729) * mv**3 * kv / qv
-    j3p = Fraction(1, 729) * mv**2 * wv / qv
+    mv = _phi_m(J1, J2, J3, h)      # h^3 m(j)
+    kv = _phi_k(J1, J2, J3, h)      # h^6 k(j)
+    wv = _phi_w(J1, J2, J3, h)      # h^9 w(j)
+    den = 729 * h**3 * qv
+    j1p = Fraction(64 * mv**5, den)
+    j2p = Fraction(4 * mv**3 * kv, den)
+    j3p = Fraction(mv**2 * wv, den)
 
     # direct route
     inv = igusa_from_absolute(j)
-    src = siegel_from_igusa(inv)
     f = satake_sextic(power_sums_from_igusa(inv))
     inv_f = igusa_from_sextic(f)
     j_direct = absolute_invariants(inv_f)
@@ -333,6 +380,7 @@ def phi_map(j):
             f"{(j1p, j2p, j3p)} vs {j_direct.astuple()}")
 
     # image form values and the proof-side scalings
+    src = siegel_from_igusa(inv)
     img = siegel_from_igusa(inv_f)
     Q_src = q_form(src)
     Q_img = q_form(img)
@@ -343,16 +391,15 @@ def phi_map(j):
         raise IdentityViolationError("chi10(tau') scaling fails")
     if img.chi12 != 2**40 * 3**23 * Q_src * M:
         raise IdentityViolationError("chi12(tau') = 2^40 3^23 Q M fails")
-    # appendix polynomials versus the proof-side weight-0 reductions
-    I2 = inv.I2
-    if mv != 2**6 * j1**3 * M / I2**6:
+    # appendix polynomials versus the proof-side weight-0 reductions at
+    # I2 = 1, multiplied through by the powers of h
+    if mv != 2**6 * J1**3 * M:
         raise IdentityViolationError("m-polynomial disagrees with 2^6 j1^3 M / I2^6")
-    if kv != 2**12 * j1**6 * K / I2**12:
+    if kv != 2**12 * J1**6 * K:
         raise IdentityViolationError("k-polynomial disagrees with 2^12 j1^6 K / I2^12")
-    lv = 2**18 * j1**9 * L / I2**18
-    if 3 * wv != lv + 4 * kv * mv:
+    if 3 * wv != 2**18 * J1**9 * L + 4 * kv * mv:
         raise IdentityViolationError("g3 factor disagrees with (l + 4 k m)/3")
-    if qv != 2**63 * j1**15 * Q_src / I2**30:
+    if qv * h**3 != 2**63 * J1**15 * Q_src:
         raise IdentityViolationError("q-polynomial disagrees with 2^63 j1^15 Q / I2^30")
 
     n_sq = Q_img / (2**210 * 3**132 * Q_src**3)

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import _kernels
 from .errors import DegeneratePointError, DomainError
 
 DEFAULT_RADIUS = 12
@@ -115,6 +114,8 @@ def theta_constant(char, tau, radius=DEFAULT_RADIUS):
     m1, m2, n1, n2 = char
     if not all(v in (0, 1) for v in char):
         raise DomainError("characteristic entries must be half-integers 0 or 1/2")
+    from . import _kernels   # numpy loads with the numeric kernels, on first use
+
     a1, a2, b1, b2 = m1 / 2.0, m2 / 2.0, n1 / 2.0, n2 / 2.0
     val = _kernels.theta_sum(a1, a2, b1, b2, tau.tau1, tau.z, tau.tau2, radius)
     tail = _kernels.theta_shell(a1, a2, b1, b2, tau.tau1, tau.z, tau.tau2, radius)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 from g2satake.cli import run
 
@@ -160,3 +161,76 @@ def test_console_script_fallback_path():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["result"]["invariants"]["I2"] == "550"
+
+
+def test_standard_fibration_on_i10_zero_is_a_domain_error(capsys):
+    code, doc = invoke(capsys, "fibration", "--model", "standard",
+                       "--rosenhain", "2,3,3")
+    assert code == 2
+    assert doc["status"] == "domain-error"
+    # the F-theory normalization stays defined on chi10 = 0
+    code, doc = invoke(capsys, "fibration", "--model", "alternate-ftheory",
+                       "--siegel", "3,5,0,7")
+    assert code == 0
+    assert doc["result"]["euler_sum"] == 24
+
+
+def test_satake_sextic_from_siegel_on_product_locus(capsys):
+    code, doc = invoke(capsys, "satake-sextic", "--siegel", "38/69,-21/82,0,-39/56")
+    assert code == 0
+    res = doc["result"]
+    assert res["discriminant_identity"] is True
+    assert res["power_sums"]["s2"] == str(12 * Fraction(38, 69))
+    assert res["power_sums"]["s5"] == str(60 * Fraction(38, 69) * Fraction(-21, 82))
+
+
+def test_satake_sextic_siegel_input_matches_curve_input(capsys):
+    code, by_curve = invoke(capsys, "satake-sextic", "--rosenhain", "2,3,5")
+    s = by_curve["result"]
+    code, doc = invoke(capsys, "igusa", "--rosenhain", "2,3,5")
+    forms = doc["result"]["siegel"]
+    siegel = ",".join(forms[k] for k in ("psi4", "psi6", "chi10", "chi12"))
+    code, by_forms = invoke(capsys, "satake-sextic", f"--siegel={siegel}")
+    assert code == 0
+    assert by_forms["result"] == s
+
+
+def test_run_job_document_with_negative_rationals(tmp_path, capsys):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"command": "predicates",
+                               "input": {"rosenhain": ["-1", 2, -2]}}))
+    code, doc = invoke(capsys, "run", str(job))
+    assert code == 0
+    assert doc["result"]["humbert"]["on_H4"] is True
+
+
+def test_run_missing_job_document_is_a_schema_error(tmp_path, capsys):
+    code, doc = invoke(capsys, "run", str(tmp_path / "missing.json"))
+    assert code == 1
+    assert doc["status"] == "schema-error"
+
+
+EXACT_COMMANDS = (
+    ["igusa", "--rosenhain=2,3,5"],
+    ["predicates", "--rosenhain=-1,2,-2"],
+    ["predicates", "--siegel=3,5,0,7"],
+    ["satake-sextic", "--rosenhain=2,3,5"],
+    ["satake-sextic", "--siegel=3,5,0,7"],
+    ["phi", "--rosenhain=2,3,5"],
+) + tuple(["fibration", "--model", m, "--rosenhain=1/3,-7/2,12/5"]
+          for m in ("kummer1", "kummer23", "alternate", "alternate-ftheory",
+                    "standard"))
+
+
+def test_exact_commands_never_import_numpy():
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from g2satake.cli import run\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert run(argv) == 0, argv\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(EXACT_COMMANDS)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

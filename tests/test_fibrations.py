@@ -125,6 +125,31 @@ def test_kummer_quartic_i2_locations():
     assert locs == {"2", "3", "5", "6", "10", "15"}
 
 
+def test_kummer_quartic_i2_locations_at_30_digits(rng):
+    # the same six I2 fibers, found exactly however tall the lambdas are
+    lo, hi = 10**29, 10**30 - 1
+    lams = [F(rng.choice((-1, 1)) * rng.randint(lo, hi), rng.randint(lo, hi))
+            for _ in range(3)]
+    census = classify_fibers(kummer_quartic_model(*lams).jacobian_model())
+    i2 = [f for f in census.fibers if f.fiber_type == "I2"]
+    l1, l2, l3 = lams
+    assert {f.location for f in i2} == {l1, l2, l3, l1 * l2, l1 * l3, l2 * l3}
+    assert all(f.count == 1 for f in i2)
+    assert census.type_multiset() == {"I2": 6, "I0*": 2}
+
+
+def test_alternate_i2_is_an_exact_location_at_every_height(rng):
+    # the I2 fiber sits at t = -d/c = I2/24; it is reported as a rational
+    # location, not as a degree-1 cluster, at every input height
+    for digits in (2, 10, 30):
+        lo, hi = 10 ** (digits - 1), 10**digits - 1
+        lams = [F(rng.randint(lo, hi), rng.randint(lo, hi)) for _ in range(3)]
+        inv = igusa_from_rosenhain(*lams)
+        census = classify_fibers(alternate_model(FibrationParams.from_igusa(inv)))
+        (i2,) = [f for f in census.fibers if f.fiber_type == "I2"]
+        assert i2.location == F(inv.I2) / 24
+
+
 def test_kumfib2_b_coefficient_is_satake_sextic(rng):
     for _ in range(3):
         inv = igusa_from_rosenhain(*random_lambdas(rng, 12))

@@ -168,3 +168,69 @@ def test_igusa_from_absolute_representative():
     j = absolute_invariants(inv)
     rep = igusa_from_absolute(j)
     assert absolute_invariants(rep).astuple() == j.astuple()
+
+
+def _q_reference(p4, p6, c10, c12):
+    """Q term by term over Fractions, as transcribed from the paper."""
+    return (
+        2**24 * 3**15 * c12**5
+        - 2**13 * 3**9 * p4**3 * c12**4
+        - 2**13 * 3**9 * p6**2 * c12**4
+        + 3**3 * p4**6 * c12**3
+        - 2 * 3**3 * p4**3 * p6**2 * c12**3
+        - 2**14 * 3**8 * p4**2 * p6 * c10 * c12**3
+        - 2**23 * 3**12 * 5**2 * p4 * c10**2 * c12**3
+        + 3**3 * p6**4 * c12**3
+        + 2**11 * 3**6 * 37 * p4**4 * c10**2 * c12**2
+        + 2**11 * 3**6 * 5 * 7 * p4 * p6**2 * c10**2 * c12**2
+        - 2**23 * 3**9 * 5**3 * p6 * c10**3 * c12**2
+        - 3**2 * p4**7 * c10**2 * c12
+        + 2 * 3**2 * p4**4 * p6**2 * c10**2 * c12
+        + 2**11 * 3**5 * 5 * 19 * p4**3 * p6 * c10**3 * c12
+        + 2**20 * 3**8 * 5**3 * 11 * p4**2 * c10**4 * c12
+        - 3**2 * p4 * p6**4 * c10**2 * c12
+        + 2**11 * 3**5 * 5**2 * p6**3 * c10**3 * c12
+        - 2 * p4**6 * p6 * c10**3
+        - 2**12 * 3**4 * p4**5 * c10**4
+        + 2**2 * p4**3 * p6**3 * c10**3
+        + 2**12 * 3**4 * 5**2 * p4**2 * p6**2 * c10**4
+        + 2**21 * 3**7 * 5**4 * p4 * p6 * c10**5
+        - 2 * p6**5 * c10**3
+        + 2**32 * 3**9 * 5**5 * c10**6
+    )
+
+
+def _lambdas_of_height(rng, digits):
+    lo, hi = 10 ** (digits - 1), 10**digits - 1
+    return [F(rng.choice((-1, 1)) * rng.randint(lo, hi), rng.randint(lo, hi))
+            for _ in range(3)]
+
+
+@pytest.mark.parametrize("digits", [2, 10, 30, 60])
+def test_integer_q_form_matches_fraction_formula(rng, digits):
+    for _ in range(3):
+        s = siegel_from_igusa(igusa_from_rosenhain(*_lambdas_of_height(rng, digits)))
+        assert q_form(s) == _q_reference(*map(F, s.astuple()))
+    # an arbitrary rational point, and the generic (non-exact) path
+    s = SiegelForms(F(7, 12), F(-5, 18), F(11, 1000), F(3, 8))
+    assert q_form(s) == _q_reference(*s.astuple())
+    z = SiegelForms(0.5 + 1j, -0.25j, 0.125, 2.0)
+    assert abs(q_form(z) - _q_reference(*z.astuple())) <= 1e-9 * abs(q_form(z))
+
+
+def test_integral_representative_is_small_for_rosenhain_input(rng):
+    from g2satake.qpoly import integral_representative
+
+    lams = _lambdas_of_height(rng, 30)
+    s = siegel_from_igusa(igusa_from_rosenhain(*lams))
+    r, ints = integral_representative(s.astuple(), (4, 6, 10, 12))
+    assert all(v * r**w == n for v, w, n in zip(s.astuple(), (4, 6, 10, 12), ints))
+    # no larger than the scale 12 d1 d2 d3 read off the lambdas
+    assert r <= 12 * lams[0].denominator * lams[1].denominator * lams[2].denominator
+
+
+def test_predicate_helpers_accept_a_known_q():
+    s = siegel_from_igusa(igusa_from_rosenhain(2, 3, 5))
+    q = q_form(s)
+    assert humbert_predicates(s, q) == humbert_predicates(s)
+    assert chi35_squared(s, q) == chi35_squared(s)

@@ -102,3 +102,64 @@ def test_eps_series_ring_ops():
     b = EpsSeries({1: F(3)})
     assert (a * b).terms == {0: F(6), 1: F(3)}
     assert (a + (-a)).terms == {}
+
+
+def _big_rational(rng, digits=30):
+    lo, hi = 10 ** (digits - 1), 10**digits - 1
+    return F(rng.choice((-1, 1)) * rng.randint(lo, hi), rng.randint(lo, hi))
+
+
+def test_gcd_and_squarefree_with_repeated_factors_at_30_digits(rng):
+    for _ in range(5):
+        a, b, c = (Poly([_big_rational(rng) for _ in range(k)]) for k in (3, 4, 2))
+        p = a * b**2 * c**3
+        q = b * c**2 * Poly([_big_rational(rng), 1])
+        assert poly_gcd(p, q) == (b * c**2).monic()
+        assert poly_gcd(q, p) == (b * c**2).monic()
+        assert squarefree_decomposition(p) == [(a.monic(), 1), (b.monic(), 2),
+                                               (c.monic(), 3)]
+
+
+def test_integer_gcd_stays_over_z():
+    from g2satake.qpoly import integer_gcd, primitive_part
+
+    p = primitive_part(Poly.from_roots([F(1, 3), F(2, 5), F(-7)]))
+    q = primitive_part(Poly.from_roots([F(2, 5), F(-7), F(9, 2)]))
+    g = integer_gcd(p, q)
+    assert g == Poly([-14, 33, 5])          # (5t - 2)(t + 7)
+    assert all(type(c) is int for c in g.coeffs)
+
+
+def test_split_rational_roots_exact(rng):
+    from g2satake.qpoly import primitive_part, split_rational_roots
+
+    for digits in (2, 10, 30, 60):
+        roots = sorted({_big_rational(rng, digits) for _ in range(3)} | {F(0)})
+        irreducible = Poly([3, 0, 1, 0, 0, 1])     # t^5 + t^2 + 3
+        p = primitive_part(Poly.from_roots(roots) * irreducible)
+        found, rest = split_rational_roots(p)
+        assert found == roots
+        assert rest == primitive_part(irreducible)
+    assert split_rational_roots(Poly([-3, 2])) == ([F(3, 2)], Poly([1]))
+    assert split_rational_roots(Poly([2, 0, 1])) == ([], Poly([2, 0, 1]))
+
+
+def test_discriminant_of_rational_sextic_matches_root_product(rng):
+    roots = [_big_rational(rng, 10) for _ in range(6)]
+    lead = F(7, 3)
+    expected = lead**10
+    for i in range(6):
+        for j in range(i + 1, 6):
+            expected *= (roots[i] - roots[j]) ** 2
+    assert discriminant(Poly.from_roots(roots, lead=lead)) == expected
+
+
+def test_graded_integral_scale_recovers_the_weighting():
+    from g2satake.qpoly import graded_integral_scale
+
+    # t^3 + a t + b with a, b of weights 4 and 6 in the scale d (t weight 2)
+    d = 7**3 * 11
+    terms = [(1, 3, 1), (1, 1, F(5, d**4)), (1, 0, F(-3, d**6))]
+    s, rho = graded_integral_scale(terms)
+    assert (s, rho) == (d**6, F(1, d**2))
+    assert [c * s**k * rho**i for k, i, c in terms] == [1, 5, -3]

@@ -191,3 +191,32 @@ def test_theta_coordinates_match_power_sum_route():
     # x built from theta matches satake_from_theta (same formulas): sanity
     co = satake_from_theta(tc)
     assert abs(sum(co.x)) < 1e-12
+
+
+@pytest.mark.parametrize("digits", [2, 10, 30, 60])
+def test_homogenized_phi_polynomials(rng, digits):
+    from math import lcm
+
+    from g2satake.satake import _phi_k, _phi_m, _phi_q, _phi_w
+
+    lo, hi = 10 ** (digits - 1), 10**digits - 1
+    lams = [F(rng.choice((-1, 1)) * rng.randint(lo, hi), rng.randint(lo, hi))
+            for _ in range(3)]
+    j = [F(v) for v in absolute_invariants(igusa_from_rosenhain(*lams)).astuple()]
+    h = lcm(*(v.denominator for v in j))
+    J = [v.numerator * (h // v.denominator) for v in j]
+    for fn, deg in ((_phi_m, 3), (_phi_k, 6), (_phi_w, 9), (_phi_q, 12)):
+        assert fn(*J, h) == h**deg * fn(*j)
+
+
+def test_power_sums_from_siegel_match_igusa_route(rng):
+    from g2satake.satake import power_sums_from_siegel
+
+    for _ in range(5):
+        inv = IgusaInvariants(*[F(rng.randint(-30, 30), rng.randint(1, 9))
+                                for _ in range(4)])
+        assert (power_sums_from_siegel(siegel_from_igusa(inv)).astuple()
+                == power_sums_from_igusa(inv).astuple())
+    # defined on chi10 = 0, where the Igusa invariants are not
+    s = SiegelForms(F(38, 69), F(-21, 82), F(0), F(-39, 56))
+    assert satake_sextic(power_sums_from_siegel(s)) == satake_sextic_from_siegel(s)
