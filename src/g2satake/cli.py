@@ -24,9 +24,9 @@ from .fibrations import (FibrationParams, alternate_model, alternate_model_ftheo
                          kummer_quartic_model, qvanish_identity, standard_model,
                          type_iii_siegel_identity)
 from .igusa import (AbsoluteInvariants, IgusaInvariants, SiegelForms,
-                    absolute_invariants, humbert_predicates, igusa_from_rosenhain,
-                    igusa_from_sextic, igusa_from_siegel, q_form, chi35_squared,
-                    siegel_from_igusa)
+                    absolute_invariants, derived_forms, humbert_predicates,
+                    igusa_from_rosenhain, igusa_from_sextic, igusa_from_siegel,
+                    q_form, siegel_from_igusa)
 from .qpoly import Poly, discriminant
 from .roots import gaussian_roots
 from .satake import (PowerSums, phi_map, power_sums_from_igusa,
@@ -308,9 +308,9 @@ def cmd_theta(args):
 
 def cmd_predicates(args):
     s = _siegel_from_args(args)
-    q = q_form(s)
-    out = {"humbert": humbert_predicates(s, q),
-           "chi35_squared": chi35_squared(s, q), "Q": q}
+    forms = derived_forms(s)
+    out = {"humbert": humbert_predicates(s, forms.q),
+           "chi35_squared": forms.chi35_squared, "Q": forms.q}
     if s.chi10 != 0:
         inv = igusa_from_siegel(s)
         p = FibrationParams.from_igusa(inv)

@@ -212,24 +212,22 @@ def _even_invariants(cs):
 def igusa_from_sextic(f):
     """Invariants of Y^2 = f(X) for deg f in {5, 6}.
 
-    Exact over Fraction coefficients; also works with complex
-    coefficients (the transvectant arithmetic is generic).  Exact input
-    runs on the integer form F(x) = r^6 f(x / r) / lc(f), whose degree-k
-    invariant is r^(3k) / lc(f)^k times that of f.
+    Exact over int/Fraction coefficients, evaluated on the integer form
+    F(x) = r^6 f(x / r) / lc(f), whose degree-k invariant is
+    r^(3k) / lc(f)^k times that of f.
     """
     if not isinstance(f, Poly):
         f = Poly(f)
     deg = f.degree()
     if deg not in (5, 6):
         raise DomainError(f"expected a degree-5 or degree-6 polynomial, got {deg}")
-    if all(isinstance(c, (int, Fraction)) for c in f.coeffs):
-        lc = Fraction(f.lead())
-        r, ints = integral_representative([c / lc for c in f.coeffs[:-1]],
-                                          range(6, 6 - deg, -1))
-        I2, I4, I6 = (lc**k * v / r ** (3 * k) for k, v in
-                      zip((2, 4, 6), _even_invariants(ints + [r ** (6 - deg)])))
-    else:
-        I2, I4, I6 = _even_invariants(f.coeffs)
+    if not all(isinstance(c, (int, Fraction)) for c in f.coeffs):
+        raise DomainError("igusa_from_sextic needs exact (int/Fraction) coefficients")
+    lc = Fraction(f.lead())
+    r, ints = integral_representative([c / lc for c in f.coeffs[:-1]],
+                                      range(6, 6 - deg, -1))
+    I2, I4, I6 = (lc**k * v / r ** (3 * k) for k, v in
+                  zip((2, 4, 6), _even_invariants(ints + [r ** (6 - deg)])))
     I10 = discriminant(f)
     if deg == 5:
         I10 = f.lead() ** 2 * I10
@@ -338,16 +336,15 @@ def q_form(s):
     return Fraction(_q_poly(*ints), r**60)
 
 
-def chi35_squared(s, q=None):
-    """chi35^2 = chi10 * Q / (2^12 3^9), exact; ``q`` is Q if already known."""
-    if q is None:
-        q = q_form(s)
-    return s.chi10 * q / Fraction(2**12 * 3**9)
-
-
 def derived_forms(s):
+    """Q and chi35^2 = chi10 * Q / (2^12 3^9), with Q evaluated once."""
     q = q_form(s)
-    return DerivedForms(chi35_squared=chi35_squared(s, q), q=q)
+    return DerivedForms(chi35_squared=s.chi10 * q / Fraction(2**12 * 3**9), q=q)
+
+
+def chi35_squared(s):
+    """chi35^2 = chi10 * Q / (2^12 3^9), exact."""
+    return derived_forms(s).chi35_squared
 
 
 def humbert_predicates(s, q=None):

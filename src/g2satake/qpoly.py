@@ -626,19 +626,15 @@ def _horner_mod(cs, x, m):
     return acc
 
 
-def _small_primes(limit=1000):
-    return [n for n in range(2, limit)
-            if all(n % k for k in range(2, isqrt(n) + 1))]
+_PRIMES = [n for n in range(2, 1000) if all(n % k for k in range(2, isqrt(n) + 1))]
 
 
-_PRIMES = _small_primes()
-
-
-def _lifting_prime(cs, ds, tries=3):
+def _lifting_prime(cs, ds):
     """A prime not dividing the leading coefficient at which every root of
     cs (derivative ds) is simple, with those roots; the fewest roots among
-    the first few such primes, so that few candidates have to be lifted."""
+    the first three such primes, so that few candidates have to be lifted."""
     best = None
+    tries = 3
     for p in _PRIMES:
         if cs[-1] % p == 0:
             continue

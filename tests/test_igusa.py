@@ -4,7 +4,7 @@ import pytest
 
 from g2satake.errors import DomainError, ProductLocusError
 from g2satake.igusa import (IgusaInvariants, SiegelForms, absolute_invariants,
-                            chi35_squared, humbert_predicates,
+                            chi35_squared, derived_forms, humbert_predicates,
                             igusa_from_absolute, igusa_from_rosenhain,
                             igusa_from_sextic, igusa_from_siegel, q_form,
                             rosenhain_poly, siegel_from_igusa)
@@ -229,8 +229,16 @@ def test_integral_representative_is_small_for_rosenhain_input(rng):
     assert r <= 12 * lams[0].denominator * lams[1].denominator * lams[2].denominator
 
 
+def test_sextic_invariants_reject_inexact_coefficients():
+    with pytest.raises(DomainError):
+        igusa_from_sextic(Poly([1, 0, 0, 0, 0, 0, 1j]))
+    with pytest.raises(DomainError):
+        igusa_from_sextic(Poly([0.5, 0, 0, 0, 0, 1]))
+
+
 def test_predicate_helpers_accept_a_known_q():
     s = siegel_from_igusa(igusa_from_rosenhain(2, 3, 5))
-    q = q_form(s)
-    assert humbert_predicates(s, q) == humbert_predicates(s)
-    assert chi35_squared(s, q) == chi35_squared(s)
+    forms = derived_forms(s)
+    assert forms.q == q_form(s)
+    assert humbert_predicates(s, forms.q) == humbert_predicates(s)
+    assert forms.chi35_squared == chi35_squared(s)
