@@ -1,74 +1,21 @@
 """Numeric hot kernels: theta lattice sums and Aberth root iteration.
 
-Each kernel has two interchangeable implementations: a scalar-loop
-version compiled with numba's @njit, and a vectorized pure-numpy
-fallback.  The fallback is selected automatically when numba is not
-importable, or explicitly by setting the environment variable
-``G2SATAKE_NO_NUMBA`` to a non-empty value.  Both implementations stay
-importable so the test suite and ``benchmarks/bench_kernels.py`` can
-compare them directly.
+One vectorized numpy implementation of each; ``perfbench/`` times them.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via the env flag instead
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-USE_NUMBA = HAVE_NUMBA and not os.environ.get("G2SATAKE_NO_NUMBA")
+# read by the benchmark's environment report; there is no compiled path
+USE_NUMBA = False
 
 PI = np.pi
 
 
-# ---------------------------------------------------------------------------
-# theta lattice sums
-# ---------------------------------------------------------------------------
-
-
-def _theta_sum_loop(a1, a2, b1, b2, t1, z, t2, radius):
-    total = 0.0 + 0.0j
-    for m in range(-radius, radius + 1):
-        v1 = m + a1
-        for n in range(-radius, radius + 1):
-            v2 = n + a2
-            q = (v1 * v1) * t1 + 2.0 * v1 * v2 * z + (v2 * v2) * t2 \
-                + 2.0 * (v1 * b1 + v2 * b2)
-            total += np.exp(1j * PI * q)
-    return total
-
-
-def _theta_shell_loop(a1, a2, b1, b2, t1, z, t2, radius):
-    # magnitude of the first omitted shell, max-norm radius + 1
-    r = radius + 1
-    tail = 0.0
-    for m in range(-r, r + 1):
-        for n in range(-r, r + 1):
-            if max(abs(m), abs(n)) != r:
-                continue
-            v1 = m + a1
-            v2 = n + a2
-            q = (v1 * v1) * t1 + 2.0 * v1 * v2 * z + (v2 * v2) * t2
-            tail += np.exp(-PI * (q.imag))
-    return tail
-
-
-def theta_sum_numpy(a1, a2, b1, b2, t1, z, t2, radius):
+def theta_sum(a1, a2, b1, b2, t1, z, t2, radius):
+    """Theta series with characteristic (a, b) over the box |u|_inf <= radius."""
+    t1, z, t2 = complex(t1), complex(z), complex(t2)
     u = np.arange(-radius, radius + 1, dtype=np.float64)
     v1 = u[:, None] + a1
     v2 = u[None, :] + a2
@@ -76,7 +23,9 @@ def theta_sum_numpy(a1, a2, b1, b2, t1, z, t2, radius):
     return complex(np.exp(1j * PI * q).sum())
 
 
-def theta_shell_numpy(a1, a2, b1, b2, t1, z, t2, radius):
+def theta_shell(a1, a2, b1, b2, t1, z, t2, radius):
+    """Summed magnitude of the first omitted shell, |u|_inf = radius + 1."""
+    t1, z, t2 = complex(t1), complex(z), complex(t2)
     r = radius + 1
     u = np.arange(-r, r + 1, dtype=np.float64)
     mm, nn = np.meshgrid(u, u, indexing="ij")
@@ -87,88 +36,12 @@ def theta_shell_numpy(a1, a2, b1, b2, t1, z, t2, radius):
     return float(np.exp(-PI * q.imag).sum())
 
 
-if USE_NUMBA:
-    theta_sum_jit = njit(cache=True)(_theta_sum_loop)
-    theta_shell_jit = njit(cache=True)(_theta_shell_loop)
-else:
-    theta_sum_jit = _theta_sum_loop
-    theta_shell_jit = _theta_shell_loop
+def aberth(coeffs, stop, max_iter):
+    """Aberth-Ehrlich iteration on a monic polynomial, highest degree first.
 
-
-def theta_sum(a1, a2, b1, b2, t1, z, t2, radius):
-    if USE_NUMBA:
-        return theta_sum_jit(a1, a2, b1, b2, complex(t1), complex(z), complex(t2),
-                             radius)
-    return theta_sum_numpy(a1, a2, b1, b2, complex(t1), complex(z), complex(t2),
-                           radius)
-
-
-def theta_shell(a1, a2, b1, b2, t1, z, t2, radius):
-    if USE_NUMBA:
-        return theta_shell_jit(a1, a2, b1, b2, complex(t1), complex(z), complex(t2),
-                               radius)
-    return theta_shell_numpy(a1, a2, b1, b2, complex(t1), complex(z), complex(t2),
-                             radius)
-
-
-# ---------------------------------------------------------------------------
-# Aberth-Ehrlich simultaneous root iteration
-# ---------------------------------------------------------------------------
-
-
-def _aberth_loop(coeffs, stop, max_iter):
-    # coeffs: monic, highest degree first, complex128
-    n = coeffs.shape[0] - 1
-    deriv = np.empty(n, dtype=np.complex128)
-    for i in range(n):
-        deriv[i] = coeffs[i] * (n - i)
-
-    bound = 0.0
-    for i in range(1, n + 1):
-        r = abs(coeffs[i])
-        if r > bound:
-            bound = r
-    bound = 1.0 + bound
-
-    x = np.empty(n, dtype=np.complex128)
-    for i in range(n):
-        ang = 2.0 * PI * i / n + 0.7
-        x[i] = bound * (np.cos(ang) + 1j * np.sin(ang))
-
-    iters = 0
-    for _ in range(max_iter):
-        iters += 1
-        worst = 0.0
-        for i in range(n):
-            xi = x[i]
-            pv = coeffs[0]
-            for j in range(1, n + 1):
-                pv = pv * xi + coeffs[j]
-            dv = deriv[0]
-            for j in range(1, n):
-                dv = dv * xi + deriv[j]
-            if pv == 0:
-                continue
-            if dv == 0:
-                x[i] = xi * (1.0 + 1e-6) + 1e-6
-                worst = 1.0
-                continue
-            w = pv / dv
-            acc = 0.0 + 0.0j
-            for j in range(n):
-                if j != i:
-                    acc += 1.0 / (xi - x[j])
-            corr = w / (1.0 - w * acc)
-            x[i] = xi - corr
-            rel = abs(corr) / (1.0 + abs(xi))
-            if rel > worst:
-                worst = rel
-        if worst < stop:
-            break
-    return x, iters
-
-
-def aberth_numpy(coeffs, stop, max_iter):
+    Returns the roots and the number of sweeps run.
+    """
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
     n = coeffs.shape[0] - 1
     deriv = coeffs[:-1] * np.arange(n, 0, -1)
     bound = 1.0 + np.abs(coeffs[1:]).max()
@@ -191,16 +64,3 @@ def aberth_numpy(coeffs, stop, max_iter):
         if (np.abs(corr) / (1.0 + np.abs(x))).max() < stop:
             break
     return x, iters
-
-
-if USE_NUMBA:
-    aberth_jit = njit(cache=True)(_aberth_loop)
-else:
-    aberth_jit = _aberth_loop
-
-
-def aberth(coeffs, stop, max_iter):
-    c = np.asarray(coeffs, dtype=np.complex128)
-    if USE_NUMBA:
-        return aberth_jit(c, stop, max_iter)
-    return aberth_numpy(c, stop, max_iter)

@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 schema/usage error, 2 domain error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -158,24 +159,17 @@ def cmd_igusa(args):
 
 
 def cmd_satake_sextic(args):
-    s = None
+    s = s4 = None
     if getattr(args, "power_sums", None):
         vals = _parse_fraction_list(args.power_sums, 6, "--power-sums")
         if vals[0] != 0:
             raise IdentityViolationError("s1 must vanish for Satake power sums")
-
-        class _RawPS(PowerSums):
-            # carries a caller-supplied s4 so the dual construction can
-            # genuinely disagree on corrupted input
-            @property
-            def s4(self):
-                return vals[3]
-
-        ps = _RawPS(s2=vals[1], s3=vals[2], s5=vals[4], s6=vals[5])
+        ps = PowerSums(s2=vals[1], s3=vals[2], s5=vals[4], s6=vals[5])
+        s4 = vals[3]   # checked against s2^2/4 by the dual construction
     else:
         s = _siegel_from_args(args)
         ps = power_sums_from_siegel(s)
-    f = satake_sextic(ps)
+    f = satake_sextic(ps, s4)
     disc = discriminant(f)
     out = {
         "power_sums": {"s1": ps.s1, "s2": ps.s2, "s3": ps.s3,
@@ -287,7 +281,7 @@ def cmd_theta(args):
         "theta_constants": list(tc.values),
         "tail_estimates": list(tc.tails),
         "radius": PlainInt(tc.radius),
-        "precise": tc.max_tail <= 1e-12 * max(abs(t) for t in tc.values),
+        "precise": tc.precise,
         "frobenius_residuals": dict(rep.residuals),
         "max_frobenius_residual": rep.max_residual,
         "satake_coordinates": list(coords.x),
@@ -358,7 +352,10 @@ def _add_common(p):
                    help="indent the JSON envelope")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once: it costs far more than a parse, and
+    each parse returns a fresh namespace."""
     top = _Parser(prog="g2satake", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
     for name in _HANDLERS:

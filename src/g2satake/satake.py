@@ -124,15 +124,16 @@ def complete_bell(i, z):
     return b[i]
 
 
-def satake_sextic(ps):
+def satake_sextic(ps, s4=None):
     """The monic sextic with the Satake coordinates as roots.
 
     Both the Bell-polynomial expansion and the closed form are computed;
     any coefficient mismatch is a broken s1/s4 constraint and raises
-    IdentityViolationError.
+    IdentityViolationError.  ``s4`` overrides ``ps.s4`` (which is s2^2/4
+    by construction), so that power sums given by a caller are checked.
     """
     s2, s3, s5, s6 = (_exact(v) for v in (ps.s2, ps.s3, ps.s5, ps.s6))
-    s1, s4 = _exact(ps.s1), _exact(ps.s4)
+    s1, s4 = _exact(ps.s1), _exact(ps.s4 if s4 is None else s4)
 
     z = [s1, -s2, 2 * s3, -6 * s4, 24 * s5, -120 * s6]
     bell_coeffs = [Fraction(1)]  # x^6 downwards

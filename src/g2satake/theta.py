@@ -101,10 +101,10 @@ class ThetaConstants:
     def max_tail(self):
         return max(self.tails) if self.tails else 0.0
 
-    @classmethod
-    def from_fourth_powers(cls, t4):
-        """Principal fourth roots; adequate wherever only powers are used."""
-        return cls(values=tuple(complex(v) ** 0.25 for v in t4))
+    @property
+    def precise(self):
+        """The largest tail is below TAIL_WARN times the largest constant."""
+        return self.max_tail <= TAIL_WARN * max(abs(v) for v in self.values)
 
 
 def theta_constant(char, tau, radius=DEFAULT_RADIUS):

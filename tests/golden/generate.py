@@ -97,12 +97,14 @@ def cases():
         ["theta", f"--tau={TAU}"],
         ["theta", f"--tau={TAU_SMALL}"],
         ["theta", f"--tau={TAU}", "--theta-radius", "3"],
+        ["theta", "--tau=0.1,0.7,0.05,0.1,-0.2,0.8", "--theta-radius", "2"],
         ["theta", f"--tau={TAU_DIAGONAL}"],
         ["theta", "--tau=0,1,0,2,0,1"],
         ["theta", "--tau=0,1,0,1"],
         # exit codes 1 and 3
         ["satake-sextic", f"--power-sums={BAD_POWER_SUMS}"],
         ["satake-sextic", "--power-sums=1,0,0,0,0,0"],
+        ["satake-sextic", "--power-sums=0,4,1,4,2,3"],
         ["igusa", "--rosenhain=1/0,2,3"],
         ["igusa", "--rosenhain=2,3"],
         ["igusa"],

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -153,11 +152,10 @@ def test_run_job_unknown_command(tmp_path, capsys):
     assert code == 1
 
 
-def test_console_script_fallback_path():
-    env = dict(os.environ, G2SATAKE_NO_NUMBA="1")
+def test_console_script_runs_as_module():
     proc = subprocess.run(
         [sys.executable, "-m", "g2satake.cli", "igusa", "--rosenhain", "2,3,5"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True)
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["result"]["invariants"]["I2"] == "550"

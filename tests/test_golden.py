@@ -19,10 +19,9 @@ CASES = [json.loads(line) for line in CORPUS.read_text().splitlines()]
 
 
 def _command(case):
-    argv = case["argv"]
-    if argv and argv[0] == "run":
-        return (case.get("doc") or {}).get("command")
-    return argv[0] if argv else None
+    if case["argv"][0] == "run":
+        return case.get("doc", {}).get("command")
+    return case["argv"][0]
 
 
 def _close(got, want):

@@ -101,6 +101,8 @@ def test_corrupted_s4_trips_dual_construction():
 
     with pytest.raises(IdentityViolationError):
         satake_sextic(BadPowerSums(s2=F(1), s3=F(0), s5=F(0), s6=F(0)))
+    with pytest.raises(IdentityViolationError):
+        satake_sextic(PowerSums(s2=F(1), s3=F(0), s5=F(0), s6=F(0)), s4=F(99))
 
 
 def test_discriminant_identity_random(rng):
