@@ -27,7 +27,7 @@ from .igusa import (AbsoluteInvariants, DerivedForms, IgusaInvariants,
 from .qpoly import (EpsSeries, GaussianRational, Poly, discriminant,
                     laurent_limit, poly_gcd, resultant,
                     squarefree_decomposition)
-from .roots import complex_roots, gaussian_roots, polish_root_exact
+from .roots import complex_roots, gaussian_roots
 from .satake import (PhiResult, PowerSums, complete_bell, igusa_from_power_sums,
                      phi_map, power_sums_from_igusa, is_rational_square,
                      reconstruct_from_satake_roots, satake_discriminant_identity,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -101,7 +102,20 @@ def _parse_float_list(s, n, what):
         raise SchemaError(f"{what}: {e}")
     if len(vals) != n:
         raise SchemaError(f"{what} needs {n} comma-separated numbers, got {len(vals)}")
+    if not all(map(math.isfinite, vals)):
+        raise SchemaError(f"{what} needs finite numbers, got {vals}")
     return vals
+
+
+def _positive_tolerance(s):
+    """argparse type of --tol: a finite number > 0."""
+    try:
+        v = float(s)
+    except ValueError:
+        v = math.nan
+    if not 0 < v < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {s!r}")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +360,7 @@ def _add_common(p):
     p.add_argument("--igusa", help="I2,I4,I6,I10")
     p.add_argument("--siegel", help="psi4,psi6,chi10,chi12")
     p.add_argument("--sextic", help="c0,c1,...,c6 lowest degree first")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_positive_tolerance, default=1e-8)
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.add_argument("--pretty", action="store_true",
                    help="indent the JSON envelope")
@@ -404,7 +418,11 @@ def run(argv=None):
         args = build_parser().parse_args(argv)
         if args.command == "run":
             try:
-                text = sys.stdin.read() if args.job == "-" else open(args.job).read()
+                if args.job == "-":
+                    text = sys.stdin.read()
+                else:
+                    with open(args.job, encoding="utf-8") as fh:
+                        text = fh.read()
             except OSError as e:
                 raise SchemaError(f"cannot read job document: {e}")
             try:

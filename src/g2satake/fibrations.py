@@ -9,9 +9,10 @@ homogenization to degrees (4N, 6N, 12N), and matches the order pattern
 against the Kodaira table.  Orders outside the table raise
 NonMinimalModelError instead of silently reducing the model.
 
-Exact models are classified on primitive integer multiples of g2, g3 and
-Delta, each decomposed once; rational fiber locations are split off
-every cluster exactly (p-adic lifting, no floating point).
+Coefficients must be rational (int or Fraction); the classification runs
+on primitive integer multiples of g2, g3 and Delta, each decomposed once,
+and rational fiber locations are split off every cluster exactly (p-adic
+lifting, no floating point).
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .igusa import _exact, siegel_from_igusa
 from .qpoly import (EpsSeries, Poly, discriminant, graded_integral_scale,
                     integer_gcd, integer_quotient, integer_squarefree,
                     laurent_limit, primitive_part, split_rational_roots)
-from .roots import complex_roots
 
 INFINITY = "infinity"
 
@@ -76,7 +76,7 @@ def euler_number(fiber_type):
 @dataclass(frozen=True)
 class KodairaFiber:
     fiber_type: str
-    location: object      # Fraction, "infinity", complex, or cluster Poly
+    location: object      # Fraction, "infinity", or cluster Poly
     orders: tuple         # (v(g2), v(g3), v(Delta))
     count: int = 1        # geometric points sharing this cluster
 
@@ -129,10 +129,6 @@ class WeierstrassModel:
         return g2 * g2 * g2 - 27 * g3 * g3
 
 
-def _is_exact(p):
-    return all(isinstance(c, (int, Fraction)) for c in p.coeffs)
-
-
 def _integral_short_form(model):
     """Primitive integer polynomials G2, G3, D in T, and rho with t = rho T.
 
@@ -175,47 +171,16 @@ def _order_profile(cluster, parts):
     return out
 
 
-def classify_fibers(model, surface_degree=None):
-    """Kodaira census of a model; exact over Q, numeric otherwise.
+def classify_fibers(model):
+    """Kodaira census of a model whose coefficients are int or Fraction.
 
-    ``surface_degree`` is the N with deg g2 <= 4N, deg g3 <= 6N (N=2 for
-    K3); by default the smallest admissible N is used.
+    The surface degree is the smallest N with deg g2 <= 4N, deg g3 <= 6N
+    and deg Delta <= 12N (N = 2 for K3); the fiber at t = infinity is read
+    off the degree deficits of g2, g3 and Delta after homogenization.
     """
-    if all(_is_exact(p) for p in (model.A, model.B, model.C)):
-        return _classify_exact(model, surface_degree)
-    g2, g3 = model.short_form()
-    return _classify_numeric(g2, g3, surface_degree)
-
-
-def _surface_degree(g2, g3, delta, requested):
-    need = max(
-        1,
-        -(-g2.degree() // 4) if not g2.is_zero() else 1,
-        -(-g3.degree() // 6) if not g3.is_zero() else 1,
-        -(-delta.degree() // 12),
-    )
-    if requested is None:
-        return need
-    if requested < need:
-        raise DomainError(f"surface degree {requested} too small; need {need}")
-    return requested
-
-
-def _census(fibers, g2, g3, delta, surface_degree):
-    """The finite fibers plus the fiber at t = infinity, read off the
-    degree deficits of g2, g3 and Delta after homogenization."""
-    n = _surface_degree(g2, g3, delta, surface_degree)
-    a_inf = (4 * n - g2.degree()) if not g2.is_zero() else None
-    b_inf = (6 * n - g3.degree()) if not g3.is_zero() else None
-    d_inf = 12 * n - delta.degree()
-    if d_inf > 0:
-        fibers.append(KodairaFiber(
-            fiber_type=kodaira_type(a_inf, b_inf, d_inf),
-            location=INFINITY, orders=(a_inf, b_inf, d_inf)))
-    return FiberCensus(fibers=tuple(fibers))
-
-
-def _classify_exact(model, surface_degree):
+    if not all(isinstance(c, (int, Fraction))
+               for p in (model.A, model.B, model.C) for c in p.coeffs):
+        raise DomainError("Kodaira classification needs int or Fraction coefficients")
     (g2, g3, delta), rho = _integral_short_form(model)
     if delta.is_zero():
         raise DomainError("discriminant vanishes identically; not an elliptic surface")
@@ -237,43 +202,17 @@ def _classify_exact(model, surface_degree):
                     fibers.append(KodairaFiber(
                         fiber_type=ftype, location=located.monic(),
                         orders=(a, b, d), count=n))
-    return _census(fibers, g2, g3, delta, surface_degree)
-
-
-def _numeric_order(p, point, tol=1e-8):
-    scale = max(abs(complex(c)) for c in p.coeffs)
-    k = 0
-    q = p
-    while True:
-        if abs(complex(q(point))) > tol * scale:
-            return k
-        q = q.derivative()
-        k += 1
-        if q.is_zero():
-            return None
-
-
-def _classify_numeric(g2, g3, surface_degree, tol=1e-8):
-    delta = g2 * g2 * g2 - 27 * g3 * g3
-    if delta.is_zero():
-        raise DomainError("discriminant vanishes identically; not an elliptic surface")
-    roots = complex_roots(delta, tol=1e-8)
-    clusters = []
-    for r in roots:
-        for c in clusters:
-            if abs(r - c[0]) < 1e-6 * (1 + abs(r)):
-                c[1] += 1
-                break
-        else:
-            clusters.append([r, 1])
-    fibers = []
-    for center, d in clusters:
-        a = _numeric_order(g2, center, tol)
-        b = _numeric_order(g3, center, tol)
+    # the zero polynomial has degree -1, which never raises the maximum
+    surface = max(1, -(-g2.degree() // 4), -(-g3.degree() // 6),
+                  -(-delta.degree() // 12))
+    a_inf = (4 * surface - g2.degree()) if g2 else None
+    b_inf = (6 * surface - g3.degree()) if g3 else None
+    d_inf = 12 * surface - delta.degree()
+    if d_inf > 0:
         fibers.append(KodairaFiber(
-            fiber_type=kodaira_type(a, b, d), location=center,
-            orders=(a, b, d)))
-    return _census(fibers, g2, g3, delta, surface_degree)
+            fiber_type=kodaira_type(a_inf, b_inf, d_inf),
+            location=INFINITY, orders=(a_inf, b_inf, d_inf)))
+    return FiberCensus(fibers=tuple(fibers))
 
 
 # ---------------------------------------------------------------------------

@@ -153,15 +153,6 @@ class Poly:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def x(cls, coeff=1, power=1):
-        """coeff * x**power"""
-        return cls([0] * power + [coeff])
-
-    @classmethod
-    def constant(cls, c):
-        return cls([c])
-
-    @classmethod
     def from_roots(cls, roots, lead=1):
         p = cls([lead])
         for r in roots:
@@ -276,39 +267,12 @@ class Poly:
         """p(alpha*x + beta), computed by Horner over Poly arithmetic."""
         return self(Poly([beta, alpha]))
 
-    def map_coeffs(self, fn):
-        return Poly([fn(c) for c in self.coeffs])
-
     def monic(self):
         if not self.coeffs:
             return self
         lc = self.coeffs[-1]
         return Poly([Fraction(c, 1) / lc if isinstance(c, int) else c / lc
                      for c in self.coeffs])
-
-    def divmod(self, other):
-        """Exact division with remainder (coefficients must form a field)."""
-        if other.is_zero():
-            raise DomainError("polynomial division by zero")
-        q = []
-        rem = list(self.coeffs)
-        dlc = other.coeffs[-1]
-        dd = other.degree()
-        while len(rem) - 1 >= dd and rem:
-            c = rem[-1] / dlc
-            k = len(rem) - 1 - dd
-            q.append(c)
-            for i, oc in enumerate(other.coeffs):
-                rem[k + i] = rem[k + i] - c * oc
-            rem.pop()
-        q.reverse()
-        return Poly(q), Poly(rem)
-
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
-
-    def __mod__(self, other):
-        return self.divmod(other)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -778,9 +742,6 @@ class EpsSeries:
 
     def coeff(self, power):
         return self.terms.get(power, 0)
-
-    def min_power(self):
-        return min(self.terms) if self.terms else 0
 
 
 def laurent_limit(expr, order=0):

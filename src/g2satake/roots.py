@@ -2,11 +2,11 @@
 
 Aberth-Ehrlich simultaneous iteration on a coefficient-balanced copy of
 the input; the backward-error residual contract is verified for every
-returned root and non-convergence is reported, never silent.  Roots of
-exact-coefficient polynomials can additionally be polished by Newton
-steps in exact Gaussian-rational arithmetic, which removes the
-double-precision conditioning floor for simple roots.  numpy is
-imported by ``complex_roots`` when it first runs, not with the module.
+returned root and non-convergence is reported, never silent.
+``gaussian_roots`` then refines the roots of an exact-coefficient
+polynomial by Newton steps in exact Gaussian-rational arithmetic, which
+removes the double-precision conditioning floor for simple roots.  numpy
+is imported by ``complex_roots`` when it first runs, not with the module.
 """
 
 from __future__ import annotations
@@ -18,12 +18,14 @@ from .qpoly import GaussianRational, Poly
 
 DEFAULT_TOL = 1e-10
 MAX_ITER = 500
+NEWTON_STEPS = 3
+NEWTON_DIGITS = 60     # denominator digits kept after each Newton step
 
 
-def _newton_exact(cs, z, steps, digits):
+def _newton_exact(cs, z):
     ds = [k * c for k, c in enumerate(cs)][1:]
-    r = GaussianRational(Fraction(z.real), Fraction(z.imag)).limit(digits)
-    for _ in range(steps):
+    r = GaussianRational(Fraction(z.real), Fraction(z.imag)).limit(NEWTON_DIGITS)
+    for _ in range(NEWTON_STEPS):
         pv = GaussianRational(0)
         for c in reversed(cs):
             pv = pv * r + c
@@ -32,45 +34,31 @@ def _newton_exact(cs, z, steps, digits):
             dv = dv * r + c
         if dv == 0:
             break
-        r = (r - pv / dv).limit(digits)
+        r = (r - pv / dv).limit(NEWTON_DIGITS)
     return r
 
 
-def polish_root_exact(coeffs, z, steps=3, digits=60):
-    """Newton-polish one approximate root in exact rational arithmetic.
-
-    ``coeffs`` must be exact (int/Fraction), lowest degree first.  The
-    iterate is a Gaussian rational, rounded to ``digits`` denominator
-    digits after each step, so accuracy is limited only by that rounding
-    for simple roots.
-    """
-    cs = [Fraction(c) for c in coeffs]
-    return complex(_newton_exact(cs, complex(z), steps, digits))
-
-
-def gaussian_roots(p, tol=DEFAULT_TOL, max_iter=MAX_ITER, steps=3, digits=60):
+def gaussian_roots(p):
     """All roots as exact GaussianRational values (simple-root accuracy
-    limited only by the ``digits`` rounding, far below double precision).
+    limited only by the NEWTON_DIGITS rounding, far below double precision).
 
     Coefficients must be exact; downstream exact pipelines (Rosenhain
     reconstruction) can then run entirely over Q(i).
     """
     coeffs = list(p.coeffs) if isinstance(p, Poly) else list(p)
     cs = [Fraction(c) for c in coeffs]
-    approx = complex_roots(coeffs, tol=tol, max_iter=max_iter)
-    return [_newton_exact(cs, z, steps, digits) for z in approx]
+    return [_newton_exact(cs, z) for z in complex_roots(coeffs)]
 
 
-def complex_roots(p, tol=DEFAULT_TOL, max_iter=MAX_ITER, polish=False):
+def complex_roots(p):
     """All deg(p) roots of p, with multiplicity, as a list of complex.
 
     ``p`` may be a Poly or a lowest-degree-first coefficient sequence;
     coefficients are coerced to complex.  Raises RootFindingError (with
-    roots and residuals attached) if the residual bound is not met
-    within ``max_iter`` Aberth sweeps.  ``polish=True`` runs the exact
-    Newton polish afterwards (coefficients must then be int/Fraction).
-    numpy and the kernels load here, on first use, so that the exact
-    pipelines never import them.
+    roots and residuals attached) if the relative residual bound
+    DEFAULT_TOL is not met within MAX_ITER Aberth sweeps.  numpy and the
+    kernels load here, on first use, so that the exact pipelines never
+    import them.
     """
     import numpy as np
 
@@ -80,15 +68,14 @@ def complex_roots(p, tol=DEFAULT_TOL, max_iter=MAX_ITER, polish=False):
     c = np.array([complex(v) for v in coeffs], dtype=np.complex128)
     if c.size == 0 or c.size == 1:
         raise DomainError("complex_roots needs degree >= 1")
-    if abs(c[-1]) <= tol:
+    if abs(c[-1]) <= DEFAULT_TOL:
         raise DomainError("leading coefficient magnitude below tolerance")
     # exact zero low-order coefficients carry exact roots at the origin
     zeros_at_origin = 0
     while zeros_at_origin < c.size - 1 and c[zeros_at_origin] == 0:
         zeros_at_origin += 1
     if zeros_at_origin:
-        rest = complex_roots(coeffs[zeros_at_origin:], tol=tol,
-                             max_iter=max_iter, polish=polish) \
+        rest = complex_roots(coeffs[zeros_at_origin:]) \
             if c.size - zeros_at_origin > 1 else []
         return [0j] * zeros_at_origin + rest
     n = c.size - 1
@@ -103,20 +90,18 @@ def complex_roots(p, tol=DEFAULT_TOL, max_iter=MAX_ITER, polish=False):
     scaled = monic * sigma ** (np.arange(n + 1) - n)
     high_first = scaled[::-1].copy()
 
-    y, _ = _kernels.aberth(high_first, 1e-14, max_iter)
+    y, _ = _kernels.aberth(high_first, 1e-14, MAX_ITER)
     roots = y * sigma
-    if polish:
-        roots = np.array([polish_root_exact(coeffs, complex(r)) for r in roots])
 
     # backward-error residual: |p(r)| relative to sum_i |c_i| |r|^i
     residuals = np.abs(np.polyval(c[::-1], roots))
     mags = np.abs(roots)[:, None] ** np.arange(n + 1)[None, :]
     scales = np.maximum(mags @ np.abs(c), 1e-300)
     rel = residuals / scales
-    if rel.max() > tol:
+    if rel.max() > DEFAULT_TOL:
         raise RootFindingError(
             f"root residuals up to {rel.max():.3e} of the coefficient "
-            f"scale exceed tol {tol:.1e}",
+            f"scale exceed tol {DEFAULT_TOL:.1e}",
             roots=[complex(r) for r in roots],
             residuals=[float(r) for r in residuals],
         )

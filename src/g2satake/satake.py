@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 from math import comb, isqrt, lcm
 
 from .errors import (DegeneratePointError, DomainError, IdentityViolationError,
@@ -181,25 +182,19 @@ def satake_discriminant_identity(inv):
 # ---------------------------------------------------------------------------
 
 
-def _orderings(n=6, limit=None):
-    from itertools import permutations
-
-    count = 0
-    for p in permutations(range(n)):
-        yield p
-        count += 1
-        if limit and count >= limit:
-            return
+# a fourth-power denominator below this share of the largest fourth power
+# squared counts as vanishing for the labelling under test
+DENOM_FLOOR = 1e-6
 
 
-def reconstruct_from_satake_roots(roots, ordering=None, denom_floor=1e-6):
+def reconstruct_from_satake_roots(roots):
     """Rosenhain parameters from the six (numeric) Satake roots.
 
     A root labelling fixes one of 720 branches; all branches describe the
     same curve, so callers compare absolute invariants, never lambda
-    triples.  With ordering=None the identity labelling is tried first
-    and then permutations in lexicographic order until the fourth-power
-    denominators clear ``denom_floor`` (relative).
+    triples.  The identity labelling is tried first and then permutations
+    in lexicographic order until the fourth-power denominators clear
+    DENOM_FLOOR.  Returns (lambdas, labelling).
 
     Roots may be complex or exact GaussianRational values; the lambdas
     come back in the same arithmetic (exact input, exact output).
@@ -210,20 +205,13 @@ def reconstruct_from_satake_roots(roots, ordering=None, denom_floor=1e-6):
     scale = max(abs(v) for v in xs)
     if scale == 0:
         raise DegeneratePointError("all Satake roots vanish")
-    tries = [ordering] if ordering is not None else _orderings()
-    for perm in tries:
-        x = [xs[i] for i in perm]
-        t4 = theta4_from_satake(x)
+    for perm in permutations(range(6)):
+        t4 = theta4_from_satake([xs[i] for i in perm])
         s2 = max(abs(v) for v in t4) or 1.0
         dens = (t4[1] * t4[3], t4[3] * t4[9], t4[1] * t4[9])
-        if min(abs(d) for d in dens) <= denom_floor * s2**2:
-            if ordering is not None:
-                raise DegeneratePointError(
-                    "fourth-power denominators vanish for this ordering; "
-                    "retry with a permutation")
+        if min(abs(d) for d in dens) <= DENOM_FLOOR * s2**2:
             continue
-        lams = rosenhain_from_theta4(t4)
-        return tuple(lams), tuple(perm)
+        return tuple(rosenhain_from_theta4(t4)), perm
     raise DegeneratePointError(
         "no root ordering yields nonvanishing denominators")
 

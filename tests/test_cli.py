@@ -3,6 +3,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 from g2satake.cli import run
 
 
@@ -200,6 +202,30 @@ def test_run_job_document_with_negative_rationals(tmp_path, capsys):
     code, doc = invoke(capsys, "run", str(job))
     assert code == 0
     assert doc["result"]["humbert"]["on_H4"] is True
+
+
+NON_FINITE_INPUTS = (
+    ("theta", {"tau": "0,inf,0,0,0,inf"}),
+    ("roundtrip", {"rosenhain": "2,3,5", "tol": "nan"}),
+    ("roundtrip", {"rosenhain": "2,3,5", "tol": "-1"}),
+    ("roundtrip", {"rosenhain": "2,3,5", "tol": "inf"}),
+)
+
+
+@pytest.mark.parametrize("form", ("argv", "run"))
+@pytest.mark.parametrize("command,flags", NON_FINITE_INPUTS,
+                         ids=["tau-inf", "tol-nan", "tol-negative", "tol-inf"])
+def test_non_finite_numeric_input_is_a_schema_error(command, flags, form,
+                                                    tmp_path, capsys):
+    if form == "argv":
+        argv = [command] + [f"--{k}={v}" for k, v in flags.items()]
+    else:
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({"command": command, "input": flags}))
+        argv = ["run", str(job)]
+    code, doc = invoke(capsys, *argv)
+    assert code == 1
+    assert doc["status"] == "schema-error"
 
 
 def test_run_missing_job_document_is_a_schema_error(tmp_path, capsys):

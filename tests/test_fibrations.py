@@ -61,12 +61,12 @@ def test_rational_elliptic_surface_example():
     assert census.euler_sum == 12
 
 
-def test_numeric_classification_fallback():
-    # complex coefficients route through root clustering instead of gcds
-    m = WeierstrassModel(A=Poly(), B=Poly([0, 1.0 + 0j]), C=Poly([0, 1.0 + 0j]))
-    census = classify_fibers(m)
-    assert census.type_multiset() == {"II": 1, "I1": 1, "III*": 1}
-    assert census.euler_sum == 12
+def test_classification_rejects_inexact_coefficients():
+    # the census is a statement over Q; there is no numeric classifier
+    for c in (1.0 + 0j, 1.0):
+        m = WeierstrassModel(A=Poly(), B=Poly([0, c]), C=Poly([0, c]))
+        with pytest.raises(DomainError):
+            classify_fibers(m)
 
 
 def test_kumfib2_census(rng):

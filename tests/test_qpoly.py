@@ -20,13 +20,6 @@ def test_poly_basics():
     assert (Poly([1, 1]) ** 3).coeffs == (1, 3, 3, 1)
 
 
-def test_divmod_exact():
-    p = Poly.from_roots([F(1), F(2), F(3)])
-    q, r = p.divmod(Poly([-F(2), F(1)]))
-    assert r.is_zero()
-    assert q == Poly.from_roots([F(1), F(3)])
-
-
 def test_resultant_linear_pair():
     assert resultant(Poly([-1, 1]), Poly([1, 1])) == 2
 

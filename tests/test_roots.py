@@ -7,7 +7,7 @@ import pytest
 from g2satake import _kernels
 from g2satake.errors import DomainError
 from g2satake.qpoly import Poly
-from g2satake.roots import complex_roots, gaussian_roots, polish_root_exact
+from g2satake.roots import complex_roots, gaussian_roots
 
 
 def test_quadratic_units():
@@ -51,26 +51,28 @@ def test_degree_guards():
     with pytest.raises(DomainError):
         complex_roots(Poly([3]))
     with pytest.raises(DomainError):
-        complex_roots([1.0, 1e-14], tol=1e-10)
+        complex_roots([1.0, 1e-14])
 
 
 def test_exact_polish_hits_machine_precision():
     p = Poly.from_roots([F(1, 3), F(7, 2), F(-5, 4), F(11, 6), F(2), F(-3)])
-    roots = complex_roots(p, polish=True)
+    roots = [complex(r) for r in gaussian_roots(p)]
     want = sorted([1 / 3, 3.5, -1.25, 11 / 6, 2.0, -3.0])
     got = sorted(r.real for r in roots)
     for a, b in zip(got, want):
         assert abs(a - b) < 1e-14
 
 
-def test_polish_single_root_helper():
-    val = polish_root_exact([F(-2), F(0), F(1)], 1.41421, steps=4)
-    assert abs(val - cmath.sqrt(2)) < 1e-15
+def test_gaussian_roots_polish_irrational_root():
+    got = sorted((complex(r) for r in gaussian_roots(Poly([-2, 0, 1]))),
+                 key=lambda z: z.real)
+    for val, want in zip(got, (-1, 1)):
+        assert abs(val - want * cmath.sqrt(2)) < 1e-15
 
 
 def test_gaussian_roots_are_exact_for_rational_roots():
     p = Poly.from_roots([F(1, 3), F(-7, 2), F(5)])
-    got = gaussian_roots(p, digits=40)
+    got = gaussian_roots(p)
     values = sorted((g.re, g.im) for g in got)
     assert values == [(F(-7, 2), 0), (F(1, 3), 0), (F(5), 0)]
 
