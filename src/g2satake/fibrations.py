@@ -21,10 +21,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, NonMinimalModelError
-from .igusa import _exact, siegel_from_igusa
-from .qpoly import (EpsSeries, Poly, discriminant, graded_integral_scale,
-                    integer_gcd, integer_quotient, integer_squarefree,
-                    laurent_limit, primitive_part, split_rational_roots)
+from .igusa import siegel_from_igusa
+from .qpoly import (EpsSeries, ExactTuple, Poly, discriminant,
+                    graded_integral_scale, integer_gcd, integer_quotient,
+                    integer_squarefree, laurent_limit, primitive_part,
+                    promote_int, split_rational_roots)
 
 INFINITY = "infinity"
 
@@ -221,7 +222,7 @@ def classify_fibers(model):
 
 
 @dataclass(frozen=True)
-class FibrationParams:
+class FibrationParams(ExactTuple):
     """(a, b, c, d, e) = (-I4/12, (I2 I4 - 3 I6)/108, -1, I2/24, I10/4)."""
 
     a: object
@@ -232,8 +233,8 @@ class FibrationParams:
 
     @classmethod
     def from_igusa(cls, inv):
-        I2, I4, I6, I10 = (_exact(v) for v in inv.astuple())
-        return cls(a=-I4 / 12, b=(I2 * I4 - 3 * I6) / 108, c=Fraction(-1),
+        I2, I4, I6, I10 = inv.astuple()
+        return cls(a=-I4 / 12, b=(I2 * I4 - 3 * I6) / 108, c=-1,
                    d=I2 / 24, e=I10 / 4)
 
     def cubic(self):
@@ -252,9 +253,7 @@ def kumfib2_model(inv):
     which is the same display as the I4/I2/I6/I10 form of the model.
     """
     p = FibrationParams.from_igusa(inv)
-    cube = p.cubic()
-    B = cube * cube - 4 * p.e * p.linear()
-    return WeierstrassModel(A=-2 * cube, B=B, C=Poly())
+    return WeierstrassModel(A=-2 * p.cubic(), B=radicand(p), C=Poly())
 
 
 def alternate_model(p):
@@ -268,7 +267,7 @@ def alternate_model_ftheory(s):
     Stays well-defined on chi10 = 0, where the I2 and I10* fibers merge
     into I12*.
     """
-    p4, p6, c10, c12 = (_exact(v) for v in s.astuple())
+    p4, p6, c10, c12 = s.astuple()
     A = Poly([-p6 / 864, -p4 / 48, 0, 1])
     B = Poly([c12, -4 * c10])
     return WeierstrassModel(A=A, B=B, C=Poly())
@@ -317,7 +316,6 @@ def kummer_quartic_model(l1, l2, l3):
 
     Classifying its Jacobian gives 6 I2 + 2 I0* for generic lambdas.
     """
-    l1, l2, l3 = _exact(l1), _exact(l2), _exact(l3)
     t = Poly([0, 1])
     one = Poly([1])
     factors = [(one + t, -one)] + [
@@ -342,7 +340,6 @@ def recovered_sextic(l1, l2, l3):
     the result must be F(xi) = xi (xi-1)(xi-l1)(xi-l2)(xi-l3).  Any
     surviving negative eps power raises IdentityViolationError.
     """
-    l1, l2, l3 = _exact(l1), _exact(l2), _exact(l3)
     xi = Poly([0, 1])
     one = Poly([1])
     T = EpsSeries({-2: xi})                    # t = xi / eps^2
@@ -359,10 +356,6 @@ def recovered_sextic(l1, l2, l3):
 # ---------------------------------------------------------------------------
 
 
-def _eval_linear(p, t):
-    return _exact(p.c) * _exact(t) + _exact(p.d)
-
-
 def isogeny(pt, t, p):
     """Fiberwise two-isogeny from the alternate model to the Kummer model.
 
@@ -371,11 +364,10 @@ def isogeny(pt, t, p):
     """
     if pt == INFINITY:
         return INFINITY
-    x, y = pt
+    x, y = map(promote_int, pt)
     if x == 0:
         return INFINITY
-    x, y = _exact(x), _exact(y)
-    w = _exact(p.e) * _eval_linear(p, t)
+    w = p.e * (p.c * t + p.d)
     return (y * y / (x * x), y * (w - x * x) / (x * x))
 
 
@@ -387,11 +379,10 @@ def dual_isogeny(pt, t, p):
     """
     if pt == INFINITY:
         return INFINITY
-    X, Y = pt
+    X, Y = map(promote_int, pt)
     if X == 0:
         return INFINITY
-    X, Y = _exact(X), _exact(Y)
-    rad = radicand(p)(_exact(t))
+    rad = radicand(p)(t)
     return (Y * Y / (4 * X * X), Y * (rad - X * X) / (8 * X * X))
 
 
@@ -403,25 +394,22 @@ def nikulin_involution(pt, t, p):
     """
     if pt == INFINITY:
         return INFINITY
-    x, y = pt
+    x, y = map(promote_int, pt)
     if x == 0:
         return INFINITY
-    x, y = _exact(x), _exact(y)
-    w = _exact(p.e) * _eval_linear(p, t)
+    w = p.e * (p.c * t + p.d)
     return (w / x, -y * w / (x * x))
 
 
 def alternate_rhs(p, t, x):
     """x^3 + (t^3+at+b) x^2 + e(ct+d) x at numeric (t, x)."""
-    t, x = _exact(t), _exact(x)
-    return x**3 + p.cubic()(t) * x**2 + _exact(p.e) * _eval_linear(p, t) * x
+    return x**3 + p.cubic()(t) * x**2 + p.e * (p.c * t + p.d) * x
 
 
 def kummer_rhs(p, t, X):
     """X^3 - 2(t^3+at+b) X^2 + ((t^3+at+b)^2 - 4e(ct+d)) X at numeric (t, X)."""
-    t, X = _exact(t), _exact(X)
     cube = p.cubic()(t)
-    return X**3 - 2 * cube * X**2 + (cube**2 - 4 * _exact(p.e) * _eval_linear(p, t)) * X
+    return X**3 - 2 * cube * X**2 + (cube**2 - 4 * p.e * (p.c * t + p.d)) * X
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +420,7 @@ def kummer_rhs(p, t, X):
 def qvanish_bracket(p):
     """The explicit quintic-discriminant bracket whose vanishing merges
     two I1 fibers of the alternate fibration into an I2."""
-    a, b, c, d, e = (_exact(v) for v in (p.a, p.b, p.c, p.d, p.e))
+    a, b, c, d, e = p.astuple()
     return (
         16 * a**7 * c**2 * d - 16 * a**6 * b * c**3 + 16 * a**5 * c**4 * e
         + 16 * a**6 * d**3 + 216 * a**4 * b**2 * c**2 * d
@@ -450,8 +438,7 @@ def qvanish_bracket(p):
 
 def type_iii_bracket(p):
     """a c^2 d - b c^3 + d^3: vanishing merges an I1 with the I2 into III."""
-    a, b, c, d, e = (_exact(v) for v in (p.a, p.b, p.c, p.d, p.e))
-    return a * c**2 * d - b * c**3 + d**3
+    return p.a * p.c**2 * p.d - p.b * p.c**3 + p.d**3
 
 
 def degeneration_predicates(p):
@@ -469,7 +456,7 @@ def qvanish_identity(p):
     frozen; the check reruns the identity on the given parameters.
     """
     lhs = discriminant(radicand(p))
-    rhs = 2**12 * _exact(p.e) ** 3 * qvanish_bracket(p)
+    rhs = 2**12 * p.e**3 * qvanish_bracket(p)
     return lhs == rhs, lhs, rhs
 
 
@@ -481,7 +468,7 @@ def type_iii_siegel_identity(inv):
     """
     p = FibrationParams.from_igusa(inv)
     s = siegel_from_igusa(inv)
-    lhs = _exact(p.e) ** 3 * type_iii_bracket(p)
+    lhs = p.e**3 * type_iii_bracket(p)
     rhs = -Fraction(2**36, 27) * (2 * s.psi6 * s.chi10**3
                                   + 9 * s.psi4 * s.chi10**2 * s.chi12
                                   - 27 * s.chi12**3)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .errors import DomainError, ProductLocusError
-from .qpoly import Poly, discriminant, integral_representative
+from .qpoly import ExactTuple, Poly, discriminant, integral_representative
 
 # weights of (I2, I4, I6, I10) and of (psi4, psi6, chi10, chi12)
 IGUSA_WEIGHTS = (2, 4, 6, 10)
@@ -35,8 +35,10 @@ SIEGEL_WEIGHTS = (4, 6, 10, 12)
 
 
 @dataclass(frozen=True)
-class IgusaInvariants:
+class IgusaInvariants(ExactTuple):
     """Weighted tuple (I2, I4, I6, I10) of weights (2, 4, 6, 10)."""
+
+    WEIGHTS = IGUSA_WEIGHTS
 
     I2: object
     I4: object
@@ -47,18 +49,14 @@ class IgusaInvariants:
     def degenerate(self):
         return self.I10 == 0
 
-    def astuple(self):
-        return (self.I2, self.I4, self.I6, self.I10)
-
     def scale(self, r):
         """The weighted action I_k -> r^k I_k (same projective point)."""
-        return IgusaInvariants(r**2 * self.I2, r**4 * self.I4,
-                               r**6 * self.I6, r**10 * self.I10)
+        return IgusaInvariants(*(r**w * v for v, w in
+                                 zip(self.astuple(), self.WEIGHTS)))
 
     def same_projective_point(self, other):
         """Equality in weighted projective space with weights (2,4,6,10)."""
-        pairs = ((self.I2, other.I2, 2), (self.I4, other.I4, 4),
-                 (self.I6, other.I6, 6), (self.I10, other.I10, 10))
+        pairs = tuple(zip(self.astuple(), other.astuple(), self.WEIGHTS))
         # find a weight where both are nonzero to normalize
         for a, b, w in pairs:
             if a != 0 and b != 0:
@@ -78,26 +76,22 @@ class IgusaInvariants:
 
 
 @dataclass(frozen=True)
-class AbsoluteInvariants:
+class AbsoluteInvariants(ExactTuple):
     j1: object
     j2: object
     j3: object
 
-    def astuple(self):
-        return (self.j1, self.j2, self.j3)
-
 
 @dataclass(frozen=True)
-class SiegelForms:
+class SiegelForms(ExactTuple):
     """Values of the even generators (psi4, psi6, chi10, chi12)."""
+
+    WEIGHTS = SIEGEL_WEIGHTS
 
     psi4: object
     psi6: object
     chi10: object
     chi12: object
-
-    def astuple(self):
-        return (self.psi4, self.psi6, self.chi10, self.chi12)
 
 
 @dataclass(frozen=True)
@@ -239,16 +233,11 @@ def igusa_from_sextic(f):
 # ---------------------------------------------------------------------------
 
 
-def _exact(v):
-    """Keep integer inputs exact across divisions."""
-    return Fraction(v) if isinstance(v, int) else v
-
-
 def absolute_invariants(inv):
     """(j1, j2, j3) = (I2^5/I10, I4 I2^3/I10, I6 I2^2/I10)."""
     if inv.I10 == 0:
         raise DomainError("I10 = 0: the sextic is singular, no curve")
-    I2, I4, I6, I10 = (_exact(v) for v in inv.astuple())
+    I2, I4, I6, I10 = inv.astuple()
     return AbsoluteInvariants(I2**5 / I10, I4 * I2**3 / I10, I6 * I2**2 / I10)
 
 
@@ -256,13 +245,13 @@ def igusa_from_absolute(j):
     """A representative with I2 = 1; requires j1 != 0."""
     if j.j1 == 0:
         raise DomainError("j1 = 0 has no representative with I2 = 1")
-    j1, j2, j3 = (_exact(v) for v in j.astuple())
-    return IgusaInvariants(Fraction(1), j2 / j1, j3 / j1, 1 / j1)
+    j1, j2, j3 = j.astuple()
+    return IgusaInvariants(1, j2 / j1, j3 / j1, 1 / j1)
 
 
 def siegel_from_igusa(inv):
     """Invert the dictionary: even Siegel form values from invariants."""
-    I2, I4, I6, I10 = (_exact(v) for v in inv.astuple())
+    I2, I4, I6, I10 = inv.astuple()
     psi4 = I4 / Fraction(4)
     psi6 = (I2 * I4 - 3 * I6) / Fraction(8)
     chi10 = -I10 / Fraction(2**14)
@@ -275,7 +264,7 @@ def igusa_from_siegel(s):
     if s.chi10 == 0:
         raise ProductLocusError(
             "chi10 = 0: abelian surface is a product of elliptic curves")
-    psi4, psi6, chi10, chi12 = (_exact(v) for v in s.astuple())
+    psi4, psi6, chi10, chi12 = s.astuple()
     I2 = -24 * chi12 / chi10
     I4 = 4 * psi4
     I6 = -Fraction(8, 3) * psi6 - 32 * psi4 * chi12 / chi10
@@ -329,11 +318,7 @@ def q_form(s):
     form values are evaluated on an integer representative of their
     weighted class and divided by r^60 once.
     """
-    rep = integral_representative(s.astuple(), SIEGEL_WEIGHTS)
-    if rep is None:
-        return _q_poly(*s.astuple())
-    r, ints = rep
-    return Fraction(_q_poly(*ints), r**60)
+    return s.evaluate(lambda *v: (_q_poly(*v),), (60,))[0]
 
 
 def derived_forms(s):

@@ -7,6 +7,10 @@ Coefficients may themselves be ``Poly`` instances, which is how the few
 bivariate computations in this package (models over Q[t], the epsilon
 limit) are carried out.
 
+Ints become Fractions in one place: ``ExactTuple``, the base of the value
+containers, stores int fields as Fractions (``promote_int`` does the same
+for a scalar); complex and GaussianRational values pass through.
+
 The exact algorithms run on integers: a weighted point with rational
 coordinates is carried as an integer representative
 (``integral_representative``), and gcds, squarefree decompositions and
@@ -271,8 +275,7 @@ class Poly:
         if not self.coeffs:
             return self
         lc = self.coeffs[-1]
-        return Poly([Fraction(c, 1) / lc if isinstance(c, int) else c / lc
-                     for c in self.coeffs])
+        return Poly([promote_int(c) / lc for c in self.coeffs])
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +442,35 @@ def integral_representative(values, weights):
         r *= b ** max(-(-_valuation(d, b) // w) for d, w in zip(dens, weights))
     return r, [f.numerator * (r**w // f.denominator)
                for f, w in zip(fracs, weights)]
+
+
+def promote_int(v):
+    """Fraction(v) for an int v, so that division stays exact; else v."""
+    return Fraction(v) if isinstance(v, int) else v
+
+
+class ExactTuple:
+    """Base of the frozen value dataclasses: int fields are stored as
+    Fractions.  A subclass that is a weighted point names the weights of
+    its fields in ``WEIGHTS``, which ``evaluate`` reads."""
+
+    def __post_init__(self):
+        for name in self.__dataclass_fields__:
+            object.__setattr__(self, name, promote_int(getattr(self, name)))
+
+    def astuple(self):
+        return tuple([getattr(self, name) for name in self.__dataclass_fields__])
+
+    def evaluate(self, body, out_weights):
+        """``body`` (weighted homogeneous, values of weights ``out_weights``)
+        at this point: evaluated on the integer representative and divided
+        by r^w once per output, or directly on complex/GaussianRational."""
+        values = self.astuple()
+        rep = integral_representative(values, self.WEIGHTS)
+        if rep is None:
+            return body(*values)
+        r, ints = rep
+        return tuple(Fraction(v) / r**w for v, w in zip(body(*ints), out_weights))
 
 
 def graded_integral_scale(terms):

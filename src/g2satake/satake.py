@@ -14,15 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import comb, isqrt, lcm
+from math import comb, isqrt
 
 from .errors import (DegeneratePointError, DomainError, IdentityViolationError,
                      InversionSingularError)
-from .igusa import (IGUSA_WEIGHTS, SIEGEL_WEIGHTS, AbsoluteInvariants,
-                    IgusaInvariants, absolute_invariants,
-                    igusa_from_absolute, igusa_from_rosenhain, igusa_from_sextic,
-                    q_form, siegel_from_igusa, _exact)
-from .qpoly import Poly, discriminant, integral_representative
+from .igusa import (AbsoluteInvariants, IgusaInvariants, SiegelForms,
+                    absolute_invariants, igusa_from_absolute,
+                    igusa_from_rosenhain, igusa_from_sextic, q_form,
+                    siegel_from_igusa)
+from .qpoly import ExactTuple, Poly, discriminant, integral_representative
 from .theta import (rosenhain_from_theta, rosenhain_from_theta4,
                     satake_from_theta, theta4_from_satake)
 
@@ -33,7 +33,7 @@ from .theta import (rosenhain_from_theta, rosenhain_from_theta4,
 
 
 @dataclass(frozen=True)
-class PowerSums:
+class PowerSums(ExactTuple):
     """s_1..s_6 of the six Satake coordinates; s1 = 0 and s4 = s2^2/4."""
 
     s2: object
@@ -47,22 +47,10 @@ class PowerSums:
 
     @property
     def s4(self):
-        s2 = _exact(self.s2)
-        return s2 * s2 / 4
+        return self.s2 * self.s2 / 4
 
     def astuple(self):
         return (self.s1, self.s2, self.s3, self.s4, self.s5, self.s6)
-
-
-def _on_representative(body, values, weights, out_weights):
-    """``body`` (weighted homogeneous) at a weighted point: evaluated on
-    its integer representative and divided by r^w once per output, or
-    directly on non-exact (complex, GaussianRational) values."""
-    rep = integral_representative(values, weights)
-    if rep is None:
-        return body(*(_exact(v) for v in values))
-    r, ints = rep
-    return tuple(Fraction(v) / r**w for v, w in zip(body(*ints), out_weights))
 
 
 def _power_sums_igusa(I2, I4, I6, I10):
@@ -84,20 +72,19 @@ def _power_sums_siegel(p4, p6, c10, c12):
 
 
 def power_sums_from_igusa(inv):
-    return PowerSums(*_on_representative(
-        _power_sums_igusa, inv.astuple(), IGUSA_WEIGHTS, SIEGEL_WEIGHTS))
+    """(s2, s3, s5, s6); s_j has weight 2j, as (psi4, psi6, chi10, chi12)."""
+    return PowerSums(*inv.evaluate(_power_sums_igusa, SiegelForms.WEIGHTS))
 
 
 def power_sums_from_siegel(s):
     """The same power sums as polynomials in the form values, so they stay
     defined on chi10 = 0, where the Igusa invariants are not."""
-    return PowerSums(*_on_representative(
-        _power_sums_siegel, s.astuple(), SIEGEL_WEIGHTS, SIEGEL_WEIGHTS))
+    return PowerSums(*s.evaluate(_power_sums_siegel, SiegelForms.WEIGHTS))
 
 
 def igusa_from_power_sums(ps):
     """Invert power_sums_from_igusa; needs 5 s2 s3 - 12 s5 != 0."""
-    s2, s3, s5, s6 = (_exact(v) for v in (ps.s2, ps.s3, ps.s5, ps.s6))
+    s2, s3, s5, s6 = ps.s2, ps.s3, ps.s5, ps.s6
     den = 5 * s2 * s3 - 12 * s5
     if den == 0:
         raise InversionSingularError("5 s2 s3 - 12 s5 = 0: inversion undefined")
@@ -120,8 +107,7 @@ def complete_bell(i, z):
         raise DomainError(f"Bell order {i} outside 1..{len(z)}")
     b = [Fraction(1)]
     for n in range(1, i + 1):
-        b.append(sum(comb(n - 1, k) * b[n - 1 - k] * _exact(z[k])
-                     for k in range(n)))
+        b.append(sum(comb(n - 1, k) * b[n - 1 - k] * z[k] for k in range(n)))
     return b[i]
 
 
@@ -133,8 +119,8 @@ def satake_sextic(ps, s4=None):
     IdentityViolationError.  ``s4`` overrides ``ps.s4`` (which is s2^2/4
     by construction), so that power sums given by a caller are checked.
     """
-    s2, s3, s5, s6 = (_exact(v) for v in (ps.s2, ps.s3, ps.s5, ps.s6))
-    s1, s4 = _exact(ps.s1), _exact(ps.s4 if s4 is None else s4)
+    s2, s3, s5, s6 = ps.s2, ps.s3, ps.s5, ps.s6
+    s1, s4 = ps.s1, ps.s4 if s4 is None else s4
 
     z = [s1, -s2, 2 * s3, -6 * s4, 24 * s5, -120 * s6]
     bell_coeffs = [Fraction(1)]  # x^6 downwards
@@ -160,7 +146,7 @@ def satake_sextic_from_siegel(s):
 
     Defined for all form values, including chi10 = 0.
     """
-    p4, p6, c10, c12 = (_exact(v) for v in s.astuple())
+    p4, p6, c10, c12 = s.astuple()
     cube = Poly([-2 * p6, -3 * p4, 0, 1])
     return cube * cube + Poly([-3 * 2**14 * 3**5 * c12, 2**14 * 3**5 * c10])
 
@@ -341,11 +327,12 @@ def phi_map(j):
     direct route runs on integer representatives inside the power sums,
     the sextic invariants and Q.
     """
-    j1, j2, j3 = (Fraction(v) for v in j.astuple())
-    if j1 == 0:
+    if j.j1 == 0:
         raise DomainError("j1 = 0: moduli map undefined (I2 = 0 locus)")
-    h = lcm(j1.denominator, j2.denominator, j3.denominator)
-    J1, J2, J3 = (v.numerator * (h // v.denominator) for v in (j1, j2, j3))
+    rep = integral_representative(j.astuple(), (1, 1, 1))
+    if rep is None:
+        raise DomainError("phi_map needs exact (int/Fraction) invariants")
+    h, (J1, J2, J3) = rep
     qv = _phi_q(J1, J2, J3, h)      # h^12 q(j)
     if qv == 0:
         raise DegeneratePointError(

@@ -271,9 +271,7 @@ def theta4_from_satake(coords):
     out = []
     for sign, idx in THETA4_FROM_X:
         s = x[idx[0] - 1] + x[idx[1] - 1] + x[idx[2] - 1]
-        if isinstance(s, int):
-            s = Fraction(s)
-        out.append(sign * s / 3)
+        out.append(sign * s / Fraction(3))   # int sums stay exact
     return tuple(out)
 
 

@@ -10,8 +10,6 @@ import time
 from fractions import Fraction as F
 from math import isqrt
 
-import pytest
-
 from g2satake.fibrations import (FibrationParams, alternate_model,
                                  alternate_model_ftheory, classify_fibers,
                                  kumfib2_model, kummer_quartic_model,
@@ -20,7 +18,7 @@ from g2satake.fibrations import (FibrationParams, alternate_model,
 from g2satake.igusa import (SiegelForms, absolute_invariants,
                             igusa_from_rosenhain, igusa_from_sextic,
                             q_form, rosenhain_poly, siegel_from_igusa)
-from g2satake.qpoly import Poly, discriminant
+from g2satake.qpoly import Poly
 from g2satake.roots import gaussian_roots
 from g2satake.satake import (phi_map, power_sums_from_igusa,
                              reconstruct_from_satake_roots,

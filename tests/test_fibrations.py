@@ -9,7 +9,7 @@ from g2satake.fibrations import (INFINITY, FibrationParams, WeierstrassModel,
                                  alternate_rhs, classify_fibers, degeneration_predicates,
                                  dual_isogeny, euler_number, isogeny, kodaira_type,
                                  kumfib2_model, kummer_quartic_model, kummer_rhs,
-                                 nikulin_involution, qvanish_bracket, qvanish_identity,
+                                 nikulin_involution, qvanish_identity,
                                  radicand, recovered_sextic, standard_model,
                                  type_iii_siegel_identity)
 from g2satake.igusa import (SiegelForms, igusa_from_rosenhain, igusa_from_sextic,

@@ -1,10 +1,17 @@
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
 
 from g2satake.errors import DomainError, IdentityViolationError
+from g2satake.fibrations import (FibrationParams, alternate_model_ftheory,
+                                 dual_isogeny, isogeny, nikulin_involution)
+from g2satake.igusa import (AbsoluteInvariants, IgusaInvariants, SiegelForms,
+                            absolute_invariants, igusa_from_absolute,
+                            igusa_from_siegel, siegel_from_igusa)
 from g2satake.qpoly import (EpsSeries, Poly, discriminant, laurent_limit,
                             poly_gcd, resultant, squarefree_decomposition)
+from g2satake.satake import PowerSums, igusa_from_power_sums, satake_sextic
 
 
 def test_poly_basics():
@@ -156,3 +163,71 @@ def test_graded_integral_scale_recovers_the_weighting():
     s, rho = graded_integral_scale(terms)
     assert (s, rho) == (d**6, F(1, d**2))
     assert [c * s**k * rho**i for k, i, c in terms] == [1, 5, -3]
+
+
+# ---------------------------------------------------------------------------
+# int inputs stay exact: the value containers store ints as Fractions, and
+# the point maps promote the coordinates a caller passes in
+# ---------------------------------------------------------------------------
+
+
+def _igusa(num):
+    return IgusaInvariants(*map(num, (3, 5, 7, 11)))
+
+
+def _siegel(num):
+    return SiegelForms(*map(num, (1, 2, 3, 5)))
+
+
+def _power_sums(num):
+    return PowerSums(*map(num, (1, 2, 3, 5)))
+
+
+def _params(num):
+    return FibrationParams.from_igusa(_igusa(num))
+
+
+INT_EXACT_CASES = {
+    "absolute_invariants": lambda n: absolute_invariants(_igusa(n)),
+    "igusa_from_absolute":
+        lambda n: igusa_from_absolute(AbsoluteInvariants(*map(n, (2, 3, 5)))),
+    "siegel_from_igusa": lambda n: siegel_from_igusa(_igusa(n)),
+    "igusa_from_siegel": lambda n: igusa_from_siegel(_siegel(n)),
+    "igusa_from_power_sums": lambda n: igusa_from_power_sums(_power_sums(n)),
+    "satake_sextic": lambda n: satake_sextic(_power_sums(n)),
+    "FibrationParams.from_igusa": _params,
+    "alternate_model_ftheory": lambda n: alternate_model_ftheory(_siegel(n)),
+    "isogeny": lambda n: isogeny((n(2), n(3)), n(5), _params(n)),
+    "dual_isogeny": lambda n: dual_isogeny((n(2), n(3)), n(5), _params(n)),
+    "nikulin_involution":
+        lambda n: nikulin_involution((n(2), n(3)), n(5), _params(n)),
+}
+
+
+def _scalars(v):
+    """Every number in a result: dataclass fields, sequences, Poly coefficients."""
+    if dataclasses.is_dataclass(v):
+        for f in dataclasses.fields(v):
+            yield from _scalars(getattr(v, f.name))
+    elif isinstance(v, (tuple, list)):
+        for x in v:
+            yield from _scalars(x)
+    elif isinstance(v, Poly):
+        for c in v.coeffs:
+            yield from _scalars(c)
+    else:
+        yield v
+
+
+@pytest.mark.parametrize("name", sorted(INT_EXACT_CASES))
+def test_int_inputs_stay_exact(name):
+    from_ints = INT_EXACT_CASES[name](int)
+    from_fractions = INT_EXACT_CASES[name](F)
+    scalars = list(_scalars(from_ints))
+    assert scalars and all(isinstance(v, (int, F)) for v in scalars)
+    assert from_ints == from_fractions
+
+
+def test_containers_promote_ints_and_pass_complex_through():
+    inv = IgusaInvariants(1, F(1, 2), 2.5, 1j)
+    assert [type(v) for v in inv.astuple()] == [F, F, float, complex]

@@ -7,7 +7,7 @@ from g2satake.errors import (DegeneratePointError, DomainError,
 from g2satake.igusa import (IgusaInvariants, SiegelForms, absolute_invariants,
                             igusa_from_rosenhain, igusa_from_sextic, q_form,
                             siegel_from_igusa)
-from g2satake.qpoly import Poly, discriminant
+from g2satake.qpoly import Poly
 from g2satake.roots import gaussian_roots
 from g2satake.satake import (PowerSums, complete_bell, igusa_from_power_sums,
                              is_rational_square, phi_map, power_sums_from_igusa,
