@@ -17,15 +17,14 @@ from .fibrations import (FiberCensus, FibrationParams, KodairaFiber,
                          degeneration_predicates, dual_isogeny, isogeny,
                          kodaira_type, kumfib2_model, kummer_quartic_model,
                          nikulin_involution, qvanish_bracket, qvanish_identity,
-                         radicand, recovered_sextic, standard_model,
+                         radicand, standard_model,
                          type_iii_bracket, type_iii_siegel_identity)
 from .igusa import (AbsoluteInvariants, DerivedForms, IgusaInvariants,
                     SiegelForms, absolute_invariants, chi35_squared,
                     derived_forms, humbert_predicates, igusa_from_absolute,
                     igusa_from_rosenhain, igusa_from_sextic, igusa_from_siegel,
                     q_form, rosenhain_poly, siegel_from_igusa)
-from .qpoly import (EpsSeries, GaussianRational, Poly, discriminant,
-                    laurent_limit, poly_gcd, resultant,
+from .qpoly import (GaussianRational, Poly, discriminant, poly_gcd, resultant,
                     squarefree_decomposition)
 from .roots import complex_roots, gaussian_roots
 from .satake import (PhiResult, PowerSums, complete_bell, igusa_from_power_sums,

@@ -125,7 +125,7 @@ def _positive_tolerance(s):
 
 def _invariants_from_args(args):
     given = [k for k in ("rosenhain", "igusa", "siegel", "sextic")
-             if getattr(args, k, None)]
+             if getattr(args, k)]
     if len(given) != 1:
         raise SchemaError(
             "exactly one of --rosenhain/--igusa/--siegel/--sextic is required")
@@ -144,7 +144,7 @@ def _invariants_from_args(args):
 
 
 def _siegel_from_args(args):
-    if getattr(args, "siegel", None):
+    if args.siegel:
         return SiegelForms(*_parse_fraction_list(args.siegel, 4, "--siegel"))
     return siegel_from_igusa(_invariants_from_args(args))
 
@@ -174,7 +174,7 @@ def cmd_igusa(args):
 
 def cmd_satake_sextic(args):
     s = s4 = None
-    if getattr(args, "power_sums", None):
+    if args.power_sums:
         vals = _parse_fraction_list(args.power_sums, 6, "--power-sums")
         if vals[0] != 0:
             raise IdentityViolationError("s1 must vanish for Satake power sums")
@@ -202,7 +202,7 @@ def cmd_satake_sextic(args):
 
 
 def cmd_phi(args):
-    if getattr(args, "absolute", None):
+    if args.absolute:
         j = AbsoluteInvariants(*_parse_fraction_list(args.absolute, 3, "--absolute"))
     else:
         j = absolute_invariants(_invariants_from_args(args))
@@ -228,7 +228,7 @@ def cmd_fibration(args):
     if args.model not in _MODELS:
         raise SchemaError(f"--model must be one of {_MODELS}")
     if args.model == "kummer1":
-        if not getattr(args, "rosenhain", None):
+        if not args.rosenhain:
             raise SchemaError("--model kummer1 needs --rosenhain")
         lams = _parse_fraction_list(args.rosenhain, 3, "--rosenhain")
         model = kummer_quartic_model(*lams).jacobian_model()
@@ -256,7 +256,7 @@ def cmd_fibration(args):
 
 
 def cmd_roundtrip(args):
-    if not getattr(args, "rosenhain", None):
+    if not args.rosenhain:
         raise SchemaError("roundtrip needs --rosenhain")
     lams = _parse_fraction_list(args.rosenhain, 3, "--rosenhain")
     tol = args.tol
@@ -283,7 +283,7 @@ def cmd_roundtrip(args):
 
 
 def cmd_theta(args):
-    if not getattr(args, "tau", None):
+    if not args.tau:
         raise SchemaError("theta needs --tau re1,im1,rez,imz,re2,im2")
     v = _parse_float_list(args.tau, 6, "--tau")
     tau = PeriodMatrix(complex(v[0], v[1]), complex(v[2], v[3]),
@@ -355,12 +355,7 @@ class _Parser(argparse.ArgumentParser):
         raise SchemaError(message)
 
 
-def _add_common(p):
-    p.add_argument("--rosenhain", help="lambda1,lambda2,lambda3 (rationals p/q)")
-    p.add_argument("--igusa", help="I2,I4,I6,I10")
-    p.add_argument("--siegel", help="psi4,psi6,chi10,chi12")
-    p.add_argument("--sextic", help="c0,c1,...,c6 lowest degree first")
-    p.add_argument("--tol", type=_positive_tolerance, default=1e-8)
+def _add_output(p):
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.add_argument("--pretty", action="store_true",
                    help="indent the JSON envelope")
@@ -369,12 +364,22 @@ def _add_common(p):
 @functools.cache
 def build_parser():
     """The argument parser, built once: it costs far more than a parse, and
-    each parse returns a fresh namespace."""
+    each parse returns a fresh namespace.  Each command takes only the
+    flags its handler reads; any other flag is a schema error."""
     top = _Parser(prog="g2satake", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
     for name in _HANDLERS:
         p = sub.add_parser(name)
-        _add_common(p)
+        _add_output(p)
+        if name != "theta":
+            p.add_argument("--rosenhain",
+                           help="lambda1,lambda2,lambda3 (rationals p/q)")
+        if name not in ("theta", "roundtrip"):
+            p.add_argument("--igusa", help="I2,I4,I6,I10")
+            p.add_argument("--siegel", help="psi4,psi6,chi10,chi12")
+            p.add_argument("--sextic", help="c0,c1,...,c6 lowest degree first")
+        if name == "roundtrip":
+            p.add_argument("--tol", type=_positive_tolerance, default=1e-8)
         if name == "satake-sextic":
             p.add_argument("--power-sums", dest="power_sums",
                            help="s1,s2,s3,s4,s5,s6 (overrides curve input)")
@@ -389,8 +394,7 @@ def build_parser():
                            type=int, default=12)
     runp = sub.add_parser("run")
     runp.add_argument("job", help="JSON job document path, or - for stdin")
-    runp.add_argument("--out")
-    runp.add_argument("--pretty", action="store_true")
+    _add_output(runp)
     return top
 
 
@@ -433,7 +437,13 @@ def run(argv=None):
             args = _args_from_job(doc)
             args.out = args.out or out_path
             args.pretty = args.pretty or pretty
-        payload = _HANDLERS[args.command](args)
+        result = _HANDLERS[args.command](args)
+        try:
+            payload = _encode(result)
+        except ValueError:   # Python's limit on int-to-str conversion
+            raise DomainError(
+                "the result holds an exact value of more than "
+                f"{sys.get_int_max_str_digits()} digits, which cannot be printed")
         envelope = {"command": args.command, "status": "ok", "result": payload}
         code = EXIT_OK
     except SchemaError as e:
@@ -446,10 +456,9 @@ def run(argv=None):
         envelope = {"status": "domain-error", "error": str(e),
                     "error_type": type(e).__name__}
         code = EXIT_DOMAIN
-    pretty = bool(args and getattr(args, "pretty", False))
-    text = json.dumps(_encode(envelope), sort_keys=True,
-                      indent=2 if pretty else None)
-    out_file = args and getattr(args, "out", None)
+    pretty = bool(args and args.pretty)
+    text = json.dumps(envelope, sort_keys=True, indent=2 if pretty else None)
+    out_file = args and args.out
     if code == EXIT_OK and out_file:
         with open(out_file, "w") as fh:
             fh.write(text + "\n")

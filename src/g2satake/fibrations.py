@@ -20,12 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, NonMinimalModelError
+from .errors import DomainError, IdentityViolationError, NonMinimalModelError
 from .igusa import siegel_from_igusa
-from .qpoly import (EpsSeries, ExactTuple, Poly, discriminant,
-                    graded_integral_scale, integer_gcd, integer_quotient,
-                    integer_squarefree, laurent_limit, primitive_part,
-                    promote_int, split_rational_roots)
+from .qpoly import (ExactTuple, Poly, discriminant, graded_integral_scale,
+                    integer_gcd, integer_quotient, integer_squarefree,
+                    primitive_part, promote_int, split_rational_roots)
 
 INFINITY = "infinity"
 
@@ -125,9 +124,9 @@ class WeierstrassModel:
         q = A * A * A * Fraction(2, 27) - A * B * third + C
         return -4 * p, -4 * q
 
-    def discriminant_poly(self):
-        g2, g3 = self.short_form()
-        return g2 * g2 * g2 - 27 * g3 * g3
+    def rhs(self, t, x):
+        """x^3 + A(t) x^2 + B(t) x + C(t): the value of y^2 at (t, x)."""
+        return x**3 + self.A(t) * x**2 + self.B(t) * x + self.C(t)
 
 
 def _integral_short_form(model):
@@ -310,11 +309,30 @@ class QuarticModel:
         i, j = self.quartic_invariants()
         return WeierstrassModel(A=Poly(), B=-27 * i, C=-27 * j)
 
+    def sextic_limit(self):
+        """The eps -> 0 limit that recovers Y^2 = F(X) from the quartic.
+
+        Y = eta/eps^5, X = 1/eps^2, t = xi/eps^2 and scaling by eps^10 send
+        t^i X^k to eps^(10 - 2(i + k)) xi^i, so the limit is the part of
+        q(X, t) of total degree 5, at X = 1.  A term of higher degree would
+        leave a negative eps power and raises IdentityViolationError.
+        """
+        out = [0] * 6
+        for k, a in enumerate(self.coeffs):
+            for i, c in enumerate(a.coeffs):
+                if c != 0 and i + k > 5:
+                    raise IdentityViolationError(
+                        f"t^{i} X^{k} leaves eps^{10 - 2 * (i + k)} in the limit")
+                if i + k == 5:
+                    out[i] = c
+        return Poly(out)
+
 
 def kummer_quartic_model(l1, l2, l3):
     """The genus-one fibration Y^2 = t (1 - X + t) prod (li^2 - li X + t).
 
-    Classifying its Jacobian gives 6 I2 + 2 I0* for generic lambdas.
+    Classifying its Jacobian gives 6 I2 + 2 I0* for generic lambdas, and
+    its ``sextic_limit()`` is the defining sextic x (x-1)(x-l1)(x-l2)(x-l3).
     """
     t = Poly([0, 1])
     one = Poly([1])
@@ -330,25 +348,6 @@ def kummer_quartic_model(l1, l2, l3):
             new[k + 1] = new[k + 1] + c * lin
         xcoeffs = new
     return QuarticModel(coeffs=tuple(xcoeffs))
-
-
-def recovered_sextic(l1, l2, l3):
-    """The eps -> 0 limit that recovers Y^2 = F(X) from the quartic model.
-
-    Substitutes Y = eta/eps^5, X = 1/eps^2, t = xi/eps^2 into the quartic
-    relation, scales by eps^10 and takes the limit of the non-eta part;
-    the result must be F(xi) = xi (xi-1)(xi-l1)(xi-l2)(xi-l3).  Any
-    surviving negative eps power raises IdentityViolationError.
-    """
-    xi = Poly([0, 1])
-    one = Poly([1])
-    T = EpsSeries({-2: xi})                    # t = xi / eps^2
-    X = EpsSeries({-2: one})                   # X = 1 / eps^2
-    prod = T * (EpsSeries({0: one}) - X + T)   # t (1 - X + t)
-    for lam in (l1, l2, l3):
-        prod = prod * (EpsSeries({0: lam * lam * one}) - lam * X + T)
-    scaled = EpsSeries({10: one}) * prod
-    return laurent_limit(scaled, order=0)
 
 
 # ---------------------------------------------------------------------------
@@ -399,17 +398,6 @@ def nikulin_involution(pt, t, p):
         return INFINITY
     w = p.e * (p.c * t + p.d)
     return (w / x, -y * w / (x * x))
-
-
-def alternate_rhs(p, t, x):
-    """x^3 + (t^3+at+b) x^2 + e(ct+d) x at numeric (t, x)."""
-    return x**3 + p.cubic()(t) * x**2 + p.e * (p.c * t + p.d) * x
-
-
-def kummer_rhs(p, t, X):
-    """X^3 - 2(t^3+at+b) X^2 + ((t^3+at+b)^2 - 4e(ct+d)) X at numeric (t, X)."""
-    cube = p.cubic()(t)
-    return X**3 - 2 * cube * X**2 + (cube**2 - 4 * p.e * (p.c * t + p.d)) * X
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ Scalars are plain Python numbers: ``fractions.Fraction`` (or ``int``) for
 exact work, ``complex`` for numeric work.  ``Poly`` is a dense univariate
 polynomial over any such coefficient ring, stored lowest degree first.
 Coefficients may themselves be ``Poly`` instances, which is how the few
-bivariate computations in this package (models over Q[t], the epsilon
-limit) are carried out.
+bivariate computations in this package (models over Q[t]) are carried
+out.
 
 Ints become Fractions in one place: ``ExactTuple``, the base of the value
 containers, stores int fields as Fractions (``promote_int`` does the same
@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as _int_gcd, isqrt, lcm as _int_lcm
 
-from .errors import DomainError, IdentityViolationError
+from .errors import DomainError
 
 
 def _is_zero(c):
@@ -266,10 +266,6 @@ class Poly:
         if not self.coeffs:
             return self
         return Poly([0] * k + list(self.coeffs))
-
-    def compose_linear(self, alpha, beta):
-        """p(alpha*x + beta), computed by Horner over Poly arithmetic."""
-        return self(Poly([beta, alpha]))
 
     def monic(self):
         if not self.coeffs:
@@ -714,78 +710,3 @@ def split_rational_roots(p):
     for u, v in roots:
         rest = integer_quotient(rest, Poly([-u, v]))
     return sorted(Fraction(u, v) for u, v in roots), rest
-
-
-# ---------------------------------------------------------------------------
-# formal epsilon expansions
-# ---------------------------------------------------------------------------
-
-
-class EpsSeries:
-    """Finite Laurent expansion in a formal parameter eps.
-
-    Terms live in a dict {power: coefficient}; coefficients may be
-    scalars or Poly values.  Supports the ring operations needed to
-    carry out explicit scaling limits.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        out = {}
-        for k, v in (terms or {}).items():
-            if not _is_zero(v):
-                out[k] = v
-        self.terms = out
-
-    @classmethod
-    def monomial(cls, coeff, power=0):
-        return cls({power: coeff})
-
-    def __add__(self, other):
-        if not isinstance(other, EpsSeries):
-            other = EpsSeries.monomial(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) + v
-        return EpsSeries(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return EpsSeries({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, EpsSeries):
-            other = EpsSeries.monomial(other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, EpsSeries):
-            other = EpsSeries.monomial(other)
-        out = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                k = k1 + k2
-                out[k] = out.get(k, 0) + v1 * v2
-        return EpsSeries(out)
-
-    __rmul__ = __mul__
-
-    def coeff(self, power):
-        return self.terms.get(power, 0)
-
-
-def laurent_limit(expr, order=0):
-    """Coefficient of eps**order, requiring all lower powers to vanish.
-
-    Raises IdentityViolationError if any power below ``order`` survives:
-    the scaling used to build ``expr`` was then wrong.
-    """
-    if not isinstance(expr, EpsSeries):
-        raise DomainError("laurent_limit expects an EpsSeries")
-    bad = {k: v for k, v in expr.terms.items() if k < order}
-    if bad:
-        raise IdentityViolationError(
-            f"eps powers below {order} survive the limit: {sorted(bad)}")
-    return expr.coeff(order)

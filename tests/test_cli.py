@@ -204,6 +204,15 @@ def test_run_job_document_with_negative_rationals(tmp_path, capsys):
     assert doc["result"]["humbert"]["on_H4"] is True
 
 
+def _argv(command, flags, form, tmp_path):
+    """The argv of one command, given as flags or as a ``run`` document."""
+    if form == "argv":
+        return [command] + [f"--{k}={v}" for k, v in flags.items()]
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"command": command, "input": flags}))
+    return ["run", str(job)]
+
+
 NON_FINITE_INPUTS = (
     ("theta", {"tau": "0,inf,0,0,0,inf"}),
     ("roundtrip", {"rosenhain": "2,3,5", "tol": "nan"}),
@@ -217,15 +226,39 @@ NON_FINITE_INPUTS = (
                          ids=["tau-inf", "tol-nan", "tol-negative", "tol-inf"])
 def test_non_finite_numeric_input_is_a_schema_error(command, flags, form,
                                                     tmp_path, capsys):
-    if form == "argv":
-        argv = [command] + [f"--{k}={v}" for k, v in flags.items()]
-    else:
-        job = tmp_path / "job.json"
-        job.write_text(json.dumps({"command": command, "input": flags}))
-        argv = ["run", str(job)]
-    code, doc = invoke(capsys, *argv)
+    code, doc = invoke(capsys, *_argv(command, flags, form, tmp_path))
     assert code == 1
     assert doc["status"] == "schema-error"
+
+
+UNREAD_FLAGS = (
+    ("theta", {"tau": "0.44,1.86,-0.26,0.81,-0.1,1.93", "rosenhain": "1,2,3"}),
+    ("roundtrip", {"rosenhain": "2,3,5", "igusa": "550,12,-7,2073600"}),
+    ("igusa", {"rosenhain": "2,3,5", "tol": "1e-3"}),
+)
+
+
+@pytest.mark.parametrize("form", ("argv", "run"))
+@pytest.mark.parametrize("command,flags", UNREAD_FLAGS,
+                         ids=["theta-rosenhain", "roundtrip-igusa", "igusa-tol"])
+def test_flag_the_command_does_not_read_is_a_schema_error(command, flags, form,
+                                                          tmp_path, capsys):
+    code, doc = invoke(capsys, *_argv(command, flags, form, tmp_path))
+    assert code == 1
+    assert doc["status"] == "schema-error"
+    assert "unrecognized arguments" in doc["error"]
+
+
+H10 = "4738291056/8829104735,-1920384756/6473829105,7364519028/2039485716"
+
+
+@pytest.mark.parametrize("form", ("argv", "run"))
+def test_oversized_exact_value_is_a_domain_error(form, tmp_path, capsys):
+    # phi at 10-digit lambdas has values past Python's int-to-str limit
+    code, doc = invoke(capsys, *_argv("phi", {"rosenhain": H10}, form, tmp_path))
+    assert code == 2
+    assert doc["status"] == "domain-error"
+    assert doc["error_type"] == "DomainError"
 
 
 def test_run_missing_job_document_is_a_schema_error(tmp_path, capsys):

@@ -3,14 +3,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from g2satake.errors import DomainError, NonMinimalModelError
-from g2satake.fibrations import (INFINITY, FibrationParams, WeierstrassModel,
-                                 alternate_model, alternate_model_ftheory,
-                                 alternate_rhs, classify_fibers, degeneration_predicates,
-                                 dual_isogeny, euler_number, isogeny, kodaira_type,
-                                 kumfib2_model, kummer_quartic_model, kummer_rhs,
+from g2satake.errors import DomainError, IdentityViolationError, NonMinimalModelError
+from g2satake.fibrations import (INFINITY, FibrationParams, QuarticModel,
+                                 WeierstrassModel, alternate_model,
+                                 alternate_model_ftheory, classify_fibers,
+                                 degeneration_predicates, dual_isogeny,
+                                 euler_number, isogeny, kodaira_type,
+                                 kumfib2_model, kummer_quartic_model,
                                  nikulin_involution, qvanish_identity,
-                                 radicand, recovered_sextic, standard_model,
+                                 radicand, standard_model,
                                  type_iii_siegel_identity)
 from g2satake.igusa import (SiegelForms, igusa_from_rosenhain, igusa_from_sextic,
                             rosenhain_poly, siegel_from_igusa)
@@ -48,7 +49,8 @@ def test_short_form_trivial_and_constant_family():
     g2, g3 = m.short_form()
     assert g2.is_zero() and g3.is_zero()
     smooth = WeierstrassModel(A=Poly(), B=Poly([1]), C=Poly())
-    assert not smooth.discriminant_poly().is_zero()
+    g2, g3 = smooth.short_form()
+    assert not (g2**3 - 27 * g3**2).is_zero()
     with pytest.raises(DomainError):
         classify_fibers(smooth)   # discriminant is a nonzero constant: no fibration over t
 
@@ -154,7 +156,7 @@ def test_kumfib2_b_coefficient_is_satake_sextic(rng):
     for _ in range(3):
         inv = igusa_from_rosenhain(*random_lambdas(rng, 12))
         f = satake_sextic(power_sums_from_igusa(inv))
-        sub = f.compose_linear(F(-3), F(0))   # f(-3t)
+        sub = f(Poly([0, F(-3)]))   # f(-3t)
         assert 729 * kumfib2_model(inv).B == sub
         assert 729 * radicand(FibrationParams.from_igusa(inv)) == sub
 
@@ -178,51 +180,64 @@ def test_alternate_discriminant_factorization(rng):
 def test_sextic_recovery_limit(rng):
     for _ in range(4):
         lams = random_lambdas(rng, 10)
-        assert recovered_sextic(*lams) == rosenhain_poly(*lams)
+        assert kummer_quartic_model(*lams).sextic_limit() == rosenhain_poly(*lams)
+
+
+def test_sextic_limit_rejects_a_surviving_negative_eps_power():
+    # t^6 X^0 scales to eps^(10 - 12): the limit does not exist
+    t6 = Poly([0, 0, 0, 0, 0, 0, 1])
+    model = QuarticModel(coeffs=(t6, Poly(), Poly(), Poly(), Poly()))
+    with pytest.raises(IdentityViolationError):
+        model.sextic_limit()
 
 
 def test_isogeny_images_exact(rng):
-    p = params_for(2, 3, 5)
+    inv = igusa_from_rosenhain(2, 3, 5)
+    p = FibrationParams.from_igusa(inv)
+    alt, kum = alternate_model(p), kumfib2_model(inv)
     checked = 0
     while checked < 4:
         t0 = F(rng.randint(-9, 9), rng.randint(1, 4))
         x0 = F(rng.randint(1, 9), rng.randint(1, 4))
-        v = alternate_rhs(p, t0, x0)          # y^2 on the fiber
+        v = alt.rhs(t0, x0)          # y^2 on the fiber
         if v == 0:
             continue
         w = p.e * (p.c * t0 + p.d) - x0 * x0
         X = v / (x0 * x0)
         Y2 = v * w * w / x0**4
-        assert Y2 == kummer_rhs(p, t0, X)
+        assert Y2 == kum.rhs(t0, X)
         # dual image back on the alternate curve, with duplication x
         radv = radicand(p)(t0)
         x2 = Y2 / (4 * X * X)
         y2_back = Y2 * (radv - X * X) ** 2 / (64 * X**4)
-        assert y2_back == alternate_rhs(p, t0, x2)
+        assert y2_back == alt.rhs(t0, x2)
         Bv = p.e * (p.c * t0 + p.d)
         assert x2 == (x0 * x0 - Bv) ** 2 / (4 * v)
         checked += 1
 
 
 def test_isogeny_point_interface():
-    p = params_for(2, 3, 5)
+    inv = igusa_from_rosenhain(2, 3, 5)
+    p = FibrationParams.from_igusa(inv)
     assert isogeny((0, 0), F(1), p) == INFINITY
     assert isogeny(INFINITY, F(1), p) == INFINITY
     assert dual_isogeny((0, 17), F(1), p) == INFINITY
     t0, x0 = F(1, 2), F(5, 3)
-    y0 = cmath.sqrt(complex(alternate_rhs(p, t0, x0)))
+    y0 = cmath.sqrt(complex(alternate_model(p).rhs(t0, x0)))
     X, Y = isogeny((x0, y0), t0, p)
-    assert abs(Y**2 - complex(kummer_rhs(p, t0, F(X.real).limit_denominator(10**12)))) \
+    X_exact = F(X.real).limit_denominator(10**12)
+    assert abs(Y**2 - complex(kumfib2_model(inv).rhs(t0, X_exact))) \
         <= 1e-9 * (1 + abs(Y) ** 2)
 
 
 def test_nikulin_involution_properties(rng):
     p = params_for(2, 3, 5)
+    alt = alternate_model(p)
     t0, x0 = F(1, 2), F(5, 3)
-    v = alternate_rhs(p, t0, x0)
+    v = alt.rhs(t0, x0)
     w = p.e * (p.c * t0 + p.d)
     # image on curve, exactly
-    assert v * w * w / x0**4 == alternate_rhs(p, t0, w / x0)
+    assert v * w * w / x0**4 == alt.rhs(t0, w / x0)
     # applying twice is the identity
     y0 = cmath.sqrt(complex(v))
     q1 = nikulin_involution((x0, y0), t0, p)
@@ -233,7 +248,7 @@ def test_nikulin_involution_properties(rng):
     assert nikulin_involution((0, 0), t0, p) == INFINITY
     # a point with x^2 = w and y != 0 flips the sign of y
     fx = cmath.sqrt(complex(w))
-    fy = cmath.sqrt(complex(alternate_rhs(p, t0, F(fx.real).limit_denominator(10**9))))
+    fy = cmath.sqrt(complex(alt.rhs(t0, F(fx.real).limit_denominator(10**9))))
     img = nikulin_involution((fx, fy), t0, p)
     assert abs(img[0] - fx) < 1e-6 * (1 + abs(fx))
     assert abs(img[1] + fy) < 1e-6 * (1 + abs(fy))
@@ -250,18 +265,19 @@ def test_nikulin_fixed_points_are_nodes(rng):
     lin0 = base.c * t0 + base.d
     e = base.cubic()(t0) ** 2 / (4 * lin0)
     p = FibrationParams(a=base.a, b=base.b, c=base.c, d=base.d, e=e)
+    alt = alternate_model(p)
     assert radicand(p)(t0) == 0
     w = p.e * lin0
     x_fix = -base.cubic()(t0) / 2
     assert x_fix**2 == w                      # on the fixed locus
-    assert alternate_rhs(p, t0, x_fix) == 0   # and it is the node (y = 0)
+    assert alt.rhs(t0, x_fix) == 0            # and it is the node (y = 0)
     assert nikulin_involution((x_fix, F(0)), t0, p) == (x_fix, F(0))
     # off the I1 locus the fixed-x point has y != 0 and is not fixed
     t1 = F(5, 2)
     w1 = p.e * (p.c * t1 + p.d)
     y2 = w1 * (2 * x_fix + p.cubic()(t1)) + (x_fix**2 - w1) * (
         x_fix + p.cubic()(t1))   # = rhs(t1, x_fix), expanded around x^2 = w1
-    assert y2 == alternate_rhs(p, t1, x_fix)
+    assert y2 == alt.rhs(t1, x_fix)
 
 
 def test_degeneration_predicates_even_sextic():
@@ -313,12 +329,10 @@ def test_standard_to_alternate_birational_transform(rng):
         p = params_for(*random_lambdas(rng, 8))
         t = F(rng.randint(1, 9), rng.randint(1, 3))
         x = F(rng.randint(1, 9), rng.randint(1, 3))
-        u = alternate_rhs(p, t, x)            # = y^2 on the alternate fiber
+        u = alternate_model(p).rhs(t, x)      # = y^2 on the alternate fiber
         ts, xs = x / p.e, t * x * x / p.e**2
         us = x**4 * u / p.e**6                # = y_std^2 under the transform
-        std_residual = us - (xs**3 + ts**3 * (p.a * ts + p.c) * xs
-                             + ts**5 * (p.e * ts**2 + p.b * ts + p.d))
-        assert std_residual == 0
+        assert us == standard_model(p).rhs(ts, xs)
 
 
 def test_inose_quartic_substitutions(rng):
@@ -339,14 +353,13 @@ def test_inose_quartic_substitutions(rng):
         ga, de = 2**12 * 3**5 * s.chi10, 2**12 * 3**6 * s.chi12
         t = F(rng.randint(1, 7), rng.randint(1, 3))
         x = F(rng.randint(1, 7), rng.randint(1, 3))
-        u = alternate_rhs(p, t, x)
+        u = alternate_model(p).rhs(t, x)
         X = t * x**3 / F(2**29 * 3**5)
         Y2 = -6 * x**4 * u / F(2**58 * 3**10)    # (sqrt6 i x^2 y / 2^29 3^5)^2
         W = -(x**3) / F(2**28 * 3**6)
         Z = x**2 / F(2**28 * 3**9)
         assert inose(X, Y2, Z, W, al, be, ga, de) == 0
-        u_std = x**3 + t**3 * (p.a * t + p.c) * x \
-            + t**5 * (p.e * t**2 + p.b * t + p.d)
+        u_std = standard_model(p).rhs(t, x)
         Xs = -(2**7) * s.chi10**3 * t * x / F(3**5)
         Y2s = -6 * 2**14 * s.chi10**6 * u_std / F(3**10)
         Ws = 2**8 * s.chi10**3 * t**3 / F(3**6)

@@ -3,14 +3,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from g2satake.errors import DomainError, IdentityViolationError
+from g2satake.errors import DomainError
 from g2satake.fibrations import (FibrationParams, alternate_model_ftheory,
                                  dual_isogeny, isogeny, nikulin_involution)
 from g2satake.igusa import (AbsoluteInvariants, IgusaInvariants, SiegelForms,
                             absolute_invariants, igusa_from_absolute,
                             igusa_from_siegel, siegel_from_igusa)
-from g2satake.qpoly import (EpsSeries, Poly, discriminant, laurent_limit,
-                            poly_gcd, resultant, squarefree_decomposition)
+from g2satake.qpoly import (Poly, discriminant, poly_gcd, resultant,
+                            squarefree_decomposition)
 from g2satake.satake import PowerSums, igusa_from_power_sums, satake_sextic
 
 
@@ -85,23 +85,6 @@ def test_gcd_and_squarefree():
     assert g == Poly.from_roots([F(2), F(3)])
     parts = squarefree_decomposition(Poly.from_roots([1, 1, 2, 2, 2, 5]))
     assert [(f.degree(), m) for f, m in parts] == [(1, 1), (1, 2), (1, 3)]
-
-
-def test_laurent_limit_examples():
-    assert laurent_limit(EpsSeries({2: F(3), 3: F(4)})) == 0
-    assert laurent_limit(EpsSeries({0: F(7), 1: F(2)})) == 7
-
-
-def test_laurent_limit_negative_power_raises():
-    with pytest.raises(IdentityViolationError):
-        laurent_limit(EpsSeries({-2: F(1), 0: F(3)}))
-
-
-def test_eps_series_ring_ops():
-    a = EpsSeries({-1: F(2), 0: F(1)})
-    b = EpsSeries({1: F(3)})
-    assert (a * b).terms == {0: F(6), 1: F(3)}
-    assert (a + (-a)).terms == {}
 
 
 def _big_rational(rng, digits=30):
