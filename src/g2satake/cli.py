@@ -35,8 +35,9 @@ from .satake import (PowerSums, phi_map, power_sums_from_igusa,
                      power_sums_from_siegel, reconstruct_from_satake_roots,
                      satake_sextic, satake_sextic_from_siegel,
                      theta_power_sum_consistency)
-from .theta import (PeriodMatrix, check_frobenius, even_theta_constants,
-                    rosenhain_from_theta, satake_from_theta)
+from .theta import (MAX_RADIUS, PeriodMatrix, check_frobenius,
+                    even_theta_constants, rosenhain_from_theta,
+                    satake_from_theta)
 
 EXIT_OK = 0
 EXIT_SCHEMA = 1
@@ -115,6 +116,18 @@ def _positive_tolerance(s):
         v = math.nan
     if not 0 < v < math.inf:
         raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {s!r}")
+    return v
+
+
+def _theta_radius(s):
+    """argparse type of --theta-radius: an integer from 1 to MAX_RADIUS."""
+    try:
+        v = int(s)
+    except ValueError:
+        v = 0
+    if not 1 <= v <= MAX_RADIUS:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer from 1 to {MAX_RADIUS}, got {s!r}")
     return v
 
 
@@ -365,11 +378,12 @@ def _add_output(p):
 def build_parser():
     """The argument parser, built once: it costs far more than a parse, and
     each parse returns a fresh namespace.  Each command takes only the
-    flags its handler reads; any other flag is a schema error."""
-    top = _Parser(prog="g2satake", description=__doc__)
+    flags its handler reads, spelt out in full; any other flag, or a
+    prefix of one, is a schema error."""
+    top = _Parser(prog="g2satake", description=__doc__, allow_abbrev=False)
     sub = top.add_subparsers(dest="command", required=True)
     for name in _HANDLERS:
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)
         _add_output(p)
         if name != "theta":
             p.add_argument("--rosenhain",
@@ -391,8 +405,9 @@ def build_parser():
         if name == "theta":
             p.add_argument("--tau", help="re1,im1,rez,imz,re2,im2")
             p.add_argument("--theta-radius", dest="theta_radius",
-                           type=int, default=12)
-    runp = sub.add_parser("run")
+                           type=_theta_radius,
+                           help="lattice box radius (default: chosen from Im tau)")
+    runp = sub.add_parser("run", allow_abbrev=False)
     runp.add_argument("job", help="JSON job document path, or - for stdin")
     _add_output(runp)
     return top

@@ -10,20 +10,28 @@ theta_1 .. theta_10 that every downstream index computation relies on:
     theta_7 = [0h;00]   theta_8 = [hh;00]   theta_9  = [0h;h0]
     theta_10 = [hh;hh]            (h = 1/2)
 
-Series are truncated to the lattice box |u|_inf <= radius; the first
-omitted shell is summed in absolute value and reported as the tail
-estimate.  No reduction of tau into a fundamental domain is attempted:
-callers supply tau with a reasonably positive-definite imaginary part.
+Series are truncated to the lattice box |u|_inf <= radius, and every
+constant reports the same proven bound on the omitted tail (see
+``_kernels.theta_shell``).  By default the radius is the smallest one in
+1..AUTO_RADIUS_MAX whose bound is at most TAIL_TARGET, read off the
+smallest eigenvalue of Im tau.  No reduction of tau into a fundamental
+domain is attempted, so a tau whose Im part is close to singular reaches
+the cap and reports ``precise`` false.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import _kernels
 from .errors import DegeneratePointError, DomainError
 
-DEFAULT_RADIUS = 12
+AUTO_RADIUS_MAX = 12   # the automatic radius never exceeds this
+TAIL_TARGET = 1e-16    # tail bound the automatic radius aims for
+MAX_RADIUS = 100       # largest radius the CLI accepts: the sum costs O(R^2)
 TAIL_WARN = 1e-12
 
 EVEN_CHARACTERISTICS = (
@@ -68,6 +76,17 @@ class PeriodMatrix:
                 and self.tau2.imag > 0):
             raise DomainError(
                 "imaginary part of the period matrix is not positive definite")
+        if self.min_eigenvalue < sys.float_info.min:   # the tail bound overflows
+            raise DomainError("the smallest eigenvalue of the imaginary part "
+                              "of the period matrix is below the double range")
+
+    @property
+    def min_eigenvalue(self):
+        """Smallest eigenvalue mu of Im tau, as det / largest eigenvalue
+        (no cancellation when mu is small against the largest)."""
+        y1, y12, y2 = self.tau1.imag, self.z.imag, self.tau2.imag
+        largest = (y1 + y2) / 2 + math.hypot((y1 - y2) / 2, y12)
+        return (y1 * y2 - y12 * y12) / largest
 
 
 @dataclass(frozen=True)
@@ -86,7 +105,7 @@ class ThetaConstants:
 
     values: tuple
     tails: tuple = field(default=())
-    radius: int = DEFAULT_RADIUS
+    radius: int = AUTO_RADIUS_MAX
 
     def theta(self, i):
         return self.values[i - 1]
@@ -107,29 +126,56 @@ class ThetaConstants:
         return self.max_tail <= TAIL_WARN * max(abs(v) for v in self.values)
 
 
-def theta_constant(char, tau, radius=DEFAULT_RADIUS):
-    """Truncated theta constant for one half-integer characteristic."""
+def _radius_and_tail(tau, radius):
+    """The box radius (chosen from Im tau when ``radius`` is None) and the
+    proven bound on the tail it leaves out."""
+    mu = tau.min_eigenvalue
+    if radius is None:
+        for radius in range(1, AUTO_RADIUS_MAX + 1):
+            tail = _kernels.theta_shell(mu, radius)
+            if tail <= TAIL_TARGET:
+                break
+        return radius, tail
     if radius < 1:
         raise DomainError("radius must be >= 1")
+    return radius, _kernels.theta_shell(mu, radius)
+
+
+_TOPS = ((0, 0), (1, 0), (0, 1), (1, 1))
+
+
+def _parity_sums(top, tau, radius):
+    m1, m2 = top
+    return _kernels.theta_sum(m1 / 2, m2 / 2, tau.tau1, tau.z, tau.tau2, radius)
+
+
+def _combine(char, sums):
+    """Theta constant from the parity-class sums of its top characteristic."""
     m1, m2, n1, n2 = char
+    total = 0j
+    for p1 in (0, 1):
+        for p2 in (0, 1):
+            s = sums[2 * p1 + p2]
+            total += -s if (p1 * n1 + p2 * n2) % 2 else s
+    return (1, 1j, -1, -1j)[(m1 * n1 + m2 * n2) % 4] * total
+
+
+def theta_constant(char, tau, radius=None):
+    """Truncated theta constant for one half-integer characteristic."""
     if not all(v in (0, 1) for v in char):
         raise DomainError("characteristic entries must be half-integers 0 or 1/2")
-    from . import _kernels   # numpy loads with the numeric kernels, on first use
-
-    a1, a2, b1, b2 = m1 / 2.0, m2 / 2.0, n1 / 2.0, n2 / 2.0
-    val = _kernels.theta_sum(a1, a2, b1, b2, tau.tau1, tau.z, tau.tau2, radius)
-    tail = _kernels.theta_shell(a1, a2, b1, b2, tau.tau1, tau.z, tau.tau2, radius)
-    return ThetaValue(value=complex(val), tail=float(tail))
+    radius, tail = _radius_and_tail(tau, radius)
+    sums = _parity_sums(char[:2], tau, radius)
+    return ThetaValue(value=_combine(char, sums), tail=tail)
 
 
-def even_theta_constants(tau, radius=DEFAULT_RADIUS):
-    vals = []
-    tails = []
-    for ch in EVEN_CHARACTERISTICS:
-        tv = theta_constant(ch, tau, radius)
-        vals.append(tv.value)
-        tails.append(tv.tail)
-    return ThetaConstants(values=tuple(vals), tails=tuple(tails), radius=radius)
+def even_theta_constants(tau, radius=None):
+    """The ten even constants from one lattice pass per top characteristic."""
+    radius, tail = _radius_and_tail(tau, radius)
+    sums = {top: _parity_sums(top, tau, radius) for top in _TOPS}
+    values = tuple(_combine(ch, sums[ch[:2]]) for ch in EVEN_CHARACTERISTICS)
+    return ThetaConstants(values=values, tails=(tail,) * len(values),
+                          radius=radius)
 
 
 # ---------------------------------------------------------------------------

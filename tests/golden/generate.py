@@ -45,6 +45,8 @@ BAD_POWER_SUMS = "0,1,0,99,0,0"       # s4 != s2^2/4
 TAU = "0.44,1.86,-0.26,0.81,-0.1,1.93"
 TAU_SMALL = "0.12,1.25,0.31,0.42,-0.37,1.4"
 TAU_DIAGONAL = "0.1,1.2,0,0,0.2,1.5"  # z = 0: theta_10 vanishes (chi10 = 0)
+TAU_MU_01 = "0.2,0.11,0.05,0.03,-0.3,0.45"  # mu = 0.107: automatic radius 11
+TAU_MU_002 = "0.3,0.021,-0.1,0.003,0.2,0.7"  # mu = 0.021: radius capped, not precise
 
 
 def cases():
@@ -99,6 +101,8 @@ def cases():
         ["theta", f"--tau={TAU}", "--theta-radius", "3"],
         ["theta", "--tau=0.1,0.7,0.05,0.1,-0.2,0.8", "--theta-radius", "2"],
         ["theta", f"--tau={TAU_DIAGONAL}"],
+        ["theta", f"--tau={TAU_MU_01}"],
+        ["theta", f"--tau={TAU_MU_002}"],
         ["theta", "--tau=0,1,0,2,0,1"],
         ["theta", "--tau=0,1,0,1"],
         # exit codes 1 and 3

@@ -213,34 +213,49 @@ def _argv(command, flags, form, tmp_path):
     return ["run", str(job)]
 
 
+TAU = "0.44,1.86,-0.26,0.81,-0.1,1.93"
+
+# the last flag of each case holds the bad value
 NON_FINITE_INPUTS = (
     ("theta", {"tau": "0,inf,0,0,0,inf"}),
     ("roundtrip", {"rosenhain": "2,3,5", "tol": "nan"}),
     ("roundtrip", {"rosenhain": "2,3,5", "tol": "-1"}),
     ("roundtrip", {"rosenhain": "2,3,5", "tol": "inf"}),
+    ("theta", {"tau": TAU, "theta-radius": "0"}),
+    ("theta", {"tau": TAU, "theta-radius": "101"}),
+    ("theta", {"tau": TAU, "theta-radius": "2.5"}),
 )
 
 
 @pytest.mark.parametrize("form", ("argv", "run"))
 @pytest.mark.parametrize("command,flags", NON_FINITE_INPUTS,
-                         ids=["tau-inf", "tol-nan", "tol-negative", "tol-inf"])
+                         ids=["tau-inf", "tol-nan", "tol-negative", "tol-inf",
+                              "theta-radius-0", "theta-radius-101",
+                              "theta-radius-fraction"])
 def test_non_finite_numeric_input_is_a_schema_error(command, flags, form,
                                                     tmp_path, capsys):
     code, doc = invoke(capsys, *_argv(command, flags, form, tmp_path))
     assert code == 1
     assert doc["status"] == "schema-error"
+    assert f"--{list(flags)[-1]}" in doc["error"]
 
 
 UNREAD_FLAGS = (
-    ("theta", {"tau": "0.44,1.86,-0.26,0.81,-0.1,1.93", "rosenhain": "1,2,3"}),
+    ("theta", {"tau": TAU, "rosenhain": "1,2,3"}),
     ("roundtrip", {"rosenhain": "2,3,5", "igusa": "550,12,-7,2073600"}),
     ("igusa", {"rosenhain": "2,3,5", "tol": "1e-3"}),
+    # a prefix of a flag the command reads is not that flag
+    ("igusa", {"ros": "2,3,5"}),
+    ("theta", {"tau": TAU, "theta": "3"}),
+    ("igusa", {"r": "2,3,5"}),
 )
 
 
 @pytest.mark.parametrize("form", ("argv", "run"))
 @pytest.mark.parametrize("command,flags", UNREAD_FLAGS,
-                         ids=["theta-rosenhain", "roundtrip-igusa", "igusa-tol"])
+                         ids=["theta-rosenhain", "roundtrip-igusa", "igusa-tol",
+                              "igusa-prefix-ros", "theta-prefix-theta",
+                              "igusa-prefix-r"])
 def test_flag_the_command_does_not_read_is_a_schema_error(command, flags, form,
                                                           tmp_path, capsys):
     code, doc = invoke(capsys, *_argv(command, flags, form, tmp_path))
@@ -279,6 +294,13 @@ EXACT_COMMANDS = (
                     "standard"))
 
 
+# theta runs on plain-Python kernels too; only roundtrip loads numpy
+NUMPY_FREE_COMMANDS = EXACT_COMMANDS + (
+    ["theta", f"--tau={TAU}"],
+    ["theta", "--tau=0.3,0.021,-0.1,0.003,0.2,0.7", "--theta-radius=5"],
+)
+
+
 def test_exact_commands_never_import_numpy():
     script = (
         "import contextlib, io, json, sys\n"
@@ -288,6 +310,6 @@ def test_exact_commands_never_import_numpy():
         "        assert run(argv) == 0, argv\n"
         "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
     proc = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(EXACT_COMMANDS)],
+        [sys.executable, "-c", script, json.dumps(NUMPY_FREE_COMMANDS)],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

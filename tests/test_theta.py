@@ -1,19 +1,51 @@
 import cmath
 import math
+import time
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
+from g2satake._kernels import theta_shell
 from g2satake.errors import DegeneratePointError, DomainError
-from g2satake.theta import (EVEN_CHARACTERISTICS, ODD_CHARACTERISTICS,
-                            SATAKE_MATRIX, PeriodMatrix, SatakeCoordinates,
-                            ThetaConstants, check_frobenius,
-                            even_theta_constants, parity,
+from g2satake.theta import (AUTO_RADIUS_MAX, EVEN_CHARACTERISTICS,
+                            ODD_CHARACTERISTICS, SATAKE_MATRIX, TAIL_TARGET,
+                            PeriodMatrix, SatakeCoordinates, ThetaConstants,
+                            check_frobenius, even_theta_constants, parity,
                             reduce_fourth_powers, rosenhain_from_theta,
                             rosenhain_from_theta4, satake_from_theta,
                             theta4_from_satake, theta_constant)
 
 GENERIC_TAU = PeriodMatrix(1 + 2j, 1j / 3, 1.5j)
+TOPS = ((0, 0), (1, 0), (0, 1), (1, 1))
+
+
+def box_terms(char, tau, radius):
+    """Reference: the terms of the numpy box sum that the kernel replaced
+    (one pass per characteristic, bottom characteristic in the exponent),
+    and |u|_inf of each."""
+    m1, m2, n1, n2 = char
+    u = np.arange(-radius, radius + 1, dtype=np.float64)
+    v1 = u[:, None] + m1 / 2
+    v2 = u[None, :] + m2 / 2
+    q = (v1 * v1 * tau.tau1 + 2.0 * v1 * v2 * tau.z + v2 * v2 * tau.tau2
+         + v1 * n1 + v2 * n2)
+    return np.exp(1j * np.pi * q), np.maximum(abs(u)[:, None], abs(u)[None, :])
+
+
+def box_sum_reference(char, tau, radius):
+    return complex(box_terms(char, tau, radius)[0].sum())
+
+
+def random_period_matrix(rng, mu):
+    """A tau whose Im part has smallest eigenvalue mu."""
+    lmax = mu * rng.uniform(1.0, 2.5)
+    ang = rng.uniform(0.0, math.pi)
+    c, s = math.cos(ang), math.sin(ang)
+    x1, x12, x2 = (rng.uniform(-0.5, 0.5) for _ in range(3))
+    return PeriodMatrix(complex(x1, mu * c * c + lmax * s * s),
+                        complex(x12, (lmax - mu) * c * s),
+                        complex(x2, mu * s * s + lmax * c * c))
 
 
 def theta1d(a, b, tau, radius=60):
@@ -30,6 +62,70 @@ def test_characteristic_parities():
 def test_period_matrix_validation():
     with pytest.raises(DomainError):
         PeriodMatrix(1j, 2j, 1j)   # Im not positive definite
+    with pytest.raises(DomainError):
+        PeriodMatrix(1e300j, 0j, 1e-310j)   # mu is subnormal
+
+
+def test_min_eigenvalue_of_im_tau():
+    assert PeriodMatrix(0.3 + 2j, 0.1 + 1j, 2j).min_eigenvalue == pytest.approx(1)
+    tiny = PeriodMatrix(1e-9j, 0.5 + 0j, -0.2 + 1j).min_eigenvalue
+    assert tiny == pytest.approx(1e-9, rel=1e-12)
+
+
+def test_radius_below_one_is_a_domain_error():
+    with pytest.raises(DomainError):
+        even_theta_constants(GENERIC_TAU, 0)
+
+
+def test_kernel_matches_numpy_box_sum_at_radius_12(rng):
+    rel = 1e-13   # of the largest constant: the summation order differs
+    taus = [GENERIC_TAU, PeriodMatrix(0.1 + 0.7j, 0.05 + 0.1j, -0.2 + 0.8j)]
+    taus += [random_period_matrix(rng, rng.uniform(0.1, 2.5)) for _ in range(4)]
+    for tau in taus:
+        want = [box_sum_reference(ch, tau, 12) for ch in EVEN_CHARACTERISTICS]
+        got = even_theta_constants(tau, 12).values
+        scale = max(map(abs, want))
+        for g, w in zip(got, want):
+            assert abs(g - w) <= rel * scale
+        for ch in ODD_CHARACTERISTICS:
+            w = box_sum_reference(ch, tau, 12)
+            assert abs(theta_constant(ch, tau, 12).value - w) <= rel * scale
+
+
+def test_automatic_radius_is_within_its_tail_bound(rng):
+    for _ in range(50):
+        tau = random_period_matrix(rng, rng.uniform(0.1, 2.5))
+        tc = even_theta_constants(tau)
+        assert tc.radius < AUTO_RADIUS_MAX and tc.max_tail <= TAIL_TARGET
+        assert tc.tails == (tc.max_tail,) * 10
+        for ch, got in zip(EVEN_CHARACTERISTICS, tc.values):
+            terms, _ = box_terms(ch, tau, 30)
+            # rounding of both double sums grows with the terms' total size
+            # (up to about 7 here), so the slack is 1e-15 per unit of it
+            slack = 1e-15 * abs(terms).sum()
+            assert abs(got - complex(terms.sum())) <= tc.max_tail + slack
+
+
+def test_tail_bound_covers_the_omitted_terms(rng):
+    # Im tau = mu * identity is where the bound is tightest (within 2x)
+    taus = [PeriodMatrix(mu * 1j, 0j, mu * 1j) for mu in (0.02, 0.1, 0.4, 1.0)]
+    taus += [random_period_matrix(rng, mu) for mu in (0.02, 0.1, 0.4, 1.0, 2.5)]
+    for tau in taus:
+        for top in TOPS:
+            terms, box = box_terms(top + (0, 0), tau, 30)
+            size = abs(terms)
+            for radius in range(1, AUTO_RADIUS_MAX + 1):
+                omitted = size[box > radius].sum()
+                assert omitted <= theta_shell(tau.min_eigenvalue, radius)
+
+
+def test_near_singular_im_tau_is_fast_and_not_precise():
+    tau = PeriodMatrix(0.1 + 1e-9j, 0.2 + 0j, -0.3 + 1j)
+    start = time.perf_counter()
+    tc = even_theta_constants(tau)
+    assert time.perf_counter() - start < 0.05
+    assert tc.radius == AUTO_RADIUS_MAX
+    assert not tc.precise
 
 
 def test_theta1_at_diag_ii_gamma_value():
