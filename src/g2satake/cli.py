@@ -235,6 +235,8 @@ def cmd_phi(args):
 
 
 _MODELS = ("kummer1", "kummer23", "alternate", "alternate-ftheory", "standard")
+_NO_K3 = ("I10 = 0: the sextic is singular; there is no genus-two curve "
+          "and no K3 fibration")
 
 
 def cmd_fibration(args):
@@ -244,14 +246,17 @@ def cmd_fibration(args):
         if not args.rosenhain:
             raise SchemaError("--model kummer1 needs --rosenhain")
         lams = _parse_fraction_list(args.rosenhain, 3, "--rosenhain")
+        # the branch points 0, 1, l1, l2, l3 (and infinity) are distinct
+        # exactly when I10 != 0
+        if len({0, 1, *lams}) < 5:
+            raise DomainError(_NO_K3)
         model = kummer_quartic_model(*lams).jacobian_model()
     elif args.model == "alternate-ftheory":
         model = alternate_model_ftheory(_siegel_from_args(args))
     else:
         inv = _invariants_from_args(args)
         if inv.degenerate:
-            raise DomainError("I10 = 0: the sextic is singular; there is no "
-                              "genus-two curve and no K3 fibration")
+            raise DomainError(_NO_K3)
         if args.model == "kummer23":
             model = kumfib2_model(inv)
         elif args.model == "alternate":

@@ -14,7 +14,10 @@ for a scalar); complex and GaussianRational values pass through.
 The exact algorithms run on integers: a weighted point with rational
 coordinates is carried as an integer representative
 (``integral_representative``), and gcds, squarefree decompositions and
-rational roots work on primitive integer polynomials.
+rational roots work on primitive integer polynomials.  gcds are
+multi-modular: images modulo primes just below 2^30 are combined by the
+Chinese remainder theorem, and a candidate is accepted only once exact
+division shows that it divides both inputs.
 
 Everything here is immutable and pure; no operation ever rounds a
 Fraction.
@@ -23,6 +26,7 @@ Fraction.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd as _int_gcd, isqrt, lcm as _int_lcm
 
 from .errors import DomainError
@@ -502,8 +506,11 @@ def graded_integral_scale(terms):
 #
 # Polynomials over Q are handled through primitive integer polynomials
 # (Poly with int coefficients, content 1, positive leading coefficient):
-# every pseudo-remainder, quotient and gcd below stays in Z[t], and
-# Fractions appear only when a monic result is handed back.
+# every quotient and gcd below stays in Z[t], and Fractions appear only
+# when a monic result is handed back.  gcds are multi-modular (Brown 1971)
+# with the moduli just below 2^30, so that residues are one-digit Python
+# ints and their products two digits; correctness rests on the trial
+# division that accepts a candidate, not on a coefficient bound.
 
 
 def _primitive_coeffs(cs):
@@ -519,52 +526,152 @@ def primitive_part(p):
     return Poly(_primitive_coeffs(list(P.coeffs)))
 
 
-def _prem(a, b):
-    """A nonzero multiple of the remainder of a by b, computed over Z."""
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n):
+    """Miller-Rabin with the first twelve primes as witnesses, which is
+    deterministic for n < 3.18e23 (Sorenson and Webster 2017)."""
+    if n < 2:
+        return False
+    for q in _WITNESSES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@cache
+def _prime_below(n):
+    """The largest prime below n: the gcd moduli, found on first use."""
+    n -= 1
+    while not _is_prime(n):
+        n -= 1
+    return n
+
+
+def _gcd_mod(a, b, p):
+    """Monic gcd in F_p[t] of reduced coefficient lists with nonzero
+    leading coefficients and len(a) >= len(b) >= 2; both lists are
+    consumed."""
+    while len(b) > 1:
+        inv = pow(b[-1], -1, p)
+        n = len(b) - 1
+        r = a
+        while len(r) > n:
+            c = r.pop() * inv % p
+            if c:
+                k = len(r) - n
+                for i in range(n):
+                    r[k + i] = (r[k + i] - c * b[i]) % p
+        while r and not r[-1]:
+            r.pop()
+        a, b = b, r
+    if b:
+        return [1]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _quotient(a, b):
+    """The coefficients of a / b when b divides a in Z[t], else None."""
     r = list(a)
     n = len(b) - 1
     lb = b[-1]
-    while len(r) > n:
-        lr = r[-1]
-        k = len(r) - 1 - n
-        r = [c * lb for c in r]
-        for i, c in enumerate(b):
-            r[k + i] -= lr * c
-        r.pop()
-        while r and r[-1] == 0:
-            r.pop()
-    return r
+    q = [0] * (len(r) - n)
+    for k in range(len(r) - 1 - n, -1, -1):
+        c, rem = divmod(r[k + n], lb)
+        if rem:
+            return None
+        q[k] = c
+        if c:
+            for i in range(n):
+                r[k + i] -= c * b[i]
+    return None if any(r[:n]) else q
+
+
+def _modular_gcd(a, b):
+    """Primitive gcd of primitive integer coefficient lists.
+
+    Each prime that divides neither leading coefficient gives the monic
+    gcd of the images, whose degree is at least that of the true gcd.
+    Degree 0 proves the inputs coprime, and the degree of the shorter
+    input b leaves b as the only candidate.  Otherwise the image, scaled
+    by gcd(lc a, lc b), is combined by CRT with the earlier images of its
+    degree (a smaller degree starts over, a larger one is skipped), and
+    once the symmetric lift stops changing its primitive part is tried by
+    division.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        return [1]
+    la, lb = a[-1], b[-1]
+    gamma = m = 0
+    p = 1 << 30
+    while True:
+        p = _prime_below(p)
+        if not la % p or not lb % p:
+            continue
+        h = _gcd_mod([c % p for c in a], [c % p for c in b], p)
+        if len(h) == 1:
+            return [1]
+        if m and len(h) > len(res):
+            continue
+        if len(h) == len(b) and _quotient(a, b) is not None:
+            return b
+        gamma = gamma or _int_gcd(la, lb)
+        s = gamma % p
+        h = [c * s % p for c in h]
+        if not m or len(h) < len(res):
+            m, res, prev = p, h, None
+        else:
+            w = pow(m, -1, p)
+            res = [r + m * ((x - r) * w % p) for r, x in zip(res, h)]
+            m *= p
+            prev = lift
+        half = m >> 1
+        lift = [c - m if c > half else c for c in res]
+        if lift == prev:
+            g = _primitive_coeffs(lift)
+            if _quotient(a, g) is not None and _quotient(b, g) is not None:
+                return g
+
+
+def _order_at_zero(cs):
+    k = 0
+    while not cs[k]:
+        k += 1
+    return k
 
 
 def integer_gcd(a, b):
-    """Primitive gcd of two primitive integer polynomials (primitive PRS)."""
-    a, b = a.coeffs, b.coeffs
-    if len(a) < len(b):
-        a, b = b, a
-    if not b:
-        return Poly(a)
-    while len(b) > 1:
-        r = _prem(a, b)
-        if not r:
-            return Poly(b)
-        a, b = b, _primitive_coeffs(r)
-    return Poly([1])
+    """Primitive gcd of two primitive integer polynomials: the common power
+    of t times the multi-modular gcd of what is left once each input's
+    power of t is divided out."""
+    a, b = list(a.coeffs), list(b.coeffs)
+    if not a or not b:
+        return Poly(a or b)
+    ka, kb = _order_at_zero(a), _order_at_zero(b)
+    return Poly([0] * min(ka, kb) + _modular_gcd(a[ka:], b[kb:]))
 
 
 def integer_quotient(a, b):
     """a / b in Z[t], for a primitive b that divides a over Q."""
-    r = list(a.coeffs)
-    bs = b.coeffs
-    n = len(bs) - 1
-    lb = bs[-1]
-    q = [0] * (len(r) - n)
-    for k in range(len(r) - 1 - n, -1, -1):
-        c = r[k + n] // lb
-        q[k] = c
-        if c:
-            for i, bc in enumerate(bs):
-                r[k + i] -= c * bc
-    return Poly(q)
+    return Poly(_quotient(a.coeffs, b.coeffs))
 
 
 def integer_squarefree(p):
@@ -592,7 +699,7 @@ def integer_squarefree(p):
 
 
 def poly_gcd(p, q):
-    """Monic gcd over Q, through the integer primitive PRS."""
+    """Monic gcd over Q, through the multi-modular gcd over Z."""
     if p.is_zero():
         return q.monic() if not q.is_zero() else Poly()
     if q.is_zero():

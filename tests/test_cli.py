@@ -264,6 +264,18 @@ def test_flag_the_command_does_not_read_is_a_schema_error(command, flags, form,
     assert "unrecognized arguments" in doc["error"]
 
 
+# lambda = 0, lambda = 1 and a repeated lambda: I10 = 0, so no K3 fibration
+@pytest.mark.parametrize("form", ("argv", "run"))
+@pytest.mark.parametrize("rosenhain", ("0,1/2,5/7", "2/3,1,5/7", "2,3,3"))
+def test_kummer1_on_i10_zero_is_the_i10_domain_error(rosenhain, form,
+                                                     tmp_path, capsys):
+    flags = {"model": "kummer1", "rosenhain": rosenhain}
+    code, doc = invoke(capsys, *_argv("fibration", flags, form, tmp_path))
+    assert code == 2
+    assert doc["error_type"] == "DomainError"
+    assert doc["error"].startswith("I10 = 0: the sextic is singular")
+
+
 H10 = "4738291056/8829104735,-1920384756/6473829105,7364519028/2039485716"
 
 

@@ -1,15 +1,20 @@
 import dataclasses
+import math
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+from g2satake import qpoly
 from g2satake.errors import DomainError
 from g2satake.fibrations import (FibrationParams, alternate_model_ftheory,
                                  dual_isogeny, isogeny, nikulin_involution)
 from g2satake.igusa import (AbsoluteInvariants, IgusaInvariants, SiegelForms,
                             absolute_invariants, igusa_from_absolute,
                             igusa_from_siegel, siegel_from_igusa)
-from g2satake.qpoly import (Poly, discriminant, poly_gcd, resultant,
+from g2satake.qpoly import (Poly, discriminant, integer_gcd, integer_squarefree,
+                            poly_gcd, primitive_part, resultant,
                             squarefree_decomposition)
 from g2satake.satake import PowerSums, igusa_from_power_sums, satake_sextic
 
@@ -104,8 +109,6 @@ def test_gcd_and_squarefree_with_repeated_factors_at_30_digits(rng):
 
 
 def test_integer_gcd_stays_over_z():
-    from g2satake.qpoly import integer_gcd, primitive_part
-
     p = primitive_part(Poly.from_roots([F(1, 3), F(2, 5), F(-7)]))
     q = primitive_part(Poly.from_roots([F(2, 5), F(-7), F(9, 2)]))
     g = integer_gcd(p, q)
@@ -113,8 +116,145 @@ def test_integer_gcd_stays_over_z():
     assert all(type(c) is int for c in g.coeffs)
 
 
+# ---------------------------------------------------------------------------
+# the multi-modular gcd against the primitive PRS it replaced
+# ---------------------------------------------------------------------------
+
+
+def _prem(a, b):
+    """A nonzero multiple of the remainder of a by b, computed over Z."""
+    r = list(a)
+    n = len(b) - 1
+    lb = b[-1]
+    while len(r) > n:
+        lr = r[-1]
+        k = len(r) - 1 - n
+        r = [c * lb for c in r]
+        for i, c in enumerate(b):
+            r[k + i] -= lr * c
+        r.pop()
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
+def _primitive(cs):
+    c = math.gcd(*cs)
+    return [a // (c if cs[-1] > 0 else -c) for a in cs]
+
+
+def prs_gcd_reference(a, b):
+    """Reference: primitive gcd of primitive integer polynomials by the
+    primitive pseudo-remainder sequence."""
+    a, b = a.coeffs, b.coeffs
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return Poly(a)
+    while len(b) > 1:
+        r = _prem(a, b)
+        if not r:
+            return Poly(b)
+        a, b = b, _primitive(r)
+    return Poly([1])
+
+
+def _int_poly(rng, degree, digits):
+    lo, hi = 10 ** (digits - 1), 10**digits - 1
+    return Poly([rng.choice((-1, 1)) * rng.randint(lo, hi)
+                 for _ in range(degree + 1)])
+
+
+def _planted_pairs(rng, digits):
+    """Primitive pairs with a planted common factor of degree 0-4 raised to
+    1-3 in each, sometimes times a power of t."""
+    t = Poly([0, 1])
+    for _ in range(12):
+        common = _int_poly(rng, rng.randint(0, 4), digits)
+        a, b = (_int_poly(rng, rng.randint(1, 4), digits) for _ in range(2))
+        a *= common ** rng.randint(1, 3) * t ** rng.randint(0, 2)
+        b *= common ** rng.randint(1, 3) * t ** rng.randint(0, 2)
+        yield primitive_part(a), primitive_part(b)
+
+
+def _assert_gcd_matches_reference(a, b):
+    g = integer_gcd(a, b)
+    assert g == prs_gcd_reference(a, b) == integer_gcd(b, a)
+    assert all(type(c) is int for c in g.coeffs)
+
+
+@pytest.mark.parametrize("digits", (2, 10, 30, 60))
+def test_integer_gcd_matches_the_prs_reference(digits, rng):
+    for a, b in _planted_pairs(rng, digits):
+        _assert_gcd_matches_reference(a, b)
+        # b | a, and the cofactor pair, which is coprime only by chance
+        _assert_gcd_matches_reference(primitive_part(a * b), b)
+        g = integer_gcd(a, b)
+        _assert_gcd_matches_reference(qpoly.integer_quotient(a, g),
+                                      qpoly.integer_quotient(b, g))
+
+
+@pytest.mark.parametrize("digits", (2, 10, 30, 60))
+def test_integer_squarefree_matches_the_prs_reference(digits, rng, monkeypatch):
+    cases = []
+    for a, b in _planted_pairs(rng, digits):
+        p = primitive_part(a * b * b * Poly([-3, 7]) ** 3)
+        cases.append((p, integer_squarefree(p)))
+    monkeypatch.setattr(qpoly, "integer_gcd", prs_gcd_reference)
+    for p, parts in cases:
+        assert parts == integer_squarefree(p)
+        assert p == primitive_part(math.prod((g**i for g, i in parts), start=Poly([1])))
+
+
+def test_integer_gcd_edge_cases():
+    p0 = qpoly._prime_below(1 << 30)      # the first modulus
+    x = Poly([0, 1])
+    cases = [
+        # coprime, but the images mod p0 agree (the power of t in the
+        # first pair is split off before any image is taken)
+        (x, x + p0, Poly([1])),
+        (x + 1, x + 1 + p0, Poly([1])),
+        # unlucky at p0 with a degree between the true one and deg b
+        ((x + 2) * (x + 1) * (x + 3), (x + 2) * (x + 1 + p0) * (x + 5), x + 2),
+        # leading coefficients divisible by p0
+        ((p0 * x + 1) * (x + 3), (p0 * x + 1) * (2 * x - 5), p0 * x + 1),
+        # b | a, constant b, coprime, zero
+        ((3 * x - 2) ** 2 * (x + 7), 3 * x - 2, 3 * x - 2),
+        (x**2 + 1, Poly([1]), Poly([1])),
+        (x**2 + 1, x**2 - 2, Poly([1])),
+        (x**3 * (x + 1), x**2 * (x + 1) ** 2, x**2 * (x + 1)),
+        (x**2 + 1, Poly(), x**2 + 1),
+    ]
+    for a, b, g in cases:
+        assert integer_gcd(a, b) == prs_gcd_reference(a, b) == g
+        assert integer_gcd(b, a) == g
+
+
+def test_modulus_primality_test():
+    sieve = bytearray([1]) * 10**5
+    sieve[:2] = b"\0\0"
+    for n in range(2, 317):
+        if sieve[n]:
+            sieve[n * n::n] = bytes(len(range(n * n, 10**5, n)))
+    assert [n for n in range(10**5) if qpoly._is_prime(n)] == [
+        n for n in range(10**5) if sieve[n]]
+    # strong pseudoprimes to the bases 2..7 and 2..23
+    assert not qpoly._is_prime(3215031751)
+    assert not qpoly._is_prime(3825123056546413051)
+    assert qpoly._is_prime(2**61 - 1)
+
+
+def test_importing_the_cli_computes_no_moduli():
+    script = ("import g2satake.cli\n"
+              "from g2satake.qpoly import _prime_below\n"
+              "assert _prime_below.cache_info().currsize == 0\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_split_rational_roots_exact(rng):
-    from g2satake.qpoly import primitive_part, split_rational_roots
+    from g2satake.qpoly import split_rational_roots
 
     for digits in (2, 10, 30, 60):
         roots = sorted({_big_rational(rng, digits) for _ in range(3)} | {F(0)})
