@@ -251,13 +251,16 @@ def cmd_fibration(args):
         if len({0, 1, *lams}) < 5:
             raise DomainError(_NO_K3)
         model = kummer_quartic_model(*lams).jacobian_model()
-    elif args.model == "alternate-ftheory":
+    elif args.model == "alternate-ftheory" and args.siegel:
+        # defined on chi10 = 0 too, where I2 and I10* merge into I12*
         model = alternate_model_ftheory(_siegel_from_args(args))
     else:
         inv = _invariants_from_args(args)
         if inv.degenerate:
             raise DomainError(_NO_K3)
-        if args.model == "kummer23":
+        if args.model == "alternate-ftheory":
+            model = alternate_model_ftheory(siegel_from_igusa(inv))
+        elif args.model == "kummer23":
             model = kumfib2_model(inv)
         elif args.model == "alternate":
             model = alternate_model(FibrationParams.from_igusa(inv))

@@ -17,7 +17,7 @@ lifting, no floating point).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DomainError, IdentityViolationError, NonMinimalModelError
@@ -73,21 +73,21 @@ def euler_number(fiber_type):
     return int(fiber_type[1:])
 
 
-@dataclass(frozen=True)
-class KodairaFiber:
-    fiber_type: str
-    location: object      # Fraction, "infinity", or cluster Poly
-    orders: tuple         # (v(g2), v(g3), v(Delta))
-    count: int = 1        # geometric points sharing this cluster
+class KodairaFiber(namedtuple("KodairaFiber", "fiber_type location orders count",
+                              defaults=(1,))):
+    """A fiber type at ``location`` (a Fraction, "infinity" or a cluster
+    Poly) with ``orders`` (v(g2), v(g3), v(Delta)); ``count`` geometric
+    points share the cluster."""
+
+    __slots__ = ()
 
     @property
     def euler(self):
         return euler_number(self.fiber_type) * self.count
 
 
-@dataclass(frozen=True)
-class FiberCensus:
-    fibers: tuple
+class FiberCensus(namedtuple("FiberCensus", "fibers")):
+    __slots__ = ()
 
     @property
     def euler_sum(self):
@@ -103,13 +103,10 @@ class FiberCensus:
         return any(f.fiber_type == fiber_type for f in self.fibers)
 
 
-@dataclass(frozen=True)
-class WeierstrassModel:
-    """y^2 = x^3 + A(t) x^2 + B(t) x + C(t) over the t-line."""
+class WeierstrassModel(namedtuple("WeierstrassModel", "A B C")):
+    """y^2 = x^3 + A(t) x^2 + B(t) x + C(t) over the t-line (A, B, C Polys)."""
 
-    A: Poly
-    B: Poly
-    C: Poly
+    __slots__ = ()
 
     def short_form(self):
         """(g2, g3) of the equivalent Y^2 = 4X^3 - g2 X - g3.
@@ -220,15 +217,10 @@ def classify_fibers(model):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FibrationParams(ExactTuple):
+class FibrationParams(ExactTuple, namedtuple("FibrationParams", "a b c d e")):
     """(a, b, c, d, e) = (-I4/12, (I2 I4 - 3 I6)/108, -1, I2/24, I10/4)."""
 
-    a: object
-    b: object
-    c: object
-    d: object
-    e: object
+    __slots__ = ()
 
     @classmethod
     def from_igusa(cls, inv):
@@ -290,11 +282,11 @@ def radicand(p):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuarticModel:
-    """Y^2 = q(X, t) with q of degree <= 4 in X; coefficients in Q[t]."""
+class QuarticModel(namedtuple("QuarticModel", "coeffs")):
+    """Y^2 = q(X, t) with q of degree <= 4 in X; ``coeffs`` holds the
+    coefficients of X^0 .. X^4, each a Poly in t."""
 
-    coeffs: tuple   # X^0 .. X^4, each a Poly in t
+    __slots__ = ()
 
     def quartic_invariants(self):
         """Classical I and J of the X-quartic (coefficients in Q[t])."""

@@ -18,7 +18,7 @@ the monic-convention discriminant throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, factorial
 
@@ -34,16 +34,11 @@ SIEGEL_WEIGHTS = (4, 6, 10, 12)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IgusaInvariants(ExactTuple):
+class IgusaInvariants(ExactTuple, namedtuple("IgusaInvariants", "I2 I4 I6 I10")):
     """Weighted tuple (I2, I4, I6, I10) of weights (2, 4, 6, 10)."""
 
+    __slots__ = ()
     WEIGHTS = IGUSA_WEIGHTS
-
-    I2: object
-    I4: object
-    I6: object
-    I10: object
 
     @property
     def degenerate(self):
@@ -75,29 +70,19 @@ class IgusaInvariants(ExactTuple):
         return True
 
 
-@dataclass(frozen=True)
-class AbsoluteInvariants(ExactTuple):
-    j1: object
-    j2: object
-    j3: object
+class AbsoluteInvariants(ExactTuple, namedtuple("AbsoluteInvariants", "j1 j2 j3")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SiegelForms(ExactTuple):
+class SiegelForms(ExactTuple,
+                  namedtuple("SiegelForms", "psi4 psi6 chi10 chi12")):
     """Values of the even generators (psi4, psi6, chi10, chi12)."""
 
+    __slots__ = ()
     WEIGHTS = SIEGEL_WEIGHTS
 
-    psi4: object
-    psi6: object
-    chi10: object
-    chi12: object
 
-
-@dataclass(frozen=True)
-class DerivedForms:
-    chi35_squared: object
-    q: object
+DerivedForms = namedtuple("DerivedForms", "chi35_squared q")
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ Coefficients may themselves be ``Poly`` instances, which is how the few
 bivariate computations in this package (models over Q[t]) are carried
 out.
 
-Ints become Fractions in one place: ``ExactTuple``, the base of the value
-containers, stores int fields as Fractions (``promote_int`` does the same
-for a scalar); complex and GaussianRational values pass through.
+Ints become Fractions in one place: ``ExactTuple``, the mixin of the exact
+value records (namedtuples), stores int fields as Fractions (``promote_int``
+does the same for a scalar); complex and GaussianRational values pass
+through.
 
 The exact algorithms run on integers: a weighted point with rational
 coordinates is carried as an integer representative
@@ -450,16 +451,24 @@ def promote_int(v):
 
 
 class ExactTuple:
-    """Base of the frozen value dataclasses: int fields are stored as
-    Fractions.  A subclass that is a weighted point names the weights of
-    its fields in ``WEIGHTS``, which ``evaluate`` reads."""
+    """Mixin of the value records, listed before their ``namedtuple`` base:
+    int fields are stored as Fractions, whether passed by position or by
+    keyword (``_replace`` builds through ``_make`` and so does the same).
+    A subclass that is a weighted point names the weights of its fields
+    in ``WEIGHTS``, which ``evaluate`` reads."""
 
-    def __post_init__(self):
-        for name in self.__dataclass_fields__:
-            object.__setattr__(self, name, promote_int(getattr(self, name)))
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        return super().__new__(cls, *map(promote_int, args),
+                               **{k: promote_int(v) for k, v in kwargs.items()})
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def astuple(self):
-        return tuple([getattr(self, name) for name in self.__dataclass_fields__])
+        return tuple(self)
 
     def evaluate(self, body, out_weights):
         """``body`` (weighted homogeneous, values of weights ``out_weights``)

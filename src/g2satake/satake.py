@@ -11,7 +11,7 @@ evaluated next to a direct invariant computation and must match exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import permutations
 from math import comb, isqrt
@@ -32,14 +32,11 @@ from .theta import (rosenhain_from_theta, rosenhain_from_theta4,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PowerSums(ExactTuple):
-    """s_1..s_6 of the six Satake coordinates; s1 = 0 and s4 = s2^2/4."""
+class PowerSums(ExactTuple, namedtuple("PowerSums", "s2 s3 s5 s6")):
+    """s_1..s_6 of the six Satake coordinates; s1 = 0 and s4 = s2^2/4.
+    Only s2, s3, s5 and s6 are stored; ``astuple`` gives all six."""
 
-    s2: object
-    s3: object
-    s5: object
-    s6: object
+    __slots__ = ()
 
     @property
     def s1(self):
@@ -299,19 +296,9 @@ def is_rational_square(v):
     return isqrt(n) ** 2 == n and isqrt(d) ** 2 == d
 
 
-@dataclass(frozen=True)
-class PhiResult:
-    j_image: AbsoluteInvariants
-    K: object
-    L: object
-    M: object
-    N_squared: object           # Q(tau') / (2^210 3^132 Q(tau)^3)
-    psi4_image: object
-    psi6_image: object
-    chi10_image: object
-    chi12_image: object
-    Q_source: object
-    Q_image: object
+# j_image is an AbsoluteInvariants; N_squared = Q(tau') / (2^210 3^132 Q(tau)^3)
+PhiResult = namedtuple("PhiResult", "j_image K L M N_squared psi4_image "
+                       "psi6_image chi10_image chi12_image Q_source Q_image")
 
 
 def phi_map(j):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from . import _kernels
@@ -63,22 +63,25 @@ def parity(char):
     return -1 if (m1 * n1 + m2 * n2) % 2 else 1
 
 
-@dataclass(frozen=True)
-class PeriodMatrix:
-    """Point tau = [[tau1, z], [z, tau2]] of the Siegel upper half-space."""
+class PeriodMatrix(namedtuple("PeriodMatrix", "tau1 z tau2")):
+    """Point tau = [[tau1, z], [z, tau2]] of the Siegel upper half-space
+    (complex entries)."""
 
-    tau1: complex
-    z: complex
-    tau2: complex
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.tau1.imag * self.tau2.imag > self.z.imag**2
-                and self.tau2.imag > 0):
+    def __new__(cls, tau1, z, tau2):
+        self = super().__new__(cls, tau1, z, tau2)
+        if not (tau1.imag * tau2.imag > z.imag**2 and tau2.imag > 0):
             raise DomainError(
                 "imaginary part of the period matrix is not positive definite")
         if self.min_eigenvalue < sys.float_info.min:   # the tail bound overflows
             raise DomainError("the smallest eigenvalue of the imaginary part "
                               "of the period matrix is below the double range")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):   # so that _replace checks its result too
+        return cls(*iterable)
 
     @property
     def min_eigenvalue(self):
@@ -89,23 +92,19 @@ class PeriodMatrix:
         return (y1 * y2 - y12 * y12) / largest
 
 
-@dataclass(frozen=True)
-class ThetaValue:
-    value: complex
-    tail: float
+class ThetaValue(namedtuple("ThetaValue", "value tail")):
+    __slots__ = ()
 
     @property
     def precise(self):
         return self.tail <= TAIL_WARN * max(abs(self.value), 1e-300)
 
 
-@dataclass(frozen=True)
-class ThetaConstants:
+class ThetaConstants(namedtuple("ThetaConstants", "values tails radius",
+                                defaults=((), AUTO_RADIUS_MAX))):
     """The ten even theta constants at z = 0, table order, 1-based access."""
 
-    values: tuple
-    tails: tuple = field(default=())
-    radius: int = AUTO_RADIUS_MAX
+    __slots__ = ()
 
     def theta(self, i):
         return self.values[i - 1]
@@ -211,9 +210,13 @@ REDUCTION_COEFFS = {
 }
 
 
-@dataclass(frozen=True)
 class FrobeniusReport:
-    residuals: dict
+    """Residuals by identity name; iterating yields (name, residual) pairs."""
+
+    __slots__ = ("residuals",)
+
+    def __init__(self, residuals):
+        self.residuals = residuals
 
     @property
     def max_residual(self):
@@ -277,11 +280,10 @@ THETA4_FROM_X = (
 )
 
 
-@dataclass(frozen=True)
-class SatakeCoordinates:
+class SatakeCoordinates(namedtuple("SatakeCoordinates", "x")):
     """The six level-two coordinates x_1..x_6 (they sum to zero)."""
 
-    x: tuple
+    __slots__ = ()
 
     def power_sum(self, j):
         return sum(v**j for v in self.x)

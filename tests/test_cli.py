@@ -276,6 +276,18 @@ def test_kummer1_on_i10_zero_is_the_i10_domain_error(rosenhain, form,
     assert doc["error"].startswith("I10 = 0: the sextic is singular")
 
 
+@pytest.mark.parametrize("form", ("argv", "run"))
+@pytest.mark.parametrize("flags", ({"rosenhain": "2,3,3"}, {"igusa": "1,2,3,0"}),
+                         ids=("rosenhain", "igusa"))
+def test_ftheory_model_on_i10_zero_curve_is_the_i10_domain_error(flags, form,
+                                                                 tmp_path, capsys):
+    flags = {"model": "alternate-ftheory", **flags}
+    code, doc = invoke(capsys, *_argv("fibration", flags, form, tmp_path))
+    assert code == 2
+    assert doc["error_type"] == "DomainError"
+    assert doc["error"].startswith("I10 = 0: the sextic is singular")
+
+
 H10 = "4738291056/8829104735,-1920384756/6473829105,7364519028/2039485716"
 
 
@@ -314,13 +326,15 @@ NUMPY_FREE_COMMANDS = EXACT_COMMANDS + (
 
 
 def test_exact_commands_never_import_numpy():
+    # dataclasses would pull in inspect, ast and dis: a quarter of a cold start
     script = (
         "import contextlib, io, json, sys\n"
         "from g2satake.cli import run\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert run(argv) == 0, argv\n"
-        "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+        "    for name in ('numpy', 'dataclasses'):\n"
+        "        assert name not in sys.modules, f'{argv} imported {name}'\n")
     proc = subprocess.run(
         [sys.executable, "-c", script, json.dumps(NUMPY_FREE_COMMANDS)],
         capture_output=True, text=True)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import subprocess
 import sys
@@ -328,11 +327,9 @@ INT_EXACT_CASES = {
 
 
 def _scalars(v):
-    """Every number in a result: dataclass fields, sequences, Poly coefficients."""
-    if dataclasses.is_dataclass(v):
-        for f in dataclasses.fields(v):
-            yield from _scalars(getattr(v, f.name))
-    elif isinstance(v, (tuple, list)):
+    """Every number in a result: record fields and other sequences, Poly
+    coefficients."""
+    if isinstance(v, (tuple, list)):
         for x in v:
             yield from _scalars(x)
     elif isinstance(v, Poly):
