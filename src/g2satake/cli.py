@@ -22,8 +22,8 @@ from fractions import Fraction
 
 from .errors import DomainError, G2SatakeError, IdentityViolationError, RootFindingError
 from .fibrations import (FibrationParams, alternate_model, alternate_model_ftheory,
-                         classify_fibers, degeneration_predicates, kumfib2_model,
-                         kummer_quartic_model, qvanish_identity, standard_model,
+                         checked_degeneration_predicates, classify_fibers,
+                         kumfib2_model, kummer_quartic_model, standard_model,
                          type_iii_siegel_identity)
 from .igusa import (AbsoluteInvariants, IgusaInvariants, SiegelForms,
                     absolute_invariants, derived_forms, humbert_predicates,
@@ -136,13 +136,18 @@ def _theta_radius(s):
 # ---------------------------------------------------------------------------
 
 
-def _invariants_from_args(args):
+def _curve_flag(args):
+    """The one curve flag given; a schema error unless exactly one is."""
     given = [k for k in ("rosenhain", "igusa", "siegel", "sextic")
              if getattr(args, k)]
     if len(given) != 1:
         raise SchemaError(
             "exactly one of --rosenhain/--igusa/--siegel/--sextic is required")
-    key = given[0]
+    return given[0]
+
+
+def _invariants_from_args(args):
+    key = _curve_flag(args)
     if key == "rosenhain":
         lams = _parse_fraction_list(args.rosenhain, 3, "--rosenhain")
         return igusa_from_rosenhain(*lams)
@@ -157,7 +162,7 @@ def _invariants_from_args(args):
 
 
 def _siegel_from_args(args):
-    if args.siegel:
+    if _curve_flag(args) == "siegel":
         return SiegelForms(*_parse_fraction_list(args.siegel, 4, "--siegel"))
     return siegel_from_igusa(_invariants_from_args(args))
 
@@ -245,6 +250,7 @@ def cmd_fibration(args):
     if args.model == "kummer1":
         if not args.rosenhain:
             raise SchemaError("--model kummer1 needs --rosenhain")
+        _curve_flag(args)   # no second curve flag either
         lams = _parse_fraction_list(args.rosenhain, 3, "--rosenhain")
         # the branch points 0, 1, l1, l2, l3 (and infinity) are distinct
         # exactly when I10 != 0
@@ -343,8 +349,7 @@ def cmd_predicates(args):
     if s.chi10 != 0:
         inv = igusa_from_siegel(s)
         p = FibrationParams.from_igusa(inv)
-        out["degeneration"] = degeneration_predicates(p)
-        ok_q, _, _ = qvanish_identity(p)
+        out["degeneration"], (ok_q, _, _) = checked_degeneration_predicates(p)
         ok_iii, _, _ = type_iii_siegel_identity(inv)
         if not (ok_q and ok_iii):
             raise IdentityViolationError(

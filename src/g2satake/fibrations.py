@@ -24,7 +24,8 @@ from .errors import DomainError, IdentityViolationError, NonMinimalModelError
 from .igusa import siegel_from_igusa
 from .qpoly import (ExactTuple, Poly, discriminant, graded_integral_scale,
                     integer_gcd, integer_quotient, integer_squarefree,
-                    primitive_part, promote_int, split_rational_roots)
+                    integral_representative, primitive_part, promote_int,
+                    split_rational_roots)
 
 INFINITY = "infinity"
 
@@ -397,10 +398,7 @@ def nikulin_involution(pt, t, p):
 # ---------------------------------------------------------------------------
 
 
-def qvanish_bracket(p):
-    """The explicit quintic-discriminant bracket whose vanishing merges
-    two I1 fibers of the alternate fibration into an I2."""
-    a, b, c, d, e = p.astuple()
+def _qvanish_form(a, b, c, d, e):
     return (
         16 * a**7 * c**2 * d - 16 * a**6 * b * c**3 + 16 * a**5 * c**4 * e
         + 16 * a**6 * d**3 + 216 * a**4 * b**2 * c**2 * d
@@ -416,17 +414,46 @@ def qvanish_bracket(p):
     )
 
 
+def qvanish_bracket(p):
+    """The explicit quintic-discriminant bracket whose vanishing merges
+    two I1 fibers of the alternate fibration into an I2.
+
+    The bracket is weighted homogeneous of weight 30 in (a, b, d, e) of
+    weights (4, 6, 2, 10), and c has weight 0: exact parameters are
+    evaluated on the integer representative of (a, b, d, e), with c as
+    it is, and divided by r^30 once.
+    """
+    a, b, c, d, e = p.astuple()
+    rep = integral_representative((a, b, d, e), (4, 6, 2, 10))
+    if rep is None:
+        return _qvanish_form(a, b, c, d, e)
+    r, (a, b, d, e) = rep
+    if isinstance(c, Fraction) and c.denominator == 1:
+        c = c.numerator
+    return Fraction(_qvanish_form(a, b, c, d, e), r**30)
+
+
 def type_iii_bracket(p):
     """a c^2 d - b c^3 + d^3: vanishing merges an I1 with the I2 into III."""
     return p.a * p.c**2 * p.d - p.b * p.c**3 + p.d**3
 
 
-def degeneration_predicates(p):
+def _degeneration_flags(p, bracket):
     return {
-        "su2_enhancement": qvanish_bracket(p) == 0,
+        "su2_enhancement": bracket == 0,
         "type_III": type_iii_bracket(p) == 0,
         "so32_enhancement": p.e == 0,
     }
+
+
+def _qvanish_check(p, bracket):
+    lhs = discriminant(radicand(p))
+    rhs = 2**12 * p.e**3 * bracket
+    return lhs == rhs, lhs, rhs
+
+
+def degeneration_predicates(p):
+    return _degeneration_flags(p, qvanish_bracket(p))
 
 
 def qvanish_identity(p):
@@ -435,9 +462,14 @@ def qvanish_identity(p):
     The 2^12 was determined once on random rational parameters and is
     frozen; the check reruns the identity on the given parameters.
     """
-    lhs = discriminant(radicand(p))
-    rhs = 2**12 * p.e**3 * qvanish_bracket(p)
-    return lhs == rhs, lhs, rhs
+    return _qvanish_check(p, qvanish_bracket(p))
+
+
+def checked_degeneration_predicates(p):
+    """``(degeneration_predicates(p), qvanish_identity(p))`` with the
+    bracket evaluated once."""
+    bracket = qvanish_bracket(p)
+    return _degeneration_flags(p, bracket), _qvanish_check(p, bracket)
 
 
 def type_iii_siegel_identity(inv):

@@ -95,40 +95,61 @@ def rosenhain_poly(l1, l2, l3):
     return Poly.from_roots([0, 1, l1, l2, l3])
 
 
-def igusa_from_rosenhain(l1, l2, l3):
-    """Invariants of Y^2 = X(X-1)(X-l1)(X-l2)(X-l3), exact in the lambdas.
-
-    Repeated or 0/1 lambdas are not rejected: they surface as I10 = 0
-    and the ``degenerate`` flag.
-    """
+def _rosenhain_forms(z, l1, l2, l3):
+    """(I2, I4, I6, I10) of Y^2 = X(X-1)(X-l1)(X-l2)(X-l3), homogenized by
+    z: forms of degrees 4, 8, 12 and 18 in (z, l1, l2, l3) that are the
+    invariants at z = 1.  An int z = 1 multiplies each term by 1 exactly,
+    so floating-point lambdas see the same operations as without z."""
     e1 = l1 + l2 + l3
     e2 = l1 * l2 + l1 * l3 + l2 * l3
     e3 = l1 * l2 * l3
-    I2 = 40 * e3 - 16 * (1 + e1) * (e3 + e2) + 6 * (e2 + e1) ** 2
-    I4 = (-12 * e1**3 * e3 + 4 * e1**2 * e2**2 - 4 * e1**2 * e2 * e3
-          + 4 * e1**2 * e3**2 + 12 * e1**2 * e3 - 4 * e1 * e2**2
-          + 44 * e1 * e2 * e3 - 12 * e2**3 + 12 * e2**2 * e3
-          - 12 * e2 * e3**2 - 12 * e1 * e3 + 4 * e2**2 - 72 * e3**2)
-    I6 = (-24 * e1**3 * e3 + 10 * e1**2 * e3**2 + 32 * e2**2 * e3
-          + 150 * e2 * e3**2 + 8 * e1**2 * e2**2 * e3**2
-          + 118 * e1**3 * e2 * e3 - 194 * e1**2 * e2 * e3**2
-          + 118 * e1 * e2**3 * e3 - 66 * e1 * e2**2 * e3**2
-          + 76 * e1 * e2 * e3**3 - 194 * e1 * e2**2 * e3
-          + 412 * e1 * e2 * e3**2 + 20 * e1**4 * e2 * e3
-          - 36 * e1**3 * e2**2 * e3 + 20 * e1**3 * e2 * e3**2
-          - 8 * e1**2 * e2**3 * e3 + 8 * e1**2 * e2**2 - 252 * e3**3
-          - 36 * e3**4 - 24 * e2**5 + 48 * e2**4 - 24 * e2**3
-          + 8 * e1**4 * e2**2 - 8 * e1**3 * e2**3 + 8 * e1**2 * e2**4
-          - 8 * e1**3 * e2**2 - 36 * e1**2 * e2**3 + 20 * e1 * e2**4
-          + 20 * e1 * e2**3 - 36 * e3**2 - 24 * e1**5 * e3
-          + 48 * e1**4 * e3**2 - 24 * e1**3 * e3**3 + 24 * e1**4 * e3
-          - 136 * e1**3 * e3**2 + 32 * e1**2 * e3**3 + 24 * e2**4 * e3
-          - 24 * e2**3 * e3**2 + 150 * e1 * e3**3 - 136 * e2**3 * e3
-          + 10 * e2**2 * e3**2 - 42 * e2 * e3**3 - 42 * e1 * e3**2
-          + 76 * e1 * e2 * e3 - 66 * e1**2 * e2 * e3)
-    I10 = (e3**2 * (l3 - 1) ** 2 * (l2 - 1) ** 2 * (l2 - l3) ** 2
-           * (l1 - 1) ** 2 * (l1 - l3) ** 2 * (l1 - l2) ** 2)
-    return IgusaInvariants(I2, I4, I6, I10)
+    I2 = 40 * e3 * z - 16 * (z + e1) * (e3 + e2 * z) + 6 * (e2 + e1 * z) ** 2
+    I4 = (-12 * e1**3 * e3 * z**2 + 4 * e1**2 * e2**2 * z**2
+          - 4 * e1**2 * e2 * e3 * z + 4 * e1**2 * e3**2
+          + 12 * e1**2 * e3 * z**3 - 4 * e1 * e2**2 * z**3
+          + 44 * e1 * e2 * e3 * z**2 - 12 * e2**3 * z**2 + 12 * e2**2 * e3 * z
+          - 12 * e2 * e3**2 - 12 * e1 * e3 * z**4 + 4 * e2**2 * z**4
+          - 72 * e3**2 * z**2)
+    I6 = (-24 * e1**3 * e3 * z**6 + 10 * e1**2 * e3**2 * z**4
+          + 32 * e2**2 * e3 * z**5 + 150 * e2 * e3**2 * z**4
+          + 8 * e1**2 * e2**2 * e3**2 + 118 * e1**3 * e2 * e3 * z**4
+          - 194 * e1**2 * e2 * e3**2 * z**2 + 118 * e1 * e2**3 * e3 * z**2
+          - 66 * e1 * e2**2 * e3**2 * z + 76 * e1 * e2 * e3**3
+          - 194 * e1 * e2**2 * e3 * z**4 + 412 * e1 * e2 * e3**2 * z**3
+          + 20 * e1**4 * e2 * e3 * z**3 - 36 * e1**3 * e2**2 * e3 * z**2
+          + 20 * e1**3 * e2 * e3**2 * z - 8 * e1**2 * e2**3 * e3 * z
+          + 8 * e1**2 * e2**2 * z**6 - 252 * e3**3 * z**3 - 36 * e3**4
+          - 24 * e2**5 * z**2 + 48 * e2**4 * z**4 - 24 * e2**3 * z**6
+          + 8 * e1**4 * e2**2 * z**4 - 8 * e1**3 * e2**3 * z**3
+          + 8 * e1**2 * e2**4 * z**2 - 8 * e1**3 * e2**2 * z**5
+          - 36 * e1**2 * e2**3 * z**4 + 20 * e1 * e2**4 * z**3
+          + 20 * e1 * e2**3 * z**5 - 36 * e3**2 * z**6 - 24 * e1**5 * e3 * z**4
+          + 48 * e1**4 * e3**2 * z**2 - 24 * e1**3 * e3**3
+          + 24 * e1**4 * e3 * z**5 - 136 * e1**3 * e3**2 * z**3
+          + 32 * e1**2 * e3**3 * z + 24 * e2**4 * e3 * z - 24 * e2**3 * e3**2
+          + 150 * e1 * e3**3 * z**2 - 136 * e2**3 * e3 * z**3
+          + 10 * e2**2 * e3**2 * z**2 - 42 * e2 * e3**3 * z
+          - 42 * e1 * e3**2 * z**5 + 76 * e1 * e2 * e3 * z**6
+          - 66 * e1**2 * e2 * e3 * z**5)
+    I10 = (e3**2 * (l3 - z) ** 2 * (l2 - z) ** 2 * (l2 - l3) ** 2
+           * (l1 - z) ** 2 * (l1 - l3) ** 2 * (l1 - l2) ** 2)
+    return I2, I4, I6, I10
+
+
+def igusa_from_rosenhain(l1, l2, l3):
+    """Invariants of Y^2 = X(X-1)(X-l1)(X-l2)(X-l3), exact in the lambdas.
+
+    Rational lambdas li = Li / r (r the least common denominator) are
+    evaluated once on the integer point (r, L1, L2, L3), and each form is
+    divided by r to its degree.  Repeated or 0/1 lambdas are not
+    rejected: they surface as I10 = 0 and the ``degenerate`` flag.
+    """
+    rep = integral_representative((l1, l2, l3), (1, 1, 1))
+    if rep is None:
+        return IgusaInvariants(*_rosenhain_forms(1, l1, l2, l3))
+    r, ints = rep
+    return IgusaInvariants(*(Fraction(v, r**w) for v, w in
+                             zip(_rosenhain_forms(r, *ints), (4, 8, 12, 18))))
 
 
 # ---------------------------------------------------------------------------

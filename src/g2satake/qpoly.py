@@ -14,11 +14,13 @@ through.
 
 The exact algorithms run on integers: a weighted point with rational
 coordinates is carried as an integer representative
-(``integral_representative``), and gcds, squarefree decompositions and
-rational roots work on primitive integer polynomials.  gcds are
-multi-modular: images modulo primes just below 2^30 are combined by the
-Chinese remainder theorem, and a candidate is accepted only once exact
-division shows that it divides both inputs.
+(``integral_representative``), resultants follow the subresultant PRS
+over Z, and gcds, squarefree decompositions and rational roots work on
+primitive integer polynomials.  gcds are multi-modular: images modulo
+primes just below 2^30 are combined by the Chinese remainder theorem,
+and a candidate is accepted only once exact division shows that it
+divides both inputs.  Rational roots are lifted p-adically and accepted
+once exact substitution shows that they are roots.
 
 Everything here is immutable and pure; no operation ever rounds a
 Fraction.
@@ -291,36 +293,59 @@ def _clear_denominators(p):
     return Poly([f.numerator * (d // f.denominator) for f in fracs]), d
 
 
-def _bareiss_det(m):
-    """Fraction-free determinant of a square integer matrix."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+def _pseudo_remainder(a, b):
+    """The remainder of lc(b)^(deg a - deg b + 1) a on division by b, for
+    integer coefficient lists with len(a) >= len(b) >= 2."""
+    r = list(a)
+    n = len(b) - 1
+    lb = b[-1]
+    e = len(a) - n
+    while len(r) > n:
+        c = r.pop()
+        k = len(r) - n
+        r = [lb * x for x in r]
+        for i in range(n):
+            r[k + i] -= c * b[i]
+        e -= 1
+        while r and not r[-1]:
+            r.pop()
+    return [lb**e * x for x in r] if e else r
+
+
+def _subresultant(a, b):
+    """Resultant of integer coefficient lists of degrees m >= n >= 1, by
+    the subresultant PRS (Collins 1967, Brown 1971; Cohen, Algorithm
+    3.3.7).  Each pseudo-remainder is divided exactly by g h^delta, so the
+    remainders are the subresultants up to sign and stay about as large as
+    the resultant itself."""
+    ca, cb = _int_gcd(*a), _int_gcd(*b)
+    t = ca ** (len(b) - 1) * cb ** (len(a) - 1)
+    a = [c // ca for c in a]
+    b = [c // cb for c in b]
+    s = g = h = 1
+    while True:
+        delta = len(a) - len(b)
+        if len(a) % 2 == 0 and len(b) % 2 == 0:   # both degrees odd
+            s = -s
+        r = _pseudo_remainder(a, b)
+        if not r:
+            return 0
+        a = b
+        den = g * h**delta
+        b = [c // den for c in r]
+        g = a[-1]
+        h = g**delta // h ** (delta - 1) if delta else h
+        if len(b) == 1:
+            n = len(a) - 1
+            return s * t * b[0] ** n // h ** (n - 1)
 
 
 def resultant(p, q):
     """Resultant of two nonzero polynomials over Q, exact.
 
-    Computed as the Sylvester determinant of the denominator-cleared
-    integer polynomials, then rescaled.
+    The denominator-cleared integer polynomials go through the
+    subresultant PRS over Z; the result is rescaled by the cleared
+    denominators.  No Fraction arithmetic and no determinant is involved.
     """
     if not isinstance(p, Poly) or not isinstance(q, Poly):
         raise DomainError("resultant expects Poly arguments")
@@ -333,16 +358,11 @@ def resultant(p, q):
         return Fraction(q.coeffs[0]) ** m
     P, dp = _clear_denominators(p)
     Q, dq = _clear_denominators(q)
-    size = m + n
-    rows = []
-    pc = list(reversed(P.coeffs))  # highest first
-    qc = list(reversed(Q.coeffs))
-    for i in range(n):
-        rows.append([0] * i + pc + [0] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([0] * i + qc + [0] * (size - n - 1 - i))
-    det = _bareiss_det(rows)
-    return Fraction(det, dp**n * dq**m)
+    if m >= n:
+        res = _subresultant(list(P.coeffs), list(Q.coeffs))
+    else:   # res(q, p) = (-1)^(m n) res(p, q)
+        res = (-1) ** (m * n) * _subresultant(list(Q.coeffs), list(P.coeffs))
+    return Fraction(res, dp**n * dq**m)
 
 
 def discriminant(p):
@@ -734,44 +754,58 @@ def _horner_mod(cs, x, m):
     return acc
 
 
-_PRIMES = [n for n in range(2, 1000) if all(n % k for k in range(2, isqrt(n) + 1))]
+@cache
+def _small_primes():
+    """The primes below 1000, the moduli of the p-adic lifting: built on
+    first use, since only the fiber classification lifts roots."""
+    return tuple(n for n in range(2, 1000)
+                 if all(n % k for k in range(2, isqrt(n) + 1)))
 
 
-def _lifting_prime(cs, ds):
+def _derivative(cs):
+    return [k * c for k, c in enumerate(cs)][1:]
+
+
+def _simple_roots_mod(cs, p):
+    """The roots of cs modulo p, or None as soon as one of them is a
+    root of the derivative too."""
+    cp = [c % p for c in cs]
+    dp = [c % p for c in _derivative(cs)]
+    roots = []
+    for x in range(p):
+        if _horner_mod(cp, x, p) == 0:
+            if _horner_mod(dp, x, p) == 0:
+                return None
+            roots.append(x)
+    return roots
+
+
+def _lifting_prime(cs):
     """A prime not dividing the leading coefficient at which every root of
-    cs (derivative ds) is simple, with those roots; the fewest roots among
-    the first three such primes, so that few candidates have to be lifted."""
+    cs is simple, with those roots.  Each root is a candidate to lift, so
+    the prime with the fewest roots is kept: a prime without roots ends
+    the search (cs has no rational root), and otherwise the first three
+    such primes are compared.  Fewer roots than the degree prove an
+    irrational root, whose residue would be lifted up to the Loos bound
+    for nothing, so then up to ten primes are compared."""
     best = None
-    tries = 3
-    for p in _PRIMES:
+    tries = 0
+    for p in _small_primes():
         if cs[-1] % p == 0:
             continue
-        cp = [c % p for c in cs]
-        dp = [c % p for c in ds]
-        roots = [x for x in range(p) if _horner_mod(cp, x, p) == 0]
-        if any(_horner_mod(dp, x, p) == 0 for x in roots):
+        roots = _simple_roots_mod(cs, p)
+        if roots is None:
             continue
         if best is None or len(roots) < len(best[1]):
             best = (p, roots)
-        tries -= 1
-        if not roots or not tries:
+        tries += 1
+        if (not roots or tries == 10
+                or tries >= 3 and len(best[1]) == len(cs) - 1):
             return best
     if best is None:
         raise DomainError("no prime below 1000 separates the roots; "
                           "the polynomial is not squarefree")
     return best
-
-
-def _hensel_lift(cs, ds, x, p, bound):
-    """Newton lift of a simple root x mod p to a modulus above ``bound``;
-    the inverse of the derivative is lifted by Newton's method too."""
-    m = p
-    w = pow(_horner_mod(ds, x, p), -1, p)
-    while m <= bound:
-        m *= m
-        x = (x - _horner_mod(cs, x, m) * w) % m
-        w = w * (2 - _horner_mod(ds, x, m) * w) % m
-    return x, m
 
 
 def _rational_reconstruction(x, m, nbound, dbound):
@@ -788,41 +822,97 @@ def _rational_reconstruction(x, m, nbound, dbound):
     return (r1, t1) if _int_gcd(r1, t1) == 1 else None
 
 
+def _is_root(cs, cand):
+    """Whether the candidate (u, v) is a root u/v of cs, whose constant
+    term is nonzero: u | a0 and v | an first, then exact substitution."""
+    if cand is None:
+        return False
+    u, v = cand
+    if not u or cs[0] % u or cs[-1] % v:
+        return False
+    acc, vpow = 0, 1
+    for c in reversed(cs):
+        acc = acc * u + c * vpow
+        vpow *= v
+    return acc == 0
+
+
+def _lift_rational_root(cs, x, p):
+    """The rational root of cs that is congruent to the simple root x mod p,
+    or None.  x is lifted by Newton's method (the inverse of the
+    derivative too), squaring the modulus m each step.  Below the Loos
+    bound 2 |a0| |an|, a step tries the candidate with |u|, v below
+    sqrt(m / 2) and stops once it is a root; the tries begin where that
+    leaves room for |u| and v the size of the d-th roots of |a0| and |an|
+    (d = deg cs), the mean size of the roots when all are rational.  Past
+    the bound, the one candidate with |u| <= |a0| and v <= |an| decides."""
+    ds = _derivative(cs)
+    nbound, dbound = abs(cs[0]), abs(cs[-1])
+    bound = 2 * nbound * dbound
+    first = 1 << 2 * max(nbound.bit_length(), dbound.bit_length()) // (len(cs) - 1)
+    m = p
+    w = pow(_horner_mod(ds, x, p), -1, p)
+    while m <= bound:
+        m *= m
+        x = (x - _horner_mod(cs, x, m) * w) % m
+        w = w * (2 - _horner_mod(ds, x, m) * w) % m
+        if first <= m <= bound:
+            s = isqrt(m >> 1)
+            cand = _rational_reconstruction(x, m, min(s, nbound), min(s, dbound))
+            if _is_root(cs, cand):
+                return cand
+    cand = _rational_reconstruction(x, m, nbound, dbound)
+    return cand if _is_root(cs, cand) else None
+
+
+def _low_degree_roots(cs):
+    """The rational roots (u, v), v > 0, of an integer polynomial of
+    degree 1 or 2, in closed form."""
+    if len(cs) == 2:
+        pairs = [(-cs[0], cs[1])]
+    else:
+        disc = cs[1] * cs[1] - 4 * cs[0] * cs[2]
+        s = isqrt(disc) if disc >= 0 else -1
+        if s * s != disc:
+            return []
+        pairs = [(-cs[1] - s, 2 * cs[2]), (-cs[1] + s, 2 * cs[2])]
+    out = []
+    for u, v in pairs:
+        g = _int_gcd(u, v) if v > 0 else -_int_gcd(u, v)
+        out.append((u // g, v // g))
+    return out
+
+
 def split_rational_roots(p):
     """Exact rational roots of a squarefree primitive integer polynomial.
 
     Returns (roots, rest): the rational roots as Fractions in ascending
-    order and the primitive cofactor without them.  The roots of p modulo
-    a small prime are lifted p-adically until the modulus exceeds
-    2 |a0| |an| (Loos 1983); each lift is turned into the only candidate
-    u/v with u | a0 and v | an by rational reconstruction, and a
-    candidate counts only if p(u/v) = 0 holds exactly.
+    order and the primitive cofactor without them.  Each root of p modulo
+    a small prime is lifted p-adically and turned into candidates u/v by
+    rational reconstruction as the modulus grows; a candidate counts only
+    if v | an, u | a0 and p(u/v) = 0 hold exactly, and lifting stops
+    there.  A rational root of p has |u| <= |a0| and v <= |an|, so a lift
+    past 2 |a0| |an| (Loos 1983) without a root proves that none lies
+    over that residue: the bound is reached only to rule a root out.
+    Each root found is divided out, and a cofactor of degree 1 or 2 is
+    solved in closed form instead of lifted.
     """
     cs = list(p.coeffs)
     roots = []
     if len(cs) > 1 and cs[0] == 0:
         roots.append((0, 1))
         cs = cs[1:]
-    if len(cs) == 2:
-        g = _int_gcd(cs[0], cs[1])
-        roots.append((-cs[0] // g, cs[1] // g))
-    elif len(cs) > 2:
-        ds = [k * c for k, c in enumerate(cs)][1:]
-        nbound, dbound = abs(cs[0]), abs(cs[-1])
-        prime, start = _lifting_prime(cs, ds)
+    if len(cs) > 3:
+        prime, start = _lifting_prime(cs)
         for x in start:
-            x, m = _hensel_lift(cs, ds, x, prime, 2 * nbound * dbound)
-            cand = _rational_reconstruction(x, m, nbound, dbound)
-            if cand is None:
-                continue
-            u, v = cand
-            acc, vpow = 0, 1
-            for c in reversed(cs):
-                acc = acc * u + c * vpow
-                vpow *= v
-            if acc == 0:
+            if len(cs) <= 3:
+                break
+            cand = _lift_rational_root(cs, x, prime)
+            if cand is not None:
                 roots.append(cand)
-    rest = p
-    for u, v in roots:
-        rest = integer_quotient(rest, Poly([-u, v]))
-    return sorted(Fraction(u, v) for u, v in roots), rest
+                cs = _quotient(cs, [-cand[0], cand[1]])
+    if 1 < len(cs) <= 3:
+        for u, v in _low_degree_roots(cs):
+            roots.append((u, v))
+            cs = _quotient(cs, [-u, v])
+    return sorted(Fraction(u, v) for u, v in roots), Poly(cs)

@@ -117,6 +117,14 @@ def cases():
         ["roundtrip", "--igusa=550,12,-7,2073600"],
         ["theta"],
         ["run", "missing.json"],
+        # a second curve flag is a schema error on every command that
+        # takes --siegel
+        ["predicates", "--siegel=3,5,7,11", f"--rosenhain={GENERIC}"],
+        ["satake-sextic", "--siegel=3,5,7,11", f"--rosenhain={GENERIC}"],
+        ["fibration", "--model", "alternate-ftheory", "--siegel=3,5,7,11",
+         f"--rosenhain={GENERIC}"],
+        ["fibration", "--model", "kummer1", f"--rosenhain={GENERIC}",
+         "--siegel=3,5,7,11"],
     ]
     out = [(argv, None, None) for argv in argvs]
     docs = [
@@ -130,6 +138,8 @@ def cases():
         {"command": "phi", "input": {"rosenhain": [-1, 2, -2]}},
         {"command": "genus3", "input": {"rosenhain": [2, 3, 5]}},
         {"input": {"rosenhain": [2, 3, 5]}},
+        {"command": "predicates",
+         "input": {"siegel": [3, 5, 7, 11], "rosenhain": [2, 3, 5]}},
     ]
     out += [(["run", "job.json"], doc, None) for doc in docs]
     out += [(["run", "-"], None, json.dumps(docs[1])),

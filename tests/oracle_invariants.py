@@ -63,3 +63,39 @@ def rosenhain_root_pairs(l1, l2, l3):
     finite = [Fraction(0), Fraction(1), Fraction(l1), Fraction(l2), Fraction(l3)]
     pairs = [(v, Fraction(1)) for v in finite] + [(Fraction(1), Fraction(0))]
     return pairs, Fraction(-1)
+
+
+def sylvester_resultant(p, q):
+    """res(p, q) of coefficient lists (lowest degree first, nonzero leading
+    coefficients, degrees >= 1) as the determinant of the Sylvester matrix,
+    by Gaussian elimination over Q."""
+    m, n = len(p) - 1, len(q) - 1
+    size = m + n
+    hp = [Fraction(c) for c in reversed(p)]
+    hq = [Fraction(c) for c in reversed(q)]
+    zero = [Fraction(0)]
+    rows = ([zero * i + hp + zero * (n - 1 - i) for i in range(n)]
+            + [zero * i + hq + zero * (m - 1 - i) for i in range(m)])
+    det = Fraction(1)
+    for k in range(size):
+        pivot = next((i for i in range(k, size) if rows[i][k] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            det = -det
+        det *= rows[k][k]
+        for i in range(k + 1, size):
+            f = rows[i][k] / rows[k][k]
+            if f:
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[k])]
+    return det
+
+
+def sylvester_discriminant(p):
+    """(-1)^(d(d-1)/2) res(p, p') / lc(p) for a coefficient list of degree
+    d >= 2, with the resultant from the Sylvester matrix."""
+    d = len(p) - 1
+    dp = [k * Fraction(c) for k, c in enumerate(p)][1:]
+    sign = -1 if d * (d - 1) // 2 % 2 else 1
+    return sign * sylvester_resultant(p, dp) / Fraction(p[-1])

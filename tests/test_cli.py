@@ -1,3 +1,4 @@
+import itertools
 import json
 import subprocess
 import sys
@@ -286,6 +287,36 @@ def test_ftheory_model_on_i10_zero_curve_is_the_i10_domain_error(flags, form,
     assert code == 2
     assert doc["error_type"] == "DomainError"
     assert doc["error"].startswith("I10 = 0: the sextic is singular")
+
+
+CURVE_FLAGS = {"rosenhain": "2,3,5", "igusa": "550,12,-7,2073600",
+               "siegel": "3,5,7,11", "sextic": "0,30,-61,41,-11,1"}
+CURVE_PAIRS = list(itertools.combinations(CURVE_FLAGS, 2))
+
+
+@pytest.mark.parametrize("form", ("argv", "run"))
+@pytest.mark.parametrize("pair", CURVE_PAIRS, ids="-".join)
+@pytest.mark.parametrize("command,options",
+                         (("igusa", {}), ("predicates", {}), ("satake-sextic", {}),
+                          ("fibration", {"model": "alternate-ftheory"})),
+                         ids=("igusa", "predicates", "satake-sextic",
+                              "alternate-ftheory"))
+def test_two_curve_flags_are_a_schema_error(command, options, pair, form,
+                                            tmp_path, capsys):
+    flags = {**options, **{k: CURVE_FLAGS[k] for k in pair}}
+    code, doc = invoke(capsys, *_argv(command, flags, form, tmp_path))
+    assert code == 1
+    assert doc == {"status": "schema-error", "error": "exactly one of "
+                   "--rosenhain/--igusa/--siegel/--sextic is required"}
+
+
+@pytest.mark.parametrize("form", ("argv", "run"))
+@pytest.mark.parametrize("other", ("igusa", "siegel", "sextic"))
+def test_kummer1_takes_no_second_curve_flag(other, form, tmp_path, capsys):
+    flags = {"model": "kummer1", "rosenhain": "2,3,5", other: CURVE_FLAGS[other]}
+    code, doc = invoke(capsys, *_argv("fibration", flags, form, tmp_path))
+    assert code == 1
+    assert doc["status"] == "schema-error"
 
 
 H10 = "4738291056/8829104735,-1920384756/6473829105,7364519028/2039485716"

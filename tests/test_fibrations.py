@@ -6,12 +6,13 @@ import pytest
 from g2satake.errors import DomainError, IdentityViolationError, NonMinimalModelError
 from g2satake.fibrations import (INFINITY, FibrationParams, QuarticModel,
                                  WeierstrassModel, alternate_model,
-                                 alternate_model_ftheory, classify_fibers,
+                                 alternate_model_ftheory,
+                                 checked_degeneration_predicates, classify_fibers,
                                  degeneration_predicates, dual_isogeny,
                                  euler_number, isogeny, kodaira_type,
                                  kumfib2_model, kummer_quartic_model,
-                                 nikulin_involution, qvanish_identity,
-                                 radicand, standard_model,
+                                 nikulin_involution, qvanish_bracket,
+                                 qvanish_identity, radicand, standard_model,
                                  type_iii_siegel_identity)
 from g2satake.igusa import (SiegelForms, igusa_from_rosenhain, igusa_from_sextic,
                             rosenhain_poly, siegel_from_igusa)
@@ -313,6 +314,24 @@ def test_qvanish_bracket_matches_radicand_discriminant(rng):
         p = FibrationParams(*vals)
         ok, lhs, rhs = qvanish_identity(p)
         assert ok, (lhs, rhs)
+
+
+def _height_lambdas(rng, digits):
+    lo, hi = 10 ** (digits - 1), 10**digits - 1
+    return [F(rng.choice((-1, 1)) * rng.randint(lo, hi), rng.randint(lo, hi))
+            for _ in range(3)]
+
+
+@pytest.mark.parametrize("digits", [2, 10, 30])
+def test_integer_bracket_matches_its_fraction_value(rng, digits):
+    from g2satake.fibrations import _qvanish_form
+
+    p = params_for(*_height_lambdas(rng, digits))
+    for q in (p, p._replace(e=0), p._replace(c=F(2, 3)), p._replace(c=5),
+              p._replace(b=0, d=F(1, 7**digits))):
+        assert qvanish_bracket(q) == _qvanish_form(*map(F, q.astuple()))
+    assert checked_degeneration_predicates(p) == (degeneration_predicates(p),
+                                                   qvanish_identity(p))
 
 
 def test_type_iii_siegel_identity(rng):

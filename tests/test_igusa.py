@@ -242,3 +242,26 @@ def test_predicate_helpers_accept_a_known_q():
     assert forms.q == q_form(s)
     assert humbert_predicates(s, forms.q) == humbert_predicates(s)
     assert forms.chi35_squared == chi35_squared(s)
+
+
+@pytest.mark.parametrize("digits", [2, 10, 30, 60])
+def test_rosenhain_invariants_match_the_root_pair_oracle_at_height(rng, digits):
+    a, b, c = _lambdas_of_height(rng, digits)
+    # generic, then I10 = 0: a repeated lambda, a lambda 0 and a lambda 1
+    for lams in ((a, b, c), (a, a, b), (0, b, c), (a, 1, c), (a, b, 7)):
+        inv = igusa_from_rosenhain(*lams)
+        oracle = invariants_from_root_pairs(*rosenhain_root_pairs(*lams))
+        assert tuple(map(F, inv.astuple())) == oracle
+        assert inv.degenerate == (len({0, 1, *lams}) < 5)
+
+
+def test_rosenhain_invariants_agree_on_the_integer_and_the_generic_path(rng):
+    from g2satake.qpoly import GaussianRational
+
+    for digits in (2, 30):
+        lams = _lambdas_of_height(rng, digits)
+        exact = igusa_from_rosenhain(*lams)
+        # GaussianRational lambdas take the formulas at z = 1, exactly
+        assert igusa_from_rosenhain(*map(GaussianRational, lams)) == exact
+    complex_inv = igusa_from_rosenhain(2 + 0j, 3 + 0j, 5 + 0j)
+    assert complex_inv.astuple() == igusa_from_rosenhain(2, 3, 5).astuple()

@@ -16,6 +16,7 @@ from g2satake.qpoly import (Poly, discriminant, integer_gcd, integer_squarefree,
                             poly_gcd, primitive_part, resultant,
                             squarefree_decomposition)
 from g2satake.satake import PowerSums, igusa_from_power_sums, satake_sextic
+from oracle_invariants import sylvester_discriminant, sylvester_resultant
 
 
 def test_poly_basics():
@@ -245,8 +246,9 @@ def test_modulus_primality_test():
 
 def test_importing_the_cli_computes_no_moduli():
     script = ("import g2satake.cli\n"
-              "from g2satake.qpoly import _prime_below\n"
-              "assert _prime_below.cache_info().currsize == 0\n")
+              "from g2satake.qpoly import _prime_below, _small_primes\n"
+              "assert _prime_below.cache_info().currsize == 0\n"
+              "assert _small_primes.cache_info().currsize == 0\n")
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -264,6 +266,104 @@ def test_split_rational_roots_exact(rng):
         assert rest == primitive_part(irreducible)
     assert split_rational_roots(Poly([-3, 2])) == ([F(3, 2)], Poly([1]))
     assert split_rational_roots(Poly([2, 0, 1])) == ([], Poly([2, 0, 1]))
+
+
+def test_lifting_primes_are_the_primes_below_1000():
+    sieve = [n for n in range(2, 1000) if all(n % k for k in range(2, n))]
+    assert qpoly._small_primes() == tuple(sieve)
+
+
+def _rational(rng, num_digits, den_digits):
+    """u/v with |u| of num_digits and v of den_digits decimal digits."""
+    while True:
+        u = rng.randint(10 ** (num_digits - 1), 10**num_digits - 1)
+        u *= rng.choice((-1, 1))
+        v = rng.randint(10 ** (den_digits - 1), 10**den_digits - 1)
+        if math.gcd(u, v) == 1:
+            return F(u, v)
+
+
+@pytest.mark.parametrize("num_digits,den_digits",
+                         ((60, 1), (1, 60), (30, 30), (2, 2)),
+                         ids=("u>>v", "v>>u", "balanced-30", "balanced-2"))
+def test_split_rational_roots_finds_planted_roots(num_digits, den_digits, rng):
+    from g2satake.qpoly import split_rational_roots
+
+    irreducible = Poly([-2, 0, 0, 1])                  # t^3 - 2
+    for _ in range(3):
+        roots = sorted({_rational(rng, num_digits, den_digits) for _ in range(4)})
+        for extra in ([], [F(0)]):
+            planted = sorted(roots + extra)
+            p = primitive_part(Poly.from_roots(planted))
+            assert split_rational_roots(p) == (planted, Poly([1]))
+            p = primitive_part(Poly.from_roots(planted) * irreducible)
+            assert split_rational_roots(p) == (planted, irreducible)
+
+
+def test_split_rational_roots_without_rational_roots(rng):
+    from g2satake.qpoly import split_rational_roots
+
+    # no rational root, but roots modulo many small primes
+    for p in (Poly([-2, 0, 0, 1]), Poly([1, -1, 0, 0, 0, 1]),
+              Poly([-1, 1, 0, 0, 0, 1]) * Poly([5, 0, 1]),
+              Poly([3, 0, 1, 0, 0, 1]) * Poly([-7, 0, 0, 0, 1])):
+        assert split_rational_roots(p) == ([], p)
+    # a quartic with 30-digit coefficients and no rational root, times a
+    # linear factor: the quartic's residues are ruled out at the Loos bound
+    q = primitive_part(Poly([_big_rational(rng, 30) for _ in range(4)] + [1])
+                       * Poly([_big_rational(rng, 30), 1]))
+    found, rest = split_rational_roots(q)
+    assert len(found) == 1 and rest.degree() == 4
+
+
+def test_split_rational_roots_with_a_60_digit_leading_coefficient(rng):
+    from g2satake.qpoly import split_rational_roots
+
+    lead = 10**59 + 151
+    roots = sorted({_big_rational(rng, 20) for _ in range(3)} | {F(0), F(-1, lead)})
+    cofactor = Poly([1, 1, 0, lead])                   # lead t^3 + t + 1
+    p = primitive_part(Poly.from_roots(roots) * cofactor)
+    assert p.lead() % lead == 0
+    assert split_rational_roots(p) == (roots, cofactor)
+
+
+def _int_coeffs(rng, degree, digits, lead_sign=None):
+    cs = [rng.randint(-10**digits, 10**digits) for _ in range(degree)]
+    lead = rng.randint(10 ** (digits - 1), 10**digits - 1)
+    return cs + [lead * (lead_sign or rng.choice((-1, 1)))]
+
+
+@pytest.mark.parametrize("digits", (2, 10, 30, 60))
+def test_resultant_matches_the_sylvester_determinant(digits, rng):
+    cases = []
+    for m, n in ((1, 1), (1, 4), (2, 3), (3, 3), (5, 2), (6, 5), (4, 6)):
+        p, q = _int_coeffs(rng, m, digits), _int_coeffs(rng, n, digits, -1)
+        cases.append((p, q))
+        # a common root: p (t - r) and q (t - r)
+        root = Poly([-_big_rational(rng, digits), 1])
+        cases.append(((Poly(p) * root).coeffs, (Poly(q) * root).coeffs))
+        # rational coefficients, not monic
+        cases.append(([F(c, rng.randint(1, 10**digits)) for c in p], q))
+    for p, q in cases:
+        want = sylvester_resultant(p, q)
+        assert resultant(Poly(p), Poly(q)) == want
+        sign = (-1) ** ((len(p) - 1) * (len(q) - 1))
+        assert resultant(Poly(q), Poly(p)) == sign * want
+    assert any(sylvester_resultant(p, q) == 0 for p, q in cases)
+
+
+@pytest.mark.parametrize("digits", (2, 10, 30, 60))
+def test_discriminant_matches_the_sylvester_determinant(digits, rng):
+    for d in (2, 3, 5, 6):
+        for lead_sign in (1, -1):
+            p = _int_coeffs(rng, d, digits, lead_sign)
+            assert discriminant(Poly(p)) == sylvester_discriminant(p)
+            frac = [F(c, rng.randint(1, 10**digits)) for c in p]
+            assert discriminant(Poly(frac)) == sylvester_discriminant(frac)
+        # a double root: the discriminant vanishes
+        cofactor = Poly(_int_coeffs(rng, d - 2, digits)) if d > 2 else Poly([3])
+        p = cofactor * Poly([-_big_rational(rng, digits), 1]) ** 2
+        assert discriminant(p) == 0 == sylvester_discriminant(p.coeffs)
 
 
 def test_discriminant_of_rational_sextic_matches_root_product(rng):
