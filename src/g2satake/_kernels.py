@@ -1,8 +1,7 @@
 """Numeric hot kernels: theta lattice sums and Aberth root iteration.
 
-The theta kernels are plain Python (``cmath``/``math``), so theta
-constants never load numpy; ``aberth`` imports numpy when it is called.
-``perfbench/`` times all three.
+All three are plain Python (``cmath``/``math``); ``perfbench/`` times
+each of them.
 """
 
 from __future__ import annotations
@@ -64,30 +63,32 @@ def theta_shell(mu, radius):
 def aberth(coeffs, stop, max_iter):
     """Aberth-Ehrlich iteration on a monic polynomial, highest degree first.
 
-    Returns the roots and the number of sweeps run.
+    All roots move at once (Jacobi order) from n points on the circle of
+    radius 1 + max |c_k|, which encloses every root; each sweep applies
+    the correction w / (1 - w sum_j 1/(x_i - x_j)) with the Newton step
+    w = p(x_i)/p'(x_i) (Aberth 1973; Bini, Numer. Algorithms 1996).  The
+    iteration stops once every correction is below ``stop`` relative to
+    1 + |x_i|.  Returns the roots and the number of sweeps run.
     """
-    import numpy as np   # only the numeric root finder loads numpy
-
-    coeffs = np.asarray(coeffs, dtype=np.complex128)
-    n = coeffs.shape[0] - 1
-    deriv = coeffs[:-1] * np.arange(n, 0, -1)
-    bound = 1.0 + np.abs(coeffs[1:]).max()
-    ang = 2.0 * np.pi * np.arange(n) / n + 0.7
-    x = bound * np.exp(1j * ang)
-    iters = 0
-    for _ in range(max_iter):
-        iters += 1
-        pv = np.polyval(coeffs, x)
-        dv = np.polyval(deriv, x)
-        dv = np.where(dv == 0, 1e-300, dv)
-        w = pv / dv
-        diff = x[:, None] - x[None, :]
-        np.fill_diagonal(diff, 1.0)
-        recip = 1.0 / diff
-        np.fill_diagonal(recip, 0.0)
-        acc = recip.sum(axis=1)
-        corr = w / (1.0 - w * acc)
-        x = x - corr
-        if (np.abs(corr) / (1.0 + np.abs(x))).max() < stop:
+    coeffs = [complex(c) for c in coeffs]
+    n = len(coeffs) - 1
+    deriv = [c * (n - k) for k, c in enumerate(coeffs[:-1])]
+    bound = 1.0 + max(abs(c) for c in coeffs[1:])
+    x = [bound * cmath.exp(1j * (2.0 * math.pi * k / n + 0.7)) for k in range(n)]
+    sweeps = 0
+    while sweeps < max_iter:
+        sweeps += 1
+        corr = []
+        for i, xi in enumerate(x):
+            pv = dv = 0j
+            for c in coeffs:
+                pv = pv * xi + c
+            for c in deriv:
+                dv = dv * xi + c
+            w = pv / (dv or 1e-300)
+            acc = sum(1.0 / (xi - xj) for j, xj in enumerate(x) if j != i)
+            corr.append(w / (1.0 - w * acc))
+        x = [xi - ci for xi, ci in zip(x, corr)]
+        if max(abs(ci) / (1.0 + abs(xi)) for ci, xi in zip(corr, x)) < stop:
             break
-    return x, iters
+    return x, sweeps

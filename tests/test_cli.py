@@ -2,10 +2,12 @@ import itertools
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
+from g2satake import cli
 from g2satake.cli import run
 
 
@@ -349,24 +351,57 @@ EXACT_COMMANDS = (
                     "standard"))
 
 
-# theta runs on plain-Python kernels too; only roundtrip loads numpy
-NUMPY_FREE_COMMANDS = EXACT_COMMANDS + (
-    ["theta", f"--tau={TAU}"],
-    ["theta", "--tau=0.3,0.021,-0.1,0.003,0.2,0.7", "--theta-radius=5"],
+# every command, in argv form and as a run document, ok and error exits
+NUMPY_FREE_JOBS = tuple((argv, 0) for argv in EXACT_COMMANDS) + (
+    (["theta", f"--tau={TAU}"], 0),
+    (["theta", "--tau=0.3,0.021,-0.1,0.003,0.2,0.7", "--theta-radius=5"], 0),
+    (["roundtrip", "--rosenhain=2,3,5"], 0),
+    (["roundtrip", "--rosenhain=-7/9,-3/4,28/27"], 0),   # a double Satake root
+    (["roundtrip", f"--rosenhain=1/{10**30},2,3"], 2),   # roots beyond doubles
+    (["satake-sextic", "--power-sums=0,1,0,99,0,0"], 3),
+)
+NUMPY_FREE_DOCUMENTS = (
+    {"command": "igusa", "input": {"rosenhain": [2, 3, 5]}},
+    {"command": "predicates", "input": {"siegel": [3, 5, 0, 7]}},
+    {"command": "satake-sextic", "input": {"rosenhain": ["-7/2", "1/3", 5]}},
+    {"command": "phi", "input": {"rosenhain": [2, 3, 5]}},
+    {"command": "fibration", "input": {"rosenhain": [-3, "2/5", 7]},
+     "options": {"model": "standard"}},
+    {"command": "theta", "input": {"tau": [0.3, 1.1, 0.2, 0.4, -0.4, 1.7]}},
+    {"command": "roundtrip", "input": {"rosenhain": [2, 3, 5]},
+     "options": {"tol": 1e-10}},
 )
 
 
-def test_exact_commands_never_import_numpy():
-    # dataclasses would pull in inspect, ast and dis: a quarter of a cold start
+def test_no_command_imports_numpy(tmp_path):
+    jobs = list(NUMPY_FREE_JOBS)
+    for k, doc in enumerate(NUMPY_FREE_DOCUMENTS):
+        path = tmp_path / f"job{k}.json"
+        path.write_text(json.dumps(doc))
+        jobs.append((["run", str(path)], 0))
+    commands = {argv[0] for argv, _ in NUMPY_FREE_JOBS}
+    assert commands == set(cli._HANDLERS)
+    assert {doc["command"] for doc in NUMPY_FREE_DOCUMENTS} == commands
+    # a None entry makes every import of numpy raise; dataclasses would pull
+    # in inspect, ast and dis: a quarter of a cold start
     script = (
         "import contextlib, io, json, sys\n"
+        "sys.modules['numpy'] = None\n"
         "from g2satake.cli import run\n"
-        "for argv in json.loads(sys.argv[1]):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert run(argv) == 0, argv\n"
-        "    for name in ('numpy', 'dataclasses'):\n"
-        "        assert name not in sys.modules, f'{argv} imported {name}'\n")
-    proc = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(NUMPY_FREE_COMMANDS)],
-        capture_output=True, text=True)
+        "for argv, code in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "        assert run(argv) == code, (argv, out.getvalue())\n"
+        "    assert 'dataclasses' not in sys.modules, f'{argv} imported dataclasses'\n")
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(jobs)],
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_roundtrip_on_q0_recovers_the_double_root(capsys):
+    # Q = 0: the Satake sextic has a rational double root
+    start = time.perf_counter()
+    code, doc = invoke(capsys, "roundtrip", "--rosenhain=-7/9,-3/4,28/27")
+    assert time.perf_counter() - start < 1.5
+    assert code == 0
+    assert doc["result"]["max_rel_err"] == 0.0
+

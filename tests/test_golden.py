@@ -3,8 +3,8 @@
 Exact commands must reproduce their recorded stdout byte for byte.  The
 numeric commands ``theta`` and ``roundtrip`` must reproduce every string,
 integer and flag, and every float to 1e-12 relative or 1e-15 absolute:
-``exp`` (the C library's for theta, numpy's for roundtrip) may differ in
-the last place between CPUs.
+``exp`` (the C library's, through ``cmath``: theta sums and the Aberth
+starting points) may differ in the last place between CPUs.
 """
 
 import json

@@ -3,7 +3,8 @@
 Every imported name must be read somewhere in its module, and no
 ``g2satake`` module may import a private (underscore) name from a sibling
 module: helpers shared between modules are public.  Package ``__init__``
-files only re-export and are skipped.
+files only re-export and are skipped.  The package itself declares no
+runtime dependency.
 """
 
 import ast
@@ -58,3 +59,9 @@ def test_every_import_is_used(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_no_private_names_between_modules(path):
     assert private_sibling_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_package_declares_no_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")   # Python 3.11 and later
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project.get("dependencies", []) == []
