@@ -12,7 +12,10 @@ NonMinimalModelError instead of silently reducing the model.
 Coefficients must be rational (int or Fraction); the classification runs
 on primitive integer multiples of g2, g3 and Delta, each decomposed once,
 and rational fiber locations are split off every cluster exactly (p-adic
-lifting, no floating point).
+lifting, no floating point).  A model with C = 0 (x = 0 is a two-torsion
+section: the alternate models and ``kumfib2_model``) has Delta a constant
+times B^2 (A^2 - 4B), so Delta is decomposed from B and A^2 - 4B and is
+never expanded.
 """
 
 from __future__ import annotations
@@ -127,25 +130,75 @@ class WeierstrassModel(namedtuple("WeierstrassModel", "A B C")):
         return x**3 + self.A(t) * x**2 + self.B(t) * x + self.C(t)
 
 
-def _integral_short_form(model):
-    """Primitive integer polynomials G2, G3, D in T, and rho with t = rho T.
+def _integral_model(model):
+    """Integer polynomials A, B, C in T, and rho with t = rho T.
 
     x -> x / s and t -> rho T make A, B, C integral (``graded_integral_scale``
-    keeps the integers small); then g2 = -(4/3) (3B - A^2) / s^2 and
-    g3 = -(4/27) (2A^3 - 9AB + 27C) / s^3, so G2, G3 and D = 4 G2^3 + G3^2
-    are constant multiples of g2, g3 and Delta in T: same vanishing orders
-    and degrees, roots divided by rho.  Identically vanishing polynomials
-    come back as the zero Poly.
+    keeps the integers small); the model in T has the same fiber types,
+    at the roots divided by rho.
     """
     parts = (model.A.coeffs, model.B.coeffs, model.C.coeffs)
     s, rho = graded_integral_scale(
         (k, i, c) for k, cs in enumerate(parts, 1) for i, c in enumerate(cs))
     A, B, C = (Poly([(c * s**k * rho**i).numerator for i, c in enumerate(cs)])
                for k, cs in enumerate(parts, 1))
-    g2 = 3 * B - A * A
-    g3 = 2 * A * A * A - 9 * A * B + 27 * C
-    delta = 4 * g2 * g2 * g2 + g3 * g3
-    return tuple(primitive_part(p) if p else p for p in (g2, g3, delta)), rho
+    return (A, B, C), rho
+
+
+def _integral_short_form(A, B, C):
+    """Primitive G2, G3 and the factors of D for integer A, B, C.
+
+    g2 = -(4/3) (3B - A^2) and g3 = -(4/27) (2A^3 - 9AB + 27C), so G2, G3
+    and D = 4 G2^3 + G3^2 are constant multiples of g2, g3 and Delta:
+    same vanishing orders and degrees.  D comes back as factors [(F, k)],
+    D a constant times prod F^k: [(D, 1)] in general, and
+    [(B, 2), (A^2 - 4B, 1)] when C = 0, where x = 0 is a two-torsion
+    section and D = -27 B^2 (A^2 - 4B) is never expanded.  Identically
+    vanishing polynomials come back as the zero Poly.
+    """
+    AA = A * A
+    g2 = 3 * B - AA
+    g3 = A * (2 * AA - 9 * B) + 27 * C
+    if C:
+        factors = [(4 * g2 * g2 * g2 + g3 * g3, 1)]
+    else:
+        factors = [(B, 2), (AA - 4 * B, 1)]
+    g2, g3 = (primitive_part(p) if p else p for p in (g2, g3))
+    return g2, g3, factors
+
+
+def _factored_squarefree(factors):
+    """Squarefree decomposition [(g, d)] of c * prod F^k, given the nonzero
+    factors [(F, k)].
+
+    Each F is decomposed on its own and its multiplicities are multiplied
+    by k; the pieces of different factors are refined to pairwise coprime
+    ones (a common part adds its multiplicities), and the pieces of equal
+    multiplicity are multiplied back together.  So each g is the primitive,
+    squarefree polynomial with positive leading coefficient that
+    ``integer_squarefree`` gives for the expanded product, in ascending d.
+    """
+    pieces = []
+    for f, k in factors:
+        new = []
+        for g, i in integer_squarefree(primitive_part(f)):
+            kept = []
+            for h, m in pieces:
+                common = integer_gcd(g, h)
+                if common.degree() > 0:
+                    new.append((common, m + k * i))
+                    g = integer_quotient(g, common)
+                    h = integer_quotient(h, common)
+                if h.degree() > 0:
+                    kept.append((h, m))
+            pieces = kept
+            if g.degree() > 0:
+                new.append((g, k * i))
+        pieces += new
+    merged = {}
+    for g, d in pieces:
+        merged[d] = merged[d] * g if d in merged else g
+    return [(merged[d], d) for d in sorted(merged)]
 
 
 def _order_profile(cluster, parts):
@@ -179,13 +232,14 @@ def classify_fibers(model):
     if not all(isinstance(c, (int, Fraction))
                for p in (model.A, model.B, model.C) for c in p.coeffs):
         raise DomainError("Kodaira classification needs int or Fraction coefficients")
-    (g2, g3, delta), rho = _integral_short_form(model)
-    if delta.is_zero():
+    abc, rho = _integral_model(model)
+    g2, g3, factors = _integral_short_form(*abc)
+    if not all(f for f, _ in factors):
         raise DomainError("discriminant vanishes identically; not an elliptic surface")
     parts2 = integer_squarefree(g2) if g2 else None
     parts3 = integer_squarefree(g3) if g3 else None
     fibers = []
-    for cluster, d in integer_squarefree(delta):
+    for cluster, d in _factored_squarefree(factors):
         for sub2, a in _order_profile(cluster, parts2):
             for sub3, b in _order_profile(sub2, parts3):
                 ftype = kodaira_type(a, b, d)
@@ -200,12 +254,12 @@ def classify_fibers(model):
                     fibers.append(KodairaFiber(
                         fiber_type=ftype, location=located.monic(),
                         orders=(a, b, d), count=n))
+    d_deg = sum(k * f.degree() for f, k in factors)
     # the zero polynomial has degree -1, which never raises the maximum
-    surface = max(1, -(-g2.degree() // 4), -(-g3.degree() // 6),
-                  -(-delta.degree() // 12))
+    surface = max(1, -(-g2.degree() // 4), -(-g3.degree() // 6), -(-d_deg // 12))
     a_inf = (4 * surface - g2.degree()) if g2 else None
     b_inf = (6 * surface - g3.degree()) if g3 else None
-    d_inf = 12 * surface - delta.degree()
+    d_inf = 12 * surface - d_deg
     if d_inf > 0:
         fibers.append(KodairaFiber(
             fiber_type=kodaira_type(a_inf, b_inf, d_inf),

@@ -13,10 +13,11 @@ from g2satake.fibrations import (INFINITY, FibrationParams, QuarticModel,
                                  kumfib2_model, kummer_quartic_model,
                                  nikulin_involution, qvanish_bracket,
                                  qvanish_identity, radicand, standard_model,
-                                 type_iii_siegel_identity)
-from g2satake.igusa import (SiegelForms, igusa_from_rosenhain, igusa_from_sextic,
-                            rosenhain_poly, siegel_from_igusa)
-from g2satake.qpoly import Poly
+                                 type_iii_siegel_identity, _factored_squarefree,
+                                 _integral_model, _integral_short_form)
+from g2satake.igusa import (IgusaInvariants, SiegelForms, igusa_from_rosenhain,
+                            igusa_from_sextic, rosenhain_poly, siegel_from_igusa)
+from g2satake.qpoly import Poly, integer_squarefree, primitive_part
 from g2satake.satake import power_sums_from_igusa, satake_sextic
 from conftest import random_lambdas
 
@@ -384,3 +385,116 @@ def test_inose_quartic_substitutions(rng):
         Ws = 2**8 * s.chi10**3 * t**3 / F(3**6)
         Zs = s.chi10**2 * t**2 / F(2**4 * 3**9)
         assert inose(Xs, Y2s, Zs, Ws, al, be, ga, de) == 0
+
+
+# ---------------------------------------------------------------------------
+# the discriminant of y^2 = x (x^2 + A x + B), from B and A^2 - 4B
+# ---------------------------------------------------------------------------
+
+
+def _generic_squarefree(A, B, C):
+    """The reference route: expand D = 4 G2^3 + G3^2 and decompose it."""
+    g2 = 3 * B - A * A
+    g3 = 2 * A * A * A - 9 * A * B + 27 * C
+    delta = 4 * g2 * g2 * g2 + g3 * g3
+    return integer_squarefree(primitive_part(delta)), delta.degree()
+
+
+def assert_factored_matches_generic(model):
+    (A, B, C), _ = _integral_model(model)
+    assert C.is_zero()
+    _, _, factors = _integral_short_form(A, B, C)
+    assert factors == [(B, 2), (A * A - 4 * B, 1)]
+    parts, degree = _generic_squarefree(A, B, C)
+    assert _factored_squarefree(factors) == parts
+    assert sum(k * f.degree() for f, k in factors) == degree
+
+
+def two_torsion_models(inv):
+    return (alternate_model(FibrationParams.from_igusa(inv)), kumfib2_model(inv),
+            alternate_model_ftheory(siegel_from_igusa(inv)))
+
+
+@pytest.mark.parametrize("digits", [2, 10, 30, 60])
+def test_factored_discriminant_matches_generic_route(rng, digits):
+    for _ in range(3 if digits < 60 else 1):
+        inv = igusa_from_rosenhain(*_height_lambdas(rng, digits))
+        for model in two_torsion_models(inv):
+            assert_factored_matches_generic(model)
+
+
+def test_factored_discriminant_on_special_loci(rng):
+    def small():
+        return F(rng.choice((-1, 1)) * rng.randint(1, 99), rng.randint(1, 99))
+
+    # Q = 0: x -> c/x permutes the branch points 0, oo, 1, c, b, c/b
+    q0 = [(2, 3, F(2, 3)), (F(-7, 9), F(-3, 4), F(28, 27))]
+    for inv in ([igusa_from_rosenhain(*lams) for lams in q0]
+                + [IgusaInvariants(0, small(), small(), small()) for _ in range(3)]):
+        for model in two_torsion_models(inv):
+            assert_factored_matches_generic(model)
+    for _ in range(3):   # chi10 = 0, where B is the constant chi12
+        model = alternate_model_ftheory(SiegelForms(small(), small(), 0, small()))
+        assert model.B.degree() == 0
+        assert_factored_matches_generic(model)
+
+
+def test_two_torsion_discriminant_identity(rng):
+    for _ in range(20):
+        A, B, C = (Poly([rng.randint(-10**9, 10**9) for _ in range(rng.randint(0, 6))])
+                   for _ in range(3))
+        g2 = 3 * B - A * A
+        g3 = 2 * A * A * A - 9 * A * B
+        assert 4 * g2**3 + g3**2 == -27 * B * B * (A * A - 4 * B)
+        if C:
+            # with C != 0 the discriminant is a single factor, expanded
+            _, _, factors = _integral_short_form(A, B, C)
+            g3 = g3 + 27 * C
+            assert factors == [(4 * g2**3 + g3**2, 1)]
+
+
+T = Poly([0, 1])
+
+
+@pytest.mark.parametrize("A, B, fiber", [
+    # B and A^2 - 4B share the root of A and B: d = 2 + 1, an additive fiber
+    ((T - 1) * (T + 2), (T - 1) * (T - 3), ("III", F(1), (1, 2, 3))),
+    (T * (T + 3), T * (T - 2), ("III", F(0), (1, 2, 3))),
+    ((T * T + 1) * (T + 2), 5 * (T * T + 1), ("III", Poly([1, 0, 1]), (1, 2, 3))),
+    # a repeated factor of B: d = 2 * 2
+    (T + 5, (T - 1) ** 2 * (T + 1), ("I4", F(1), (0, 0, 4))),
+    # B constant
+    (T**3 + 2 * T + 7, Poly([F(3, 4)]), ("I1", None, (0, 0, 1))),
+])
+def test_factored_discriminant_merges_planted_factors(A, B, fiber):
+    model = WeierstrassModel(A=A, B=B, C=Poly())
+    assert_factored_matches_generic(model)
+    census = classify_fibers(model)
+    ftype, location, orders = fiber
+    assert any(f.fiber_type == ftype and f.orders == orders
+               and (location is None or f.location == location)
+               for f in census.fibers), census
+    assert census.euler_sum % 12 == 0
+
+
+def test_factored_discriminant_merges_equal_multiplicities():
+    # A = 2P, B = P^2 - (t - 3)^2: B = 8 (t - 1) and A^2 - 4B = 4 (t - 3)^2,
+    # so a piece of each has d = 2, and the two make one cluster
+    model = WeierstrassModel(A=2 * (T + 1), B=8 * (T - 1), C=Poly())
+    assert_factored_matches_generic(model)
+    (A, B, C), _ = _integral_model(model)
+    assert _factored_squarefree(_integral_short_form(A, B, C)[2]) == [
+        (Poly([3, -4, 1]), 2)]
+    census = classify_fibers(model)
+    assert {(f.fiber_type, f.location) for f in census.fibers} == {
+        ("I2", F(1)), ("I2", F(3)), ("I2*", INFINITY)}
+
+
+@pytest.mark.parametrize("A, B", [
+    (T + 1, Poly()),                      # B = 0
+    (2 * T * T - 6, (T * T - 3) ** 2),    # A^2 - 4B = 0
+    (Poly([4]), Poly([4])),               # both constant, A^2 - 4B = 0
+])
+def test_factored_discriminant_vanishing_identically(A, B):
+    with pytest.raises(DomainError, match="discriminant vanishes identically"):
+        classify_fibers(WeierstrassModel(A=A, B=B, C=Poly()))
