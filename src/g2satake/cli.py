@@ -350,7 +350,7 @@ def cmd_predicates(args):
         inv = igusa_from_siegel(s)
         p = FibrationParams.from_igusa(inv)
         out["degeneration"], (ok_q, _, _) = checked_degeneration_predicates(p)
-        ok_iii, _, _ = type_iii_siegel_identity(inv)
+        ok_iii, _, _ = type_iii_siegel_identity(p, s)
         if not (ok_q and ok_iii):
             raise IdentityViolationError(
                 "frozen degeneration-identity constants fail on this input")
@@ -430,11 +430,16 @@ def _args_from_job(doc):
     if not isinstance(doc, dict) or "command" not in doc:
         raise SchemaError("job document needs a 'command' field")
     command = doc["command"]
-    if command not in _HANDLERS:
+    if not isinstance(command, str) or command not in _HANDLERS:
         raise SchemaError(f"unknown command {command!r}; "
                           f"valid: {sorted(_HANDLERS)}")
-    payload = dict(doc.get("input", {}))
-    payload.update(doc.get("options", {}))
+    payload = {}
+    for field in ("input", "options"):
+        part = doc.get(field, {})
+        if not isinstance(part, dict):
+            raise SchemaError(f"job document field {field!r} must be an object, "
+                              f"got {part!r}")
+        payload.update(part)
     argv = [command]
     for key, val in payload.items():
         flag = "--" + key.replace("_", "-")
@@ -485,13 +490,20 @@ def run(argv=None):
                     "error_type": type(e).__name__}
         code = EXIT_DOMAIN
     pretty = bool(args and args.pretty)
-    text = json.dumps(envelope, sort_keys=True, indent=2 if pretty else None)
+    indent = 2 if pretty else None
+    text = json.dumps(envelope, sort_keys=True, indent=indent)
     out_file = args and args.out
     if code == EXIT_OK and out_file:
-        with open(out_file, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+        try:
+            with open(out_file, "w") as fh:
+                fh.write(text + "\n")
+            return code
+        except OSError as e:
+            code = EXIT_SCHEMA
+            text = json.dumps({"status": "schema-error",
+                               "error": f"cannot write --out: {e}"},
+                              sort_keys=True, indent=indent)
+    print(text)
     return code
 
 

@@ -15,16 +15,24 @@ and rational fiber locations are split off every cluster exactly (p-adic
 lifting, no floating point).  A model with C = 0 (x = 0 is a two-torsion
 section: the alternate models and ``kumfib2_model``) has Delta a constant
 times B^2 (A^2 - 4B), so Delta is decomposed from B and A^2 - 4B and is
-never expanded.
+never expanded.  The Jacobian of the Kummer quartic carries its Delta as
+the factors c t^6 prod (t - li)^2 prod (t - li lj)^2, the 2x2 determinants
+of the quartic's linear X-factors; the expanded Delta is only checked to
+be a constant multiple of their product.
+
+The weighted forms behind the degeneration predicates are evaluated in
+nested form on integers: the quintic-discriminant bracket is Horner in e,
+and its e^0 part is the product (4a^3 + 27b^2)^2 (a c^2 d - b c^3 + d^3).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from itertools import combinations
+from math import lcm
 
 from .errors import DomainError, IdentityViolationError, NonMinimalModelError
-from .igusa import siegel_from_igusa
 from .qpoly import (ExactTuple, Poly, discriminant, graded_integral_scale,
                     integer_gcd, integer_quotient, integer_squarefree,
                     integral_representative, primitive_part, promote_int,
@@ -107,8 +115,15 @@ class FiberCensus(namedtuple("FiberCensus", "fibers")):
         return any(f.fiber_type == fiber_type for f in self.fibers)
 
 
-class WeierstrassModel(namedtuple("WeierstrassModel", "A B C")):
-    """y^2 = x^3 + A(t) x^2 + B(t) x + C(t) over the t-line (A, B, C Polys)."""
+class WeierstrassModel(namedtuple("WeierstrassModel", "A B C disc_factors",
+                                  defaults=((),))):
+    """y^2 = x^3 + A(t) x^2 + B(t) x + C(t) over the t-line (A, B, C Polys).
+
+    ``disc_factors`` is ((F, k), ...) with Polys F in t and the
+    discriminant a constant times prod F^k, or () when not known;
+    ``classify_fibers`` checks known factors against the expanded
+    discriminant and decomposes them.
+    """
 
     __slots__ = ()
 
@@ -145,21 +160,45 @@ def _integral_model(model):
     return (A, B, C), rho
 
 
-def _integral_short_form(A, B, C):
+def _at_rho(f, rho):
+    """f(rho T) as a primitive integer polynomial in T (0 stays 0): a factor
+    of the discriminant in t, moved to the coordinate of ``_integral_model``."""
+    if not f:
+        return f
+    return primitive_part(Poly([c * rho**i for i, c in enumerate(f.coeffs)]))
+
+
+def _integral_short_form(A, B, C, known=()):
     """Primitive G2, G3 and the factors of D for integer A, B, C.
 
     g2 = -(4/3) (3B - A^2) and g3 = -(4/27) (2A^3 - 9AB + 27C), so G2, G3
     and D = 4 G2^3 + G3^2 are constant multiples of g2, g3 and Delta:
     same vanishing orders and degrees.  D comes back as factors [(F, k)],
-    D a constant times prod F^k: [(D, 1)] in general, and
-    [(B, 2), (A^2 - 4B, 1)] when C = 0, where x = 0 is a two-torsion
-    section and D = -27 B^2 (A^2 - 4B) is never expanded.  Identically
-    vanishing polynomials come back as the zero Poly.
+    D a constant times prod F^k: the ``known`` factors (integer Polys), if
+    any, once D is expanded and shown to be a constant multiple of their
+    product; else [(D, 1)] in general, and [(B, 2), (A^2 - 4B, 1)] when
+    C = 0, where x = 0 is a two-torsion section and D = -27 B^2 (A^2 - 4B)
+    is never expanded.  Identically vanishing polynomials come back as the
+    zero Poly.
     """
     AA = A * A
     g2 = 3 * B - AA
     g3 = A * (2 * AA - 9 * B) + 27 * C
-    if C:
+    if known:
+        D = 4 * g2 * g2 * g2 + g3 * g3
+        product = Poly([1])
+        for f, k in known:
+            product = product * f**k
+        if D and product:
+            proportional = D * product.lead() == product * D.lead()
+        else:
+            proportional = not D and not product
+        if not proportional:
+            raise IdentityViolationError(
+                "the known discriminant factors are not proportional to "
+                "the expanded discriminant")
+        factors = known
+    elif C:
         factors = [(4 * g2 * g2 * g2 + g3 * g3, 1)]
     else:
         factors = [(B, 2), (AA - 4 * B, 1)]
@@ -233,7 +272,8 @@ def classify_fibers(model):
                for p in (model.A, model.B, model.C) for c in p.coeffs):
         raise DomainError("Kodaira classification needs int or Fraction coefficients")
     abc, rho = _integral_model(model)
-    g2, g3, factors = _integral_short_form(*abc)
+    known = [(_at_rho(f, rho), k) for f, k in model.disc_factors]
+    g2, g3, factors = _integral_short_form(*abc, known)
     if not all(f for f, _ in factors):
         raise DomainError("discriminant vanishes identically; not an elliptic surface")
     parts2 = integer_squarefree(g2) if g2 else None
@@ -337,24 +377,41 @@ def radicand(p):
 # ---------------------------------------------------------------------------
 
 
-class QuarticModel(namedtuple("QuarticModel", "coeffs")):
+def _quartic_ij(a0, a1, a2, a3, a4):
+    i = 12 * a4 * a0 - 3 * a3 * a1 + a2 * a2
+    j = (72 * a4 * a2 * a0 - 27 * a4 * a1 * a1 - 27 * a3 * a3 * a0
+         + 9 * a3 * a2 * a1 - 2 * a2 * a2 * a2)
+    return i, j
+
+
+class QuarticModel(namedtuple("QuarticModel", "coeffs disc_factors",
+                              defaults=((),))):
     """Y^2 = q(X, t) with q of degree <= 4 in X; ``coeffs`` holds the
-    coefficients of X^0 .. X^4, each a Poly in t."""
+    coefficients of X^0 .. X^4, each a Poly in t.  ``disc_factors`` is
+    ((F, k), ...) with the X-discriminant of q a constant times prod F^k,
+    or () when not known."""
 
     __slots__ = ()
 
     def quartic_invariants(self):
-        """Classical I and J of the X-quartic (coefficients in Q[t])."""
-        a0, a1, a2, a3, a4 = self.coeffs
-        i = 12 * a4 * a0 - 3 * a3 * a1 + a2 * a2
-        j = (72 * a4 * a2 * a0 - 27 * a4 * a1 * a1 - 27 * a3 * a3 * a0
-             + 9 * a3 * a2 * a1 - 2 * a2 * a2 * a2)
-        return i, j
+        """Classical I and J of the X-quartic.  Coefficients in Q[t] are
+        taken to the integer multiple n q, and I and J divided by n^2 and
+        n^3 once; other coefficients go through the formula as they are."""
+        if not all(isinstance(c, (int, Fraction))
+                   for a in self.coeffs for c in a.coeffs):
+            return _quartic_ij(*self.coeffs)
+        n = lcm(*(c.denominator for a in self.coeffs for c in a.coeffs))
+        i, j = _quartic_ij(*(Poly([c.numerator * (n // c.denominator)
+                                   for c in a.coeffs]) for a in self.coeffs))
+        return (Poly([Fraction(c, n**2) for c in i.coeffs]),
+                Poly([Fraction(c, n**3) for c in j.coeffs]))
 
     def jacobian_model(self):
-        """Weierstrass form y^2 = x^3 - 27 I x - 27 J of the Jacobian."""
+        """Weierstrass form y^2 = x^3 - 27 I x - 27 J of the Jacobian, whose
+        discriminant is a constant times the X-discriminant of q."""
         i, j = self.quartic_invariants()
-        return WeierstrassModel(A=Poly(), B=-27 * i, C=-27 * j)
+        return WeierstrassModel(A=Poly(), B=-27 * i, C=-27 * j,
+                                disc_factors=self.disc_factors)
 
     def sextic_limit(self):
         """The eps -> 0 limit that recovers Y^2 = F(X) from the quartic.
@@ -394,7 +451,11 @@ def kummer_quartic_model(l1, l2, l3):
             new[k] = new[k] + c * const
             new[k + 1] = new[k + 1] + c * lin
         xcoeffs = new
-    return QuarticModel(coeffs=tuple(xcoeffs))
+    # q = t prod (a + b X), so its X-discriminant is t^6 times the squared
+    # 2x2 determinants a b' - a' b of the linear factors
+    disc = ((t, 6),) + tuple((a * b2 - a2 * b, 2)
+                             for (a, b), (a2, b2) in combinations(factors, 2))
+    return QuarticModel(coeffs=tuple(xcoeffs), disc_factors=disc)
 
 
 # ---------------------------------------------------------------------------
@@ -453,19 +514,23 @@ def nikulin_involution(pt, t, p):
 
 
 def _qvanish_form(a, b, c, d, e):
-    return (
-        16 * a**7 * c**2 * d - 16 * a**6 * b * c**3 + 16 * a**5 * c**4 * e
-        + 16 * a**6 * d**3 + 216 * a**4 * b**2 * c**2 * d
-        + 888 * a**4 * c**2 * d**2 * e - 216 * a**3 * b**3 * c**3
-        - 3420 * a**3 * b * c**3 * d * e + 2700 * a**2 * b**2 * c**4 * e
-        + 4125 * a**2 * c**4 * d * e**2 - 5625 * a * b * c**5 * e**2
-        + 3125 * c**6 * e**3 + 216 * a**3 * b**2 * d**3
-        + 864 * a**3 * d**4 * e - 2592 * a**2 * b * c * d**3 * e
-        + 729 * a * b**4 * c**2 * d - 5670 * a * b**2 * c**2 * d**2 * e
-        + 16200 * a * c**2 * d**3 * e**2 - 729 * b**5 * c**3
-        + 6075 * b**3 * c**3 * d * e - 13500 * b * c**3 * d**2 * e**2
-        + 729 * b**4 * d**3 - 5832 * b**2 * d**4 * e + 11664 * d**5 * e**2
-    )
+    """The bracket, nested: Horner in e, whose e^0 part is
+    (4 a^3 + 27 b^2)^2 (a c^2 d - b c^3 + d^3)."""
+    a2 = a * a
+    a3 = a2 * a
+    b2 = b * b
+    c2 = c * c
+    c3 = c2 * c
+    c4 = c2 * c2
+    d2 = d * d
+    e0 = (4 * a3 + 27 * b2) ** 2 * (a * c2 * d - b * c3 + d2 * d)
+    e1 = (4 * a2 * c4 * (4 * a3 + 675 * b2)
+          + d * (b * c3 * (6075 * b2 - 3420 * a3)
+                 + d * (a * c2 * (888 * a3 - 5670 * b2)
+                        + d * (d * (864 * a3 - 5832 * b2) - 2592 * a2 * b * c))))
+    e2 = (a * c4 * (4125 * a * d - 5625 * b * c)
+          + d2 * (16200 * a * c2 * d - 13500 * b * c3 + 11664 * d2 * d))
+    return e0 + e * (e1 + e * (e2 + e * 3125 * c3 * c3))
 
 
 def qvanish_bracket(p):
@@ -475,7 +540,8 @@ def qvanish_bracket(p):
     The bracket is weighted homogeneous of weight 30 in (a, b, d, e) of
     weights (4, 6, 2, 10), and c has weight 0: exact parameters are
     evaluated on the integer representative of (a, b, d, e), with c as
-    it is, and divided by r^30 once.
+    it is, in the nested form of ``_qvanish_form`` (Horner in e), and
+    divided by r^30 once.
     """
     a, b, c, d, e = p.astuple()
     rep = integral_representative((a, b, d, e), (4, 6, 2, 10))
@@ -526,14 +592,13 @@ def checked_degeneration_predicates(p):
     return _degeneration_flags(p, bracket), _qvanish_check(p, bracket)
 
 
-def type_iii_siegel_identity(inv):
+def type_iii_siegel_identity(p, s):
     """e^3 (a c^2 d - b c^3 + d^3) = -(2^36/27)(2 psi6 chi10^3 + 9 psi4 chi10^2 chi12 - 27 chi12^3).
 
     Ties the parameter-space type-III condition to its Siegel-form
-    expression through the dictionary; the constant -(2^36)/27 is frozen.
+    expression through the dictionary, for the parameters ``p`` and the
+    form values ``s`` of one curve; the constant -(2^36)/27 is frozen.
     """
-    p = FibrationParams.from_igusa(inv)
-    s = siegel_from_igusa(inv)
     lhs = p.e**3 * type_iii_bracket(p)
     rhs = -Fraction(2**36, 27) * (2 * s.psi6 * s.chi10**3
                                   + 9 * s.psi4 * s.chi10**2 * s.chi12

@@ -278,42 +278,26 @@ def igusa_from_siegel(s):
     return IgusaInvariants(I2, I4, I6, I10)
 
 
-def _powers(x, n):
-    out = [1, x]
-    for _ in range(n - 1):
-        out.append(out[-1] * x)
-    return out
-
-
 def _q_poly(p4, p6, c10, c12):
-    """Q as a polynomial, with the powers of each generator shared."""
-    P, S, C, D = _powers(p4, 7), _powers(p6, 5), _powers(c10, 6), _powers(c12, 5)
-    return (
-        2**24 * 3**15 * D[5]
-        - 2**13 * 3**9 * P[3] * D[4]
-        - 2**13 * 3**9 * S[2] * D[4]
-        + 3**3 * P[6] * D[3]
-        - 2 * 3**3 * P[3] * S[2] * D[3]
-        - 2**14 * 3**8 * P[2] * p6 * c10 * D[3]
-        - 2**23 * 3**12 * 5**2 * p4 * C[2] * D[3]
-        + 3**3 * S[4] * D[3]
-        + 2**11 * 3**6 * 37 * P[4] * C[2] * D[2]
-        + 2**11 * 3**6 * 5 * 7 * p4 * S[2] * C[2] * D[2]
-        - 2**23 * 3**9 * 5**3 * p6 * C[3] * D[2]
-        - 3**2 * P[7] * C[2] * c12
-        + 2 * 3**2 * P[4] * S[2] * C[2] * c12
-        + 2**11 * 3**5 * 5 * 19 * P[3] * p6 * C[3] * c12
-        + 2**20 * 3**8 * 5**3 * 11 * P[2] * C[4] * c12
-        - 3**2 * p4 * S[4] * C[2] * c12
-        + 2**11 * 3**5 * 5**2 * S[3] * C[3] * c12
-        - 2 * P[6] * p6 * C[3]
-        - 2**12 * 3**4 * P[5] * C[4]
-        + 2**2 * P[3] * S[3] * C[3]
-        + 2**12 * 3**4 * 5**2 * P[2] * S[2] * C[4]
-        + 2**21 * 3**7 * 5**4 * p4 * p6 * C[5]
-        - 2 * S[5] * C[3]
-        + 2**32 * 3**9 * 5**5 * C[6]
-    )
+    """Q as a polynomial, nested: Horner in chi10, whose coefficients share
+    the powers of psi4, psi6 and chi12 and u = psi4^3 - psi6^2."""
+    p4_2 = p4 * p4
+    p4_3 = p4_2 * p4
+    p6_2 = p6 * p6
+    u = p4_3 - p6_2
+    uu = u * u
+    c12_3 = c12 * c12 * c12
+    q0 = c12_3 * (27 * uu + c12 * (2**24 * 3**15 * c12
+                                   - 2**13 * 3**9 * (p4_3 + p6_2)))
+    q1 = -(2**14) * 3**8 * p4_2 * p6 * c12_3
+    q2 = p4 * c12 * (c12 * (2**11 * 3**6 * (37 * p4_3 + 35 * p6_2)
+                            - 2**23 * 3**12 * 5**2 * c12) - 9 * uu)
+    q3 = p6 * (c12 * (2**11 * 3**5 * 5 * (19 * p4_3 + 5 * p6_2)
+                      - 2**23 * 3**9 * 5**3 * c12) - 2 * uu)
+    q4 = p4_2 * (2**20 * 3**8 * 5**3 * 11 * c12 - 2**12 * 3**4 * (p4_3 - 25 * p6_2))
+    q5 = 2**21 * 3**7 * 5**4 * p4 * p6
+    q6 = 2**32 * 3**9 * 5**5
+    return q0 + c10 * (q1 + c10 * (q2 + c10 * (q3 + c10 * (q4 + c10 * (q5 + c10 * q6)))))
 
 
 def q_form(s):
@@ -322,7 +306,8 @@ def q_form(s):
     Q is 2^12 3^9 chi35^2 / chi10 with the chi10 factor cancelled
     symbolically, hence well-defined on the chi10 = 0 boundary.  Exact
     form values are evaluated on an integer representative of their
-    weighted class and divided by r^60 once.
+    weighted class, in the nested form of ``_q_poly`` (Horner in chi10,
+    with u = psi4^3 - psi6^2), and divided by r^60 once.
     """
     return s.evaluate(lambda *v: (_q_poly(*v),), (60,))[0]
 

@@ -102,7 +102,7 @@ def complete_bell(i, z):
     """Complete Bell polynomial B_i evaluated on z = (z_1, ..., z_i, ...)."""
     if not 1 <= i <= len(z):
         raise DomainError(f"Bell order {i} outside 1..{len(z)}")
-    b = [Fraction(1)]
+    b = [1]
     for n in range(1, i + 1):
         b.append(sum(comb(n - 1, k) * b[n - 1 - k] * z[k] for k in range(n)))
     return b[i]
@@ -115,27 +115,37 @@ def satake_sextic(ps, s4=None):
     any coefficient mismatch is a broken s1/s4 constraint and raises
     IdentityViolationError.  ``s4`` overrides ``ps.s4`` (which is s2^2/4
     by construction), so that power sums given by a caller are checked.
-    """
-    s2, s3, s5, s6 = ps.s2, ps.s3, ps.s5, ps.s6
-    s1, s4 = ps.s1, ps.s4 if s4 is None else s4
 
-    z = [s1, -s2, 2 * s3, -6 * s4, 24 * s5, -120 * s6]
-    bell_coeffs = [Fraction(1)]  # x^6 downwards
+    Exact only: the power sums must be int or Fraction, else DomainError.
+    s_j has weight 2j, so both forms are evaluated on the integer
+    representative (S1, ..., S6) of the power sums, times 1440 (which
+    clears the 1/i! of the Bell form and the 1/4, 1/6 of the closed one),
+    and the coefficient of x^k is divided by 1440 r^(12-2k) once.
+    """
+    s4 = ps.s4 if s4 is None else s4
+    rep = integral_representative((ps.s1, ps.s2, ps.s3, s4, ps.s5, ps.s6),
+                                  (2, 4, 6, 8, 10, 12))
+    if rep is None:
+        raise DomainError("satake_sextic needs exact (int/Fraction) power sums")
+    r, (S1, S2, S3, S4, S5, S6) = rep
+
+    z = [S1, -S2, 2 * S3, -6 * S4, 24 * S5, -120 * S6]
+    bell = [1440]   # x^6 downwards
     fact = 1
     for i in range(1, 7):
         fact *= i
-        bell_coeffs.append(Fraction((-1) ** i, fact) * complete_bell(i, z))
-    bell_poly = Poly(list(reversed(bell_coeffs)))
+        bell.append((-1) ** i * 1440 // fact * complete_bell(i, z))
 
-    cube = Poly([-s3 / 6, -s2 / 4, 0, 1])
-    closed = cube * cube + Poly([s2**3 / 96 + s3**2 / 36 - s6 / 6,
-                                 s2 * s3 / 12 - s5 / 5])
+    cube = Poly([-2 * S3, -3 * S2, 0, 12])   # 12 (x^3 - s2/4 x - s3/6)
+    closed = 10 * cube * cube + Poly([15 * S2**3 + 40 * S3**2 - 240 * S6,
+                                      120 * S2 * S3 - 288 * S5])
 
-    if bell_poly != closed:
+    if closed.coeffs != tuple(reversed(bell)):
         raise IdentityViolationError(
             "Bell-polynomial and closed-form sextics disagree; "
             "power sums violate s1 = 0 or s2^2 = 4 s4")
-    return closed
+    return Poly([Fraction(c, 1440 * r ** (12 - 2 * k))
+                 for k, c in enumerate(closed.coeffs)])
 
 
 def satake_sextic_from_siegel(s):

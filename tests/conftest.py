@@ -18,3 +18,13 @@ def random_lambdas(rng, height=20, denom=None):
         if v not in out and v not in (0, 1):
             out.append(v)
     return tuple(out)
+
+
+def seeded_integer_points(rng, arity):
+    """Integer points of 1 to 60 digits in every coordinate, then every
+    sixth of them with each coordinate set to 0 in turn, then 0."""
+    points = [[rng.choice((-1, 1)) * rng.randint(10 ** (d - 1), 10**d - 1)
+               for _ in range(arity)] for d in range(1, 61)]
+    zeros = [[0 if i == k else v for i, v in enumerate(pt)]
+             for pt in points[::6] for k in range(arity)]
+    return points + zeros + [[0] * arity]

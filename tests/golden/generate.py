@@ -98,6 +98,10 @@ def cases():
         ["predicates", f"--rosenhain={I10_ZERO}"],
         ["phi", f"--rosenhain={I10_ZERO}"],
         *(["fibration", "--model", m, f"--rosenhain={I10_ZERO}"] for m in MODELS),
+        # kummer1 where I2 positions l_i and l_i l_j coincide: I4 at 6, I4
+        # at 2 and -2, I2 at 1, I4 at 2 next to I2 at 1
+        *(["fibration", "--model", "kummer1", f"--rosenhain={lams}"]
+          for lams in ("2,3,6", "-1,2,-2", "2,1/2,5", "4,1/2,2")),
         # theta
         ["theta", f"--tau={TAU}"],
         ["theta", f"--tau={TAU_SMALL}"],

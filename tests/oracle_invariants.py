@@ -99,3 +99,52 @@ def sylvester_discriminant(p):
     dp = [k * Fraction(c) for k, c in enumerate(p)][1:]
     sign = -1 if d * (d - 1) // 2 % 2 else 1
     return sign * sylvester_resultant(p, dp) / Fraction(p[-1])
+
+
+def q_expanded(p4, p6, c10, c12):
+    """Q term by term: the 24 monomials of the weight-60 form in
+    (psi4, psi6, chi10, chi12), with no shared subexpression."""
+    return (
+        2**24 * 3**15 * c12**5
+        - 2**13 * 3**9 * p4**3 * c12**4
+        - 2**13 * 3**9 * p6**2 * c12**4
+        + 3**3 * p4**6 * c12**3
+        - 2 * 3**3 * p4**3 * p6**2 * c12**3
+        - 2**14 * 3**8 * p4**2 * p6 * c10 * c12**3
+        - 2**23 * 3**12 * 5**2 * p4 * c10**2 * c12**3
+        + 3**3 * p6**4 * c12**3
+        + 2**11 * 3**6 * 37 * p4**4 * c10**2 * c12**2
+        + 2**11 * 3**6 * 5 * 7 * p4 * p6**2 * c10**2 * c12**2
+        - 2**23 * 3**9 * 5**3 * p6 * c10**3 * c12**2
+        - 3**2 * p4**7 * c10**2 * c12
+        + 2 * 3**2 * p4**4 * p6**2 * c10**2 * c12
+        + 2**11 * 3**5 * 5 * 19 * p4**3 * p6 * c10**3 * c12
+        + 2**20 * 3**8 * 5**3 * 11 * p4**2 * c10**4 * c12
+        - 3**2 * p4 * p6**4 * c10**2 * c12
+        + 2**11 * 3**5 * 5**2 * p6**3 * c10**3 * c12
+        - 2 * p4**6 * p6 * c10**3
+        - 2**12 * 3**4 * p4**5 * c10**4
+        + 2**2 * p4**3 * p6**3 * c10**3
+        + 2**12 * 3**4 * 5**2 * p4**2 * p6**2 * c10**4
+        + 2**21 * 3**7 * 5**4 * p4 * p6 * c10**5
+        - 2 * p6**5 * c10**3
+        + 2**32 * 3**9 * 5**5 * c10**6
+    )
+
+
+def qvanish_expanded(a, b, c, d, e):
+    """The quintic-discriminant bracket term by term: its 24 monomials in
+    (a, b, c, d, e), with no shared subexpression."""
+    return (
+        16 * a**7 * c**2 * d - 16 * a**6 * b * c**3 + 16 * a**5 * c**4 * e
+        + 16 * a**6 * d**3 + 216 * a**4 * b**2 * c**2 * d
+        + 888 * a**4 * c**2 * d**2 * e - 216 * a**3 * b**3 * c**3
+        - 3420 * a**3 * b * c**3 * d * e + 2700 * a**2 * b**2 * c**4 * e
+        + 4125 * a**2 * c**4 * d * e**2 - 5625 * a * b * c**5 * e**2
+        + 3125 * c**6 * e**3 + 216 * a**3 * b**2 * d**3
+        + 864 * a**3 * d**4 * e - 2592 * a**2 * b * c * d**3 * e
+        + 729 * a * b**4 * c**2 * d - 5670 * a * b**2 * c**2 * d**2 * e
+        + 16200 * a * c**2 * d**3 * e**2 - 729 * b**5 * c**3
+        + 6075 * b**3 * c**3 * d * e - 13500 * b * c**3 * d**2 * e**2
+        + 729 * b**4 * d**3 - 5832 * b**2 * d**4 * e + 11664 * d**5 * e**2
+    )

@@ -160,7 +160,9 @@ def test_criterion_5_degenerations():
     chiless = SiegelForms(F(3), F(5), F(0), F(7))
     assert classify_fibers(alternate_model_ftheory(chiless)).has_type("I12*")
     for lams in TRIPLES_10[:5]:
-        ok, lhs, rhs = type_iii_siegel_identity(igusa_from_rosenhain(*lams))
+        inv = igusa_from_rosenhain(*lams)
+        ok, lhs, rhs = type_iii_siegel_identity(FibrationParams.from_igusa(inv),
+                                                siegel_from_igusa(inv))
         assert ok and lhs == rhs
     _report(5, "degeneration corollaries and type-III dictionary", t0, 10)
 

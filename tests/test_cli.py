@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 import subprocess
@@ -128,6 +129,49 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     doc = json.loads(target.read_text())
     assert doc["result"]["invariants"]["I2"] == "550"
+
+
+# a file in a missing directory, and a directory in place of a file
+@pytest.mark.parametrize("name", ("missing/x.json", "."), ids=("missing-dir", "is-a-dir"))
+@pytest.mark.parametrize("form", ("argv", "run"))
+def test_unwritable_out_is_a_schema_error(name, form, tmp_path, monkeypatch,
+                                          capsys):
+    out = tmp_path / name
+    if form == "argv":
+        argv = ["igusa", "--rosenhain=2,3,5", f"--out={out}"]
+    else:
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(
+            {"command": "igusa", "input": {"rosenhain": [2, 3, 5]}})))
+        argv = ["run", "-", f"--out={out}"]
+    code, doc = invoke(capsys, *argv)
+    assert code == 1
+    assert doc["status"] == "schema-error"
+    assert "--out" in doc["error"]
+
+
+MALFORMED_DOCUMENTS = {
+    "command-list": {"command": ["igusa"]},
+    "input-string": {"command": "igusa", "input": "abc"},
+    "input-null": {"command": "igusa", "input": None},
+    "options-list": {"command": "igusa", "input": {"rosenhain": [2, 3, 5]},
+                     "options": [1]},
+}
+
+
+@pytest.mark.parametrize("source", ("stdin", "file"))
+@pytest.mark.parametrize("name", sorted(MALFORMED_DOCUMENTS))
+def test_malformed_job_document_is_a_schema_error(name, source, tmp_path,
+                                                  monkeypatch, capsys):
+    text = json.dumps(MALFORMED_DOCUMENTS[name])
+    if source == "stdin":
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        path = "-"
+    else:
+        path = tmp_path / "job.json"
+        path.write_text(text)
+    code, doc = invoke(capsys, "run", str(path))
+    assert code == 1
+    assert doc["status"] == "schema-error"
 
 
 def test_run_job_document(tmp_path, capsys):

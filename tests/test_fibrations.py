@@ -13,13 +13,15 @@ from g2satake.fibrations import (INFINITY, FibrationParams, QuarticModel,
                                  kumfib2_model, kummer_quartic_model,
                                  nikulin_involution, qvanish_bracket,
                                  qvanish_identity, radicand, standard_model,
-                                 type_iii_siegel_identity, _factored_squarefree,
-                                 _integral_model, _integral_short_form)
+                                 type_iii_siegel_identity, _at_rho,
+                                 _factored_squarefree, _integral_model,
+                                 _integral_short_form)
 from g2satake.igusa import (IgusaInvariants, SiegelForms, igusa_from_rosenhain,
                             igusa_from_sextic, rosenhain_poly, siegel_from_igusa)
 from g2satake.qpoly import Poly, integer_squarefree, primitive_part
 from g2satake.satake import power_sums_from_igusa, satake_sextic
-from conftest import random_lambdas
+from conftest import random_lambdas, seeded_integer_points
+from oracle_invariants import qvanish_expanded
 
 EVEN_SEXTIC = Poly.from_roots([F(1), F(-1), F(2), F(-2), F(3), F(-3)])
 
@@ -71,6 +73,17 @@ def test_classification_rejects_inexact_coefficients():
         m = WeierstrassModel(A=Poly(), B=Poly([0, c]), C=Poly([0, c]))
         with pytest.raises(DomainError):
             classify_fibers(m)
+
+
+@pytest.mark.parametrize("lams", [(2.0, 3.0, 5.0), (2 + 1j, 3, 5)], ids=str)
+def test_inexact_kummer_quartic_has_invariants_but_no_census(lams):
+    exact = kummer_quartic_model(2, 3, 5).quartic_invariants()
+    i, j = kummer_quartic_model(*lams).quartic_invariants()
+    if isinstance(lams[0], float):
+        assert (i, j) == exact
+    assert i.degree() == exact[0].degree() and j.degree() == exact[1].degree()
+    with pytest.raises(DomainError):
+        classify_fibers(kummer_quartic_model(*lams).jacobian_model())
 
 
 def test_kumfib2_census(rng):
@@ -338,7 +351,8 @@ def test_integer_bracket_matches_its_fraction_value(rng, digits):
 def test_type_iii_siegel_identity(rng):
     for _ in range(4):
         inv = igusa_from_rosenhain(*random_lambdas(rng, 10))
-        ok, lhs, rhs = type_iii_siegel_identity(inv)
+        ok, lhs, rhs = type_iii_siegel_identity(FibrationParams.from_igusa(inv),
+                                                siegel_from_igusa(inv))
         assert ok, (lhs, rhs)
 
 
@@ -413,6 +427,57 @@ def assert_factored_matches_generic(model):
 def two_torsion_models(inv):
     return (alternate_model(FibrationParams.from_igusa(inv)), kumfib2_model(inv),
             alternate_model_ftheory(siegel_from_igusa(inv)))
+
+
+def test_nested_bracket_matches_the_expanded_form(rng):
+    from g2satake.fibrations import _qvanish_form
+
+    points = seeded_integer_points(rng, 5)
+    # c is -1 in every FibrationParams
+    points += [[a, b, -1, d, e] for a, b, _, d, e in points]
+    for pt in points:
+        assert _qvanish_form(*pt) == qvanish_expanded(*pt)
+
+
+KUMMER1_SPECIAL = [
+    (2, 3, 6),            # l1 l2 = l3: I4 at 6
+    (-1, 2, -2),          # l1 l2 = l3 and l1 l3 = l2: I4 at 2 and -2
+    (2, F(1, 2), 5),      # l1 l2 = 1: I2 at 1
+    (4, F(1, 2), 2),      # l1 l2 = l3 and l2 l3 = 1
+]
+
+
+def assert_kummer1_factors_match_generic(lams):
+    model = kummer_quartic_model(*lams).jacobian_model()
+    (A, B, C), rho = _integral_model(model)
+    known = [(_at_rho(f, rho), k) for f, k in model.disc_factors]
+    assert all(f.degree() == 1 for f, _ in known)
+    _, _, factors = _integral_short_form(A, B, C, known)
+    assert factors == known
+    parts, degree = _generic_squarefree(A, B, C)
+    assert _factored_squarefree(known) == parts
+    assert sum(k * f.degree() for f, k in known) == degree
+
+
+@pytest.mark.parametrize("digits", [2, 10, 30, 60])
+def test_kummer1_linear_factors_match_the_expanded_discriminant(rng, digits):
+    for _ in range(3 if digits < 60 else 1):
+        assert_kummer1_factors_match_generic(_height_lambdas(rng, digits))
+
+
+@pytest.mark.parametrize("lams", KUMMER1_SPECIAL, ids=str)
+def test_kummer1_linear_factors_on_coinciding_fibers(lams):
+    assert_kummer1_factors_match_generic(lams)
+
+
+def test_kummer1_wrong_discriminant_factors_are_an_identity_violation():
+    model = kummer_quartic_model(2, 3, 5).jacobian_model()
+    t = Poly([0, 1])
+    for wrong in (model.disc_factors[:-1],                      # one I2 missing
+                  ((t, 5),) + model.disc_factors[1:],           # t^5, not t^6
+                  model.disc_factors[:-1] + ((t - 31, 2),)):    # a moved fiber
+        with pytest.raises(IdentityViolationError):
+            classify_fibers(model._replace(disc_factors=wrong))
 
 
 @pytest.mark.parametrize("digits", [2, 10, 30, 60])

@@ -9,8 +9,9 @@ from g2satake.igusa import (IgusaInvariants, SiegelForms, absolute_invariants,
                             igusa_from_sextic, igusa_from_siegel, q_form,
                             rosenhain_poly, siegel_from_igusa)
 from g2satake.qpoly import Poly, discriminant
-from conftest import random_lambdas
-from oracle_invariants import invariants_from_root_pairs, rosenhain_root_pairs
+from conftest import random_lambdas, seeded_integer_points
+from oracle_invariants import (invariants_from_root_pairs, q_expanded,
+                               rosenhain_root_pairs)
 
 EVEN_SEXTIC = Poly.from_roots([F(1), F(-1), F(2), F(-2), F(3), F(-3)])
 
@@ -170,36 +171,6 @@ def test_igusa_from_absolute_representative():
     assert absolute_invariants(rep).astuple() == j.astuple()
 
 
-def _q_reference(p4, p6, c10, c12):
-    """Q term by term over Fractions, as transcribed from the paper."""
-    return (
-        2**24 * 3**15 * c12**5
-        - 2**13 * 3**9 * p4**3 * c12**4
-        - 2**13 * 3**9 * p6**2 * c12**4
-        + 3**3 * p4**6 * c12**3
-        - 2 * 3**3 * p4**3 * p6**2 * c12**3
-        - 2**14 * 3**8 * p4**2 * p6 * c10 * c12**3
-        - 2**23 * 3**12 * 5**2 * p4 * c10**2 * c12**3
-        + 3**3 * p6**4 * c12**3
-        + 2**11 * 3**6 * 37 * p4**4 * c10**2 * c12**2
-        + 2**11 * 3**6 * 5 * 7 * p4 * p6**2 * c10**2 * c12**2
-        - 2**23 * 3**9 * 5**3 * p6 * c10**3 * c12**2
-        - 3**2 * p4**7 * c10**2 * c12
-        + 2 * 3**2 * p4**4 * p6**2 * c10**2 * c12
-        + 2**11 * 3**5 * 5 * 19 * p4**3 * p6 * c10**3 * c12
-        + 2**20 * 3**8 * 5**3 * 11 * p4**2 * c10**4 * c12
-        - 3**2 * p4 * p6**4 * c10**2 * c12
-        + 2**11 * 3**5 * 5**2 * p6**3 * c10**3 * c12
-        - 2 * p4**6 * p6 * c10**3
-        - 2**12 * 3**4 * p4**5 * c10**4
-        + 2**2 * p4**3 * p6**3 * c10**3
-        + 2**12 * 3**4 * 5**2 * p4**2 * p6**2 * c10**4
-        + 2**21 * 3**7 * 5**4 * p4 * p6 * c10**5
-        - 2 * p6**5 * c10**3
-        + 2**32 * 3**9 * 5**5 * c10**6
-    )
-
-
 def _lambdas_of_height(rng, digits):
     lo, hi = 10 ** (digits - 1), 10**digits - 1
     return [F(rng.choice((-1, 1)) * rng.randint(lo, hi), rng.randint(lo, hi))
@@ -210,12 +181,19 @@ def _lambdas_of_height(rng, digits):
 def test_integer_q_form_matches_fraction_formula(rng, digits):
     for _ in range(3):
         s = siegel_from_igusa(igusa_from_rosenhain(*_lambdas_of_height(rng, digits)))
-        assert q_form(s) == _q_reference(*map(F, s.astuple()))
+        assert q_form(s) == q_expanded(*map(F, s.astuple()))
     # an arbitrary rational point, and the generic (non-exact) path
     s = SiegelForms(F(7, 12), F(-5, 18), F(11, 1000), F(3, 8))
-    assert q_form(s) == _q_reference(*s.astuple())
+    assert q_form(s) == q_expanded(*s.astuple())
     z = SiegelForms(0.5 + 1j, -0.25j, 0.125, 2.0)
-    assert abs(q_form(z) - _q_reference(*z.astuple())) <= 1e-9 * abs(q_form(z))
+    assert abs(q_form(z) - q_expanded(*z.astuple())) <= 1e-9 * abs(q_form(z))
+
+
+def test_nested_q_poly_matches_the_expanded_form(rng):
+    from g2satake.igusa import _q_poly
+
+    for pt in seeded_integer_points(rng, 4):
+        assert _q_poly(*pt) == q_expanded(*pt)
 
 
 def test_integral_representative_is_small_for_rosenhain_input(rng):

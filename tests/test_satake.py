@@ -105,6 +105,57 @@ def test_corrupted_s4_trips_dual_construction():
         satake_sextic(PowerSums(s2=F(1), s3=F(0), s5=F(0), s6=F(0)), s4=F(99))
 
 
+@pytest.mark.parametrize("s1", [1, F(1, 7), F(-3, 10**30)])
+def test_corrupted_s1_trips_dual_construction(s1):
+    class BadPowerSums(PowerSums):
+        @property
+        def s1(self):
+            return s1
+
+    ps = BadPowerSums(s2=F(4, 3), s3=F(5), s5=F(-2, 9), s6=F(7))
+    assert _fraction_sextic(ps, ps.s4) is None
+    with pytest.raises(IdentityViolationError):
+        satake_sextic(ps)
+
+
+def _fraction_sextic(ps, s4):
+    """The sextic over Q, as the integer route must reproduce it: the Bell
+    expansion next to the closed form, both in Fractions; None when the
+    two disagree."""
+    s2, s3, s5, s6 = map(F, (ps.s2, ps.s3, ps.s5, ps.s6))
+    z = [F(ps.s1), -s2, 2 * s3, -6 * F(s4), 24 * s5, -120 * s6]
+    bell = [F(1)]
+    fact = 1
+    for i in range(1, 7):
+        fact *= i
+        bell.append(F((-1) ** i, fact) * complete_bell(i, z))
+    cube = Poly([-s3 / 6, -s2 / 4, 0, 1])
+    closed = cube * cube + Poly([s2**3 / 96 + s3**2 / 36 - s6 / 6,
+                                 s2 * s3 / 12 - s5 / 5])
+    return closed if Poly(list(reversed(bell))) == closed else None
+
+
+@pytest.mark.parametrize("digits", [1, 2, 10, 30, 60])
+def test_integer_sextic_matches_the_fraction_route(rng, digits):
+    def value():
+        lo, hi = 10 ** (digits - 1), 10**digits - 1
+        return F(rng.choice((-1, 1)) * rng.randint(lo, hi), rng.randint(lo, hi))
+
+    for _ in range(4):
+        ps = PowerSums(value(), value(), value(), value())
+        f = satake_sextic(ps)
+        assert f == _fraction_sextic(ps, ps.s4)
+        assert satake_sextic(ps, ps.s2**2 / 4) == f
+        for s4 in (value(), ps.s4 + F(1, 10**digits), 0):
+            assert _fraction_sextic(ps, s4) is None
+            with pytest.raises(IdentityViolationError):
+                satake_sextic(ps, s4)
+    ps = PowerSums(0, 0, 0, 0)
+    assert satake_sextic(ps) == _fraction_sextic(ps, 0) == Poly([0] * 6 + [1])
+    with pytest.raises(DomainError):
+        satake_sextic(PowerSums(1j, 0, 0, 0))
+
+
 def test_discriminant_identity_random(rng):
     for _ in range(6):
         inv = igusa_from_rosenhain(*random_lambdas(rng, 30))
