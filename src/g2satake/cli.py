@@ -20,7 +20,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .errors import DomainError, G2SatakeError, IdentityViolationError, RootFindingError
+from .errors import DomainError, G2SatakeError, IdentityViolationError
 from .fibrations import (FibrationParams, alternate_model, alternate_model_ftheory,
                          checked_degeneration_predicates, classify_fibers,
                          kumfib2_model, kummer_quartic_model, standard_model,
@@ -82,30 +82,22 @@ def _encode(v):
 
 def _parse_fraction(s):
     try:
-        return Fraction(str(s))
+        return Fraction(s)
     except (ValueError, ZeroDivisionError) as e:
         raise SchemaError(f"not a rational: {s!r} ({e})")
 
 
-def _parse_fraction_list(s, n=None, what="list"):
-    parts = s.split(",") if isinstance(s, str) else list(s)
-    vals = [_parse_fraction(p) for p in parts]
-    if n is not None and len(vals) != n:
-        raise SchemaError(f"{what} needs {n} comma-separated rationals, got {len(vals)}")
-    return vals
-
-
-def _parse_float_list(s, n, what):
-    parts = s.split(",") if isinstance(s, str) else list(s)
+def _parse_tau(s, what):
     try:
-        vals = [float(p) for p in parts]
+        v = [float(p) for p in s.split(",")]
     except ValueError as e:
         raise SchemaError(f"{what}: {e}")
-    if len(vals) != n:
-        raise SchemaError(f"{what} needs {n} comma-separated numbers, got {len(vals)}")
-    if not all(map(math.isfinite, vals)):
-        raise SchemaError(f"{what} needs finite numbers, got {vals}")
-    return vals
+    if len(v) != 6:
+        raise SchemaError(f"{what} needs 6 comma-separated numbers, got {len(v)}")
+    if not all(map(math.isfinite, v)):
+        raise SchemaError(f"{what} needs finite numbers, got {v}")
+    return PeriodMatrix(complex(v[0], v[1]), complex(v[2], v[3]),
+                        complex(v[4], v[5]))
 
 
 def _positive_tolerance(s):
@@ -131,52 +123,31 @@ def _theta_radius(s):
     return v
 
 
-# ---------------------------------------------------------------------------
-# input resolution: every command accepts one curve/form description
-# ---------------------------------------------------------------------------
-
-
-def _curve_flag(args):
-    """The one curve flag given; a schema error unless exactly one is."""
-    given = [k for k in ("rosenhain", "igusa", "siegel", "sextic")
-             if getattr(args, k)]
-    if len(given) != 1:
-        raise SchemaError(
-            "exactly one of --rosenhain/--igusa/--siegel/--sextic is required")
-    return given[0]
-
-
-def _invariants_from_args(args):
-    key = _curve_flag(args)
+def _invariants(key, val):
+    """Igusa invariants of a parsed curve input."""
     if key == "rosenhain":
-        lams = _parse_fraction_list(args.rosenhain, 3, "--rosenhain")
-        return igusa_from_rosenhain(*lams)
-    if key == "igusa":
-        vals = _parse_fraction_list(args.igusa, 4, "--igusa")
-        return IgusaInvariants(*vals)
+        return igusa_from_rosenhain(*val)
     if key == "siegel":
-        vals = _parse_fraction_list(args.siegel, 4, "--siegel")
-        return igusa_from_siegel(SiegelForms(*vals))
-    coeffs = _parse_fraction_list(args.sextic, None, "--sextic")
-    return igusa_from_sextic(Poly(coeffs))
+        return igusa_from_siegel(val)
+    if key == "sextic":
+        return igusa_from_sextic(val)
+    return val
 
 
-def _siegel_from_args(args):
-    if _curve_flag(args) == "siegel":
-        return SiegelForms(*_parse_fraction_list(args.siegel, 4, "--siegel"))
-    return siegel_from_igusa(_invariants_from_args(args))
+def _siegel(key, val):
+    return val if key == "siegel" else siegel_from_igusa(_invariants(key, val))
 
 
 # ---------------------------------------------------------------------------
-# command handlers
+# command handlers: (input key, parsed input value, **options)
 # ---------------------------------------------------------------------------
 
 
-def cmd_igusa(args):
-    inv = _invariants_from_args(args)
+def cmd_igusa(key, val):
+    inv = _invariants(key, val)
     out = {
         "invariants": {"I2": inv.I2, "I4": inv.I4, "I6": inv.I6, "I10": inv.I10},
-        "degenerate": inv.degenerate,
+        "degenerate": inv.degenerate, "absolute": None, "siegel": None,
     }
     if not inv.degenerate:
         ab = absolute_invariants(inv)
@@ -184,22 +155,18 @@ def cmd_igusa(args):
         s = siegel_from_igusa(inv)
         out["siegel"] = {"psi4": s.psi4, "psi6": s.psi6,
                          "chi10": s.chi10, "chi12": s.chi12}
-    else:
-        out["absolute"] = None
-        out["siegel"] = None
     return out
 
 
-def cmd_satake_sextic(args):
+def cmd_satake_sextic(key, val):
     s = s4 = None
-    if args.power_sums:
-        vals = _parse_fraction_list(args.power_sums, 6, "--power-sums")
-        if vals[0] != 0:
+    if key == "power_sums":
+        if val[0] != 0:
             raise IdentityViolationError("s1 must vanish for Satake power sums")
-        ps = PowerSums(s2=vals[1], s3=vals[2], s5=vals[4], s6=vals[5])
-        s4 = vals[3]   # checked against s2^2/4 by the dual construction
+        ps = PowerSums(s2=val[1], s3=val[2], s5=val[4], s6=val[5])
+        s4 = val[3]   # checked against s2^2/4 by the dual construction
     else:
-        s = _siegel_from_args(args)
+        s = _siegel(key, val)
         ps = power_sums_from_siegel(s)
     f = satake_sextic(ps, s4)
     disc = discriminant(f)
@@ -219,11 +186,8 @@ def cmd_satake_sextic(args):
     return out
 
 
-def cmd_phi(args):
-    if args.absolute:
-        j = AbsoluteInvariants(*_parse_fraction_list(args.absolute, 3, "--absolute"))
-    else:
-        j = absolute_invariants(_invariants_from_args(args))
+def cmd_phi(key, val):
+    j = val if key == "absolute" else absolute_invariants(_invariants(key, val))
     res = phi_map(j)
     return {
         "j_source": {"j1": j.j1, "j2": j.j2, "j3": j.j3},
@@ -244,49 +208,43 @@ _NO_K3 = ("I10 = 0: the sextic is singular; there is no genus-two curve "
           "and no K3 fibration")
 
 
-def cmd_fibration(args):
-    if args.model not in _MODELS:
+def cmd_fibration(key, val, model):
+    if model not in _MODELS:
         raise SchemaError(f"--model must be one of {_MODELS}")
-    if args.model == "kummer1":
-        if not args.rosenhain:
+    if model == "kummer1":
+        if key != "rosenhain":
             raise SchemaError("--model kummer1 needs --rosenhain")
-        _curve_flag(args)   # no second curve flag either
-        lams = _parse_fraction_list(args.rosenhain, 3, "--rosenhain")
         # the branch points 0, 1, l1, l2, l3 (and infinity) are distinct
         # exactly when I10 != 0
-        if len({0, 1, *lams}) < 5:
+        if len({0, 1, *val}) < 5:
             raise DomainError(_NO_K3)
-        model = kummer_quartic_model(*lams).jacobian_model()
-    elif args.model == "alternate-ftheory" and args.siegel:
+        weierstrass = kummer_quartic_model(*val).jacobian_model()
+    elif model == "alternate-ftheory" and key == "siegel":
         # defined on chi10 = 0 too, where I2 and I10* merge into I12*
-        model = alternate_model_ftheory(_siegel_from_args(args))
+        weierstrass = alternate_model_ftheory(val)
     else:
-        inv = _invariants_from_args(args)
+        inv = _invariants(key, val)
         if inv.degenerate:
             raise DomainError(_NO_K3)
-        if args.model == "alternate-ftheory":
-            model = alternate_model_ftheory(siegel_from_igusa(inv))
-        elif args.model == "kummer23":
-            model = kumfib2_model(inv)
-        elif args.model == "alternate":
-            model = alternate_model(FibrationParams.from_igusa(inv))
+        if model == "alternate-ftheory":
+            weierstrass = alternate_model_ftheory(siegel_from_igusa(inv))
+        elif model == "kummer23":
+            weierstrass = kumfib2_model(inv)
+        elif model == "alternate":
+            weierstrass = alternate_model(FibrationParams.from_igusa(inv))
         else:
-            model = standard_model(FibrationParams.from_igusa(inv))
-    census = classify_fibers(model)
+            weierstrass = standard_model(FibrationParams.from_igusa(inv))
+    census = classify_fibers(weierstrass)
     fibers = [{"type": f.fiber_type, "location": f.location,
                "orders": [None if o is None else PlainInt(o) for o in f.orders],
                "count": PlainInt(f.count), "euler": PlainInt(f.euler)}
               for f in census.fibers]
     fibers.sort(key=lambda d: (d["type"], json.dumps(_encode(d["location"]))))
-    return {"model": args.model, "fibers": fibers,
+    return {"model": model, "fibers": fibers,
             "euler_sum": PlainInt(census.euler_sum)}
 
 
-def cmd_roundtrip(args):
-    if not args.rosenhain:
-        raise SchemaError("roundtrip needs --rosenhain")
-    lams = _parse_fraction_list(args.rosenhain, 3, "--rosenhain")
-    tol = args.tol
+def cmd_roundtrip(_key, lams, tol):
     inv = igusa_from_rosenhain(*lams)
     f = satake_sextic(power_sums_from_igusa(inv))
     roots = gaussian_roots(f)
@@ -296,26 +254,20 @@ def cmd_roundtrip(args):
     max_rel = max(
         abs(complex(a) - complex(b)) / (1.0 + abs(complex(b)))
         for a, b in zip(j_rec.astuple(), j_src.astuple()))
-    out = {
-        "status": "ok" if max_rel <= tol else "fail",
+    if not max_rel <= tol:   # a NaN error fails too
+        raise IdentityViolationError(
+            f"round trip error {max_rel:.3e} exceeds tolerance {tol:.1e}")
+    return {
+        "status": "ok",
         "max_rel_err": max_rel,
         "tol": tol,
         "ordering": [PlainInt(i) for i in ordering],
         "reconstructed_lambdas": [complex(l) for l in rec_lams],
     }
-    if out["status"] == "fail":
-        raise IdentityViolationError(
-            f"round trip error {max_rel:.3e} exceeds tolerance {tol:.1e}")
-    return out
 
 
-def cmd_theta(args):
-    if not args.tau:
-        raise SchemaError("theta needs --tau re1,im1,rez,imz,re2,im2")
-    v = _parse_float_list(args.tau, 6, "--tau")
-    tau = PeriodMatrix(complex(v[0], v[1]), complex(v[2], v[3]),
-                       complex(v[4], v[5]))
-    tc = even_theta_constants(tau, args.theta_radius)
+def cmd_theta(_key, tau, theta_radius):
+    tc = even_theta_constants(tau, theta_radius)
     rep = check_frobenius(tc)
     coords = satake_from_theta(tc)
     out = {
@@ -341,8 +293,8 @@ def cmd_theta(args):
     return out
 
 
-def cmd_predicates(args):
-    s = _siegel_from_args(args)
+def cmd_predicates(key, val):
+    s = _siegel(key, val)
     forms = derived_forms(s)
     out = {"humbert": humbert_predicates(s, forms.q),
            "chi35_squared": forms.chi35_squared, "Q": forms.q}
@@ -360,20 +312,57 @@ def cmd_predicates(args):
     return out
 
 
-_HANDLERS = {
-    "igusa": cmd_igusa,
-    "satake-sextic": cmd_satake_sextic,
-    "phi": cmd_phi,
-    "fibration": cmd_fibration,
-    "roundtrip": cmd_roundtrip,
-    "theta": cmd_theta,
-    "predicates": cmd_predicates,
+# ---------------------------------------------------------------------------
+# the command table, and the parser, input check and dispatch built from it
+# ---------------------------------------------------------------------------
+
+
+def _rationals(n, build):
+    """Parser of n comma-separated rationals (any number if n is None)."""
+    def parse(s, what):
+        vals = [_parse_fraction(p) for p in s.split(",")]
+        if n is not None and len(vals) != n:
+            raise SchemaError(f"{what} needs {n} comma-separated rationals, got {len(vals)}")
+        return build(vals)
+    return parse
+
+
+# input flag -> (help, parser of the value a handler receives); a flag is
+# spelt "--" + key, with "-" for "_"
+_INPUTS = {
+    "rosenhain": ("lambda1,lambda2,lambda3 (rationals p/q)", _rationals(3, list)),
+    "igusa": ("I2,I4,I6,I10", _rationals(4, IgusaInvariants._make)),
+    "siegel": ("psi4,psi6,chi10,chi12", _rationals(4, SiegelForms._make)),
+    "sextic": ("c0,c1,...,c6 lowest degree first", _rationals(None, Poly)),
+    "power_sums": ("s1,s2,s3,s4,s5,s6", _rationals(6, list)),
+    "absolute": ("j1,j2,j3", _rationals(3, AbsoluteInvariants._make)),
+    "tau": ("re1,im1,rez,imz,re2,im2", _parse_tau),
+}
+_CURVE = ("rosenhain", "igusa", "siegel", "sextic")
+
+# option flag -> argparse keywords
+_OPTIONS = {
+    "model": {"required": True, "help": "|".join(_MODELS)},
+    "tol": {"type": _positive_tolerance, "default": 1e-8},
+    "theta_radius": {"type": _theta_radius,
+                     "help": "lattice box radius (default: chosen from Im tau)"},
+}
+
+# command -> (handler, input flags, option flags): the one place that names
+# them; exactly one input flag is given
+COMMANDS = {
+    "igusa": (cmd_igusa, _CURVE, ()),
+    "satake-sextic": (cmd_satake_sextic, _CURVE + ("power_sums",), ()),
+    "phi": (cmd_phi, _CURVE + ("absolute",), ()),
+    "fibration": (cmd_fibration, _CURVE, ("model",)),
+    "roundtrip": (cmd_roundtrip, ("rosenhain",), ("tol",)),
+    "theta": (cmd_theta, ("tau",), ("theta_radius",)),
+    "predicates": (cmd_predicates, _CURVE, ()),
 }
 
 
-# ---------------------------------------------------------------------------
-# argument plumbing
-# ---------------------------------------------------------------------------
+def _flag(key):
+    return "--" + key.replace("_", "-")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -391,61 +380,88 @@ def _add_output(p):
 def build_parser():
     """The argument parser, built once: it costs far more than a parse, and
     each parse returns a fresh namespace.  Each command takes only the
-    flags its handler reads, spelt out in full; any other flag, or a
+    flags ``COMMANDS`` names, spelt out in full; any other flag, or a
     prefix of one, is a schema error."""
     top = _Parser(prog="g2satake", description=__doc__, allow_abbrev=False)
     sub = top.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
+    for name, (_, inputs, options) in COMMANDS.items():
         p = sub.add_parser(name, allow_abbrev=False)
         _add_output(p)
-        if name != "theta":
-            p.add_argument("--rosenhain",
-                           help="lambda1,lambda2,lambda3 (rationals p/q)")
-        if name not in ("theta", "roundtrip"):
-            p.add_argument("--igusa", help="I2,I4,I6,I10")
-            p.add_argument("--siegel", help="psi4,psi6,chi10,chi12")
-            p.add_argument("--sextic", help="c0,c1,...,c6 lowest degree first")
-        if name == "roundtrip":
-            p.add_argument("--tol", type=_positive_tolerance, default=1e-8)
-        if name == "satake-sextic":
-            p.add_argument("--power-sums", dest="power_sums",
-                           help="s1,s2,s3,s4,s5,s6 (overrides curve input)")
-        if name == "phi":
-            p.add_argument("--absolute", help="j1,j2,j3")
-        if name == "fibration":
-            p.add_argument("--model", required=True,
-                           help="|".join(_MODELS))
-        if name == "theta":
-            p.add_argument("--tau", help="re1,im1,rez,imz,re2,im2")
-            p.add_argument("--theta-radius", dest="theta_radius",
-                           type=_theta_radius,
-                           help="lattice box radius (default: chosen from Im tau)")
+        for key in inputs:
+            p.add_argument(_flag(key), help=_INPUTS[key][0])
+        for key in options:
+            p.add_argument(_flag(key), **_OPTIONS[key])
     runp = sub.add_parser("run", allow_abbrev=False)
     runp.add_argument("job", help="JSON job document path, or - for stdin")
     _add_output(runp)
     return top
 
 
-def _args_from_job(doc):
+def _dispatch(args):
+    """Check that exactly one input flag is given (an empty value counts),
+    parse it and call the handler with it and the command's options."""
+    handler, inputs, options = COMMANDS[args.command]
+    given = [k for k in inputs if getattr(args, k) is not None]
+    if len(given) == 1:
+        key = given[0]
+        value = _INPUTS[key][1](getattr(args, key), _flag(key))
+        return handler(key, value, **{k: getattr(args, k) for k in options})
+    if len(inputs) == 1:
+        raise SchemaError(f"{args.command} needs {_flag(inputs[0])} "
+                          f"{_INPUTS[inputs[0]][0]}")
+    # name every input once one beyond the curve flags (--power-sums) is given
+    names = inputs if set(given) - set(_CURVE) else _CURVE
+    raise SchemaError(f"exactly one of {'/'.join(map(_flag, names))} is required")
+
+
+def _args_from_job(run_args):
+    """The parsed arguments of the job document ``run_args.job`` names: its
+    ``input`` and ``options`` become flags of the same parser (``true`` a
+    bare flag, ``false`` none), after the run's own --out and --pretty, so
+    that the document's win."""
+    try:
+        if run_args.job == "-":
+            text = sys.stdin.read()
+        else:
+            with open(run_args.job, encoding="utf-8") as fh:
+                text = fh.read()
+    except OSError as e:
+        raise SchemaError(f"cannot read job document: {e}")
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise SchemaError(f"invalid JSON job: {e}")
     if not isinstance(doc, dict) or "command" not in doc:
         raise SchemaError("job document needs a 'command' field")
     command = doc["command"]
-    if not isinstance(command, str) or command not in _HANDLERS:
+    if not isinstance(command, str) or command not in COMMANDS:
         raise SchemaError(f"unknown command {command!r}; "
-                          f"valid: {sorted(_HANDLERS)}")
-    payload = {}
+                          f"valid: {sorted(COMMANDS)}")
+    unknown = sorted(set(doc) - {"command", "input", "options"})
+    if unknown:
+        raise SchemaError(f"unknown job document fields {unknown}; "
+                          "valid: ['command', 'input', 'options']")
+    argv, seen = [command], set()
+    if run_args.out is not None:
+        argv.append(f"--out={run_args.out}")
+    if run_args.pretty:
+        argv.append("--pretty")
     for field in ("input", "options"):
         part = doc.get(field, {})
         if not isinstance(part, dict):
             raise SchemaError(f"job document field {field!r} must be an object, "
                               f"got {part!r}")
-        payload.update(part)
-    argv = [command]
-    for key, val in payload.items():
-        flag = "--" + key.replace("_", "-")
-        if isinstance(val, (list, tuple)):
-            val = ",".join(str(x) for x in val)
-        argv.append(f"{flag}={val}")   # one token, so "-1/2,..." stays a value
+        for key, val in part.items():
+            flag = _flag(key)
+            if flag in seen:
+                raise SchemaError(f"job document gives {flag} more than once")
+            seen.add(flag)
+            if isinstance(val, bool):
+                argv += [flag] if val else []
+                continue
+            if isinstance(val, (list, tuple)):
+                val = ",".join(str(x) for x in val)
+            argv.append(f"{flag}={val}")   # one token, so "-1/2,..." stays a value
     return build_parser().parse_args(argv)
 
 
@@ -454,23 +470,8 @@ def run(argv=None):
     try:
         args = build_parser().parse_args(argv)
         if args.command == "run":
-            try:
-                if args.job == "-":
-                    text = sys.stdin.read()
-                else:
-                    with open(args.job, encoding="utf-8") as fh:
-                        text = fh.read()
-            except OSError as e:
-                raise SchemaError(f"cannot read job document: {e}")
-            try:
-                doc = json.loads(text)
-            except json.JSONDecodeError as e:
-                raise SchemaError(f"invalid JSON job: {e}")
-            out_path, pretty = args.out, args.pretty
-            args = _args_from_job(doc)
-            args.out = args.out or out_path
-            args.pretty = args.pretty or pretty
-        result = _HANDLERS[args.command](args)
+            args = _args_from_job(args)
+        result = _dispatch(args)
         try:
             payload = _encode(result)
         except ValueError:   # Python's limit on int-to-str conversion
@@ -485,17 +486,15 @@ def run(argv=None):
     except IdentityViolationError as e:
         envelope = {"status": "identity-violation", "error": str(e)}
         code = EXIT_IDENTITY
-    except (DomainError, RootFindingError, G2SatakeError) as e:
+    except G2SatakeError as e:
         envelope = {"status": "domain-error", "error": str(e),
                     "error_type": type(e).__name__}
         code = EXIT_DOMAIN
-    pretty = bool(args and args.pretty)
-    indent = 2 if pretty else None
+    indent = 2 if args and args.pretty else None
     text = json.dumps(envelope, sort_keys=True, indent=indent)
-    out_file = args and args.out
-    if code == EXIT_OK and out_file:
+    if code == EXIT_OK and args and args.out:
         try:
-            with open(out_file, "w") as fh:
+            with open(args.out, "w") as fh:
                 fh.write(text + "\n")
             return code
         except OSError as e:

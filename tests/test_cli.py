@@ -155,6 +155,15 @@ MALFORMED_DOCUMENTS = {
     "input-null": {"command": "igusa", "input": None},
     "options-list": {"command": "igusa", "input": {"rosenhain": [2, 3, 5]},
                      "options": [1]},
+    # a misspelt field is not ignored, and no flag is given twice
+    "unknown-field": {"command": "roundtrip", "input": {"rosenhain": [2, 3, 5]},
+                      "option": {"tol": 1e-30}},
+    "input-and-options": {"command": "roundtrip",
+                          "input": {"rosenhain": [2, 3, 5], "tol": 1e-3},
+                          "options": {"tol": 1e-30}},
+    "spellings-of-one-flag": {"command": "satake-sextic",
+                              "input": {"power_sums": [0, 4, 1, 4, 2, 3],
+                                        "power-sums": [0, 4, 1, 4, 2, 3]}},
 }
 
 
@@ -172,6 +181,17 @@ def test_malformed_job_document_is_a_schema_error(name, source, tmp_path,
     code, doc = invoke(capsys, "run", str(path))
     assert code == 1
     assert doc["status"] == "schema-error"
+
+
+@pytest.mark.parametrize("pretty", (True, False))
+def test_job_document_sets_a_boolean_flag(pretty, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(
+        {"command": "igusa", "input": {"rosenhain": [2, 3, 5]},
+         "options": {"pretty": pretty}})))
+    assert run(["run", "-"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["result"]["invariants"]["I2"] == "550"
+    assert out.startswith("{\n") == pretty
 
 
 def test_run_job_document(tmp_path, capsys):
@@ -254,7 +274,7 @@ def test_run_job_document_with_negative_rationals(tmp_path, capsys):
 def _argv(command, flags, form, tmp_path):
     """The argv of one command, given as flags or as a ``run`` document."""
     if form == "argv":
-        return [command] + [f"--{k}={v}" for k, v in flags.items()]
+        return [command] + [f"--{k.replace('_', '-')}={v}" for k, v in flags.items()]
     job = tmp_path / "job.json"
     job.write_text(json.dumps({"command": command, "input": flags}))
     return ["run", str(job)]
@@ -287,28 +307,92 @@ def test_non_finite_numeric_input_is_a_schema_error(command, flags, form,
     assert f"--{list(flags)[-1]}" in doc["error"]
 
 
-UNREAD_FLAGS = (
-    ("theta", {"tau": TAU, "rosenhain": "1,2,3"}),
-    ("roundtrip", {"rosenhain": "2,3,5", "igusa": "550,12,-7,2073600"}),
-    ("igusa", {"rosenhain": "2,3,5", "tol": "1e-3"}),
-    # a prefix of a flag the command reads is not that flag
-    ("igusa", {"ros": "2,3,5"}),
-    ("theta", {"tau": TAU, "theta": "3"}),
-    ("igusa", {"r": "2,3,5"}),
-)
+CURVE_FLAGS = {"rosenhain": "2,3,5", "igusa": "550,12,-7,2073600",
+               "siegel": "3,5,7,11", "sextic": "0,30,-61,41,-11,1"}
+CURVE_PAIRS = list(itertools.combinations(CURVE_FLAGS, 2))
+
+# a valid input of each command, and a value of every flag
+BASE_FLAGS = {"igusa": {"rosenhain": "2,3,5"}, "satake-sextic": {"rosenhain": "2,3,5"},
+              "phi": {"rosenhain": "2,3,5"}, "predicates": {"rosenhain": "2,3,5"},
+              "fibration": {"model": "standard", "rosenhain": "2,3,5"},
+              "roundtrip": {"rosenhain": "2,3,5"}, "theta": {"tau": TAU}}
+FLAG_VALUES = {**CURVE_FLAGS, "power_sums": "0,4,1,4,2,3", "absolute": "1/2,-3,7",
+               "tau": TAU, "model": "standard", "tol": "1e-3", "theta_radius": "3"}
+
+
+def _flags_of(command):
+    _, inputs, options = cli.COMMANDS[command]
+    return set(inputs) | set(options)
+
+
+# every flag of every other command, from the command table
+UNREAD_FLAGS = {
+    f"{command}-{flag.replace('_', '-')}":
+        (command, {**BASE_FLAGS[command], flag: FLAG_VALUES[flag]})
+    for command in cli.COMMANDS
+    for flag in sorted(set().union(*map(_flags_of, cli.COMMANDS)) - _flags_of(command))
+}
+# a prefix of a flag the command reads is not that flag
+UNREAD_FLAGS.update({
+    "igusa-prefix-ros": ("igusa", {"ros": "2,3,5"}),
+    "theta-prefix-theta": ("theta", {"tau": TAU, "theta": "3"}),
+    "igusa-prefix-r": ("igusa", {"r": "2,3,5"}),
+})
 
 
 @pytest.mark.parametrize("form", ("argv", "run"))
-@pytest.mark.parametrize("command,flags", UNREAD_FLAGS,
-                         ids=["theta-rosenhain", "roundtrip-igusa", "igusa-tol",
-                              "igusa-prefix-ros", "theta-prefix-theta",
-                              "igusa-prefix-r"])
+@pytest.mark.parametrize("command,flags", UNREAD_FLAGS.values(), ids=UNREAD_FLAGS)
 def test_flag_the_command_does_not_read_is_a_schema_error(command, flags, form,
                                                           tmp_path, capsys):
     code, doc = invoke(capsys, *_argv(command, flags, form, tmp_path))
     assert code == 1
     assert doc["status"] == "schema-error"
     assert "unrecognized arguments" in doc["error"]
+
+
+# the flags each command takes, written out apart from the command table
+TAKES = {"igusa": {"rosenhain", "igusa", "siegel", "sextic"},
+         "predicates": {"rosenhain", "igusa", "siegel", "sextic"},
+         "satake-sextic": {"rosenhain", "igusa", "siegel", "sextic", "power-sums"},
+         "phi": {"rosenhain", "igusa", "siegel", "sextic", "absolute"},
+         "fibration": {"rosenhain", "igusa", "siegel", "sextic", "model"},
+         "roundtrip": {"rosenhain", "tol"},
+         "theta": {"tau", "theta-radius"},
+         "run": set()}
+
+
+def test_each_command_takes_the_flags_it_took():
+    sub = next(a for a in cli.build_parser()._actions if a.choices)
+    took = {name: {s[2:] for a in p._actions for s in a.option_strings
+                   if s.startswith("--")} - {"help", "out", "pretty"}
+            for name, p in sub.choices.items()}
+    assert took == TAKES
+
+
+# an empty value is a given flag, and a non-curve input is one input too;
+# the error names every input flag once a non-curve one is given
+CURVES = "--rosenhain/--igusa/--siegel/--sextic"
+TWO_INPUTS = {
+    "igusa-empty-rosenhain": ("igusa", {"rosenhain": "", "igusa": "550,12,-7,2073600"},
+                              CURVES),
+    "satake-sextic-empty-power-sums": ("satake-sextic",
+                                       {"power_sums": "", "rosenhain": "2,3,5"},
+                                       CURVES + "/--power-sums"),
+    "satake-sextic-power-sums": ("satake-sextic", {"power_sums": "0,4,1,4,2,3",
+                                                   "rosenhain": "2,3,5"},
+                                 CURVES + "/--power-sums"),
+    "phi-absolute": ("phi", {"absolute": "1/2,-3,7", "rosenhain": "2,3,5"},
+                     CURVES + "/--absolute"),
+}
+
+
+@pytest.mark.parametrize("form", ("argv", "run"))
+@pytest.mark.parametrize("command,flags,names", TWO_INPUTS.values(), ids=TWO_INPUTS)
+def test_two_inputs_are_a_schema_error(command, flags, names, form, tmp_path, capsys):
+    code, doc = invoke(capsys, *_argv(command, flags, form, tmp_path))
+    assert code == 1
+    assert doc == {"status": "schema-error",
+                   "error": f"exactly one of {names} is required"}
 
 
 # lambda = 0, lambda = 1 and a repeated lambda: I10 = 0, so no K3 fibration
@@ -333,11 +417,6 @@ def test_ftheory_model_on_i10_zero_curve_is_the_i10_domain_error(flags, form,
     assert code == 2
     assert doc["error_type"] == "DomainError"
     assert doc["error"].startswith("I10 = 0: the sextic is singular")
-
-
-CURVE_FLAGS = {"rosenhain": "2,3,5", "igusa": "550,12,-7,2073600",
-               "siegel": "3,5,7,11", "sextic": "0,30,-61,41,-11,1"}
-CURVE_PAIRS = list(itertools.combinations(CURVE_FLAGS, 2))
 
 
 @pytest.mark.parametrize("form", ("argv", "run"))
@@ -424,7 +503,7 @@ def test_no_command_imports_numpy(tmp_path):
         path.write_text(json.dumps(doc))
         jobs.append((["run", str(path)], 0))
     commands = {argv[0] for argv, _ in NUMPY_FREE_JOBS}
-    assert commands == set(cli._HANDLERS)
+    assert commands == set(cli.COMMANDS)
     assert {doc["command"] for doc in NUMPY_FREE_DOCUMENTS} == commands
     # a None entry makes every import of numpy raise; dataclasses would pull
     # in inspect, ast and dis: a quarter of a cold start
