@@ -36,6 +36,6 @@ from .theta import (EVEN_CHARACTERISTICS, ODD_CHARACTERISTICS, PeriodMatrix,
                     SatakeCoordinates, ThetaConstants, check_frobenius,
                     even_theta_constants, rosenhain_from_theta,
                     rosenhain_from_theta4, satake_from_theta, theta_constant,
-                    theta4_from_satake)
+                    theta4_from_satake, thomae_fourth_powers)
 
 __version__ = "0.1.0"

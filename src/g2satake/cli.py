@@ -17,6 +17,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -100,27 +101,18 @@ def _parse_tau(s, what):
                         complex(v[4], v[5]))
 
 
-def _positive_tolerance(s):
-    """argparse type of --tol: a finite number > 0."""
-    try:
-        v = float(s)
-    except ValueError:
-        v = math.nan
-    if not 0 < v < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {s!r}")
-    return v
-
-
-def _theta_radius(s):
-    """argparse type of --theta-radius: an integer from 1 to MAX_RADIUS."""
-    try:
-        v = int(s)
-    except ValueError:
-        v = 0
-    if not 1 <= v <= MAX_RADIUS:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer from 1 to {MAX_RADIUS}, got {s!r}")
-    return v
+def _checked(convert, accept, what):
+    """argparse type: ``convert(s)`` if ``accept`` takes it, else an error
+    saying that the value must be ``what``."""
+    def parse(s):
+        try:
+            v = convert(s)
+        except ValueError:
+            v = None
+        if v is None or not accept(v):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {s!r}")
+        return v
+    return parse
 
 
 def _invariants(key, val):
@@ -282,11 +274,9 @@ def cmd_theta(_key, tau, theta_radius):
         "igusa_quartic_residual": coords.quartic_residual(),
     }
     try:
-        lams = rosenhain_from_theta(tc)
-        out["rosenhain"] = [complex(l) for l in lams]
-        r2, worst = theta_power_sum_consistency(tc)
-        out["power_sum_rescaling"] = complex(r2)
-        out["power_sum_residual"] = worst
+        out["rosenhain"] = [complex(l) for l in rosenhain_from_theta(tc)]
+        out["power_sum_rescaling"], out["power_sum_residual"] = (
+            theta_power_sum_consistency(tc))
     except DomainError as e:
         out["rosenhain"] = None
         out["degenerate"] = str(e)
@@ -343,8 +333,10 @@ _CURVE = ("rosenhain", "igusa", "siegel", "sextic")
 # option flag -> argparse keywords
 _OPTIONS = {
     "model": {"required": True, "help": "|".join(_MODELS)},
-    "tol": {"type": _positive_tolerance, "default": 1e-8},
-    "theta_radius": {"type": _theta_radius,
+    "tol": {"type": _checked(float, lambda v: 0 < v < math.inf,
+                             "a finite number > 0"), "default": 1e-8},
+    "theta_radius": {"type": _checked(int, lambda v: 1 <= v <= MAX_RADIUS,
+                                      f"an integer from 1 to {MAX_RADIUS}"),
                      "help": "lattice box radius (default: chosen from Im tau)"},
 }
 
@@ -370,6 +362,17 @@ class _Parser(argparse.ArgumentParser):
         raise SchemaError(message)
 
 
+class _Once(argparse.Action):
+    """``store``, but a flag given twice is a schema error (a default, as
+    --tol has, is not given)."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if self.dest in vars(namespace).setdefault("given", set()):
+            raise SchemaError(f"command line gives {option_string} more than once")
+        namespace.given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
 def _add_output(p):
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.add_argument("--pretty", action="store_true",
@@ -388,9 +391,9 @@ def build_parser():
         p = sub.add_parser(name, allow_abbrev=False)
         _add_output(p)
         for key in inputs:
-            p.add_argument(_flag(key), help=_INPUTS[key][0])
+            p.add_argument(_flag(key), action=_Once, help=_INPUTS[key][0])
         for key in options:
-            p.add_argument(_flag(key), **_OPTIONS[key])
+            p.add_argument(_flag(key), action=_Once, **_OPTIONS[key])
     runp = sub.add_parser("run", allow_abbrev=False)
     runp.add_argument("job", help="JSON job document path, or - for stdin")
     _add_output(runp)
@@ -502,7 +505,11 @@ def run(argv=None):
             text = json.dumps({"status": "schema-error",
                                "error": f"cannot write --out: {e}"},
                               sort_keys=True, indent=indent)
-    print(text)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:   # the reader left: no traceback (Python signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -394,12 +394,12 @@ class QuarticModel(namedtuple("QuarticModel", "coeffs disc_factors",
     __slots__ = ()
 
     def quartic_invariants(self):
-        """Classical I and J of the X-quartic.  Coefficients in Q[t] are
-        taken to the integer multiple n q, and I and J divided by n^2 and
-        n^3 once; other coefficients go through the formula as they are."""
+        """Classical I and J of the X-quartic.  The coefficients, in Q[t],
+        are taken to the integer multiple n q, and I and J divided by n^2
+        and n^3 once.  Exact only: other coefficients raise DomainError."""
         if not all(isinstance(c, (int, Fraction))
                    for a in self.coeffs for c in a.coeffs):
-            return _quartic_ij(*self.coeffs)
+            raise DomainError("quartic invariants need int/Fraction coefficients")
         n = lcm(*(c.denominator for a in self.coeffs for c in a.coeffs))
         i, j = _quartic_ij(*(Poly([c.numerator * (n // c.denominator)
                                    for c in a.coeffs]) for a in self.coeffs))
@@ -541,14 +541,14 @@ def qvanish_bracket(p):
     weights (4, 6, 2, 10), and c has weight 0: exact parameters are
     evaluated on the integer representative of (a, b, d, e), with c as
     it is, in the nested form of ``_qvanish_form`` (Horner in e), and
-    divided by r^30 once.
+    divided by r^30 once.  Exact only: other values raise DomainError.
     """
     a, b, c, d, e = p.astuple()
     rep = integral_representative((a, b, d, e), (4, 6, 2, 10))
-    if rep is None:
-        return _qvanish_form(a, b, c, d, e)
+    if rep is None or not isinstance(c, Fraction):   # ints are Fractions here
+        raise DomainError("the bracket needs exact (int/Fraction) parameters")
     r, (a, b, d, e) = rep
-    if isinstance(c, Fraction) and c.denominator == 1:
+    if c.denominator == 1:
         c = c.numerator
     return Fraction(_qvanish_form(a, b, c, d, e), r**30)
 

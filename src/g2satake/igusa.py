@@ -50,24 +50,15 @@ class IgusaInvariants(ExactTuple, namedtuple("IgusaInvariants", "I2 I4 I6 I10"))
                                  zip(self.astuple(), self.WEIGHTS)))
 
     def same_projective_point(self, other):
-        """Equality in weighted projective space with weights (2,4,6,10)."""
-        pairs = tuple(zip(self.astuple(), other.astuple(), self.WEIGHTS))
-        # find a weight where both are nonzero to normalize
-        for a, b, w in pairs:
-            if a != 0 and b != 0:
-                # compare a^(k/w) ... use cross powers to stay polynomial
-                break
-        else:
-            return all(a == 0 and b == 0 for a, b, _ in pairs)
-        ref_a, ref_b, ref_w = a, b, w
-        for a, b, w in pairs:
-            if (a == 0) != (b == 0):
-                return False
-            if a == 0:
-                continue
-            if a**ref_w * ref_b**w != b**ref_w * ref_a**w:
-                return False
-        return True
+        """Equality in weighted projective space with weights (2,4,6,10):
+        the same zero pattern, and a^w0 b0^w = b^w0 a0^w for every nonzero
+        pair (a, b) of weight w, with (a0, b0) the first of weight w0."""
+        pairs = [(a, b, w) for a, b, w in zip(self.astuple(), other.astuple(),
+                                              self.WEIGHTS) if a != 0 or b != 0]
+        if any(a == 0 or b == 0 for a, b, _ in pairs):
+            return False
+        a0, b0, w0 = pairs[0] if pairs else (1, 1, 1)
+        return all(a**w0 * b0**w == b**w0 * a0**w for a, b, w in pairs)
 
 
 class AbsoluteInvariants(ExactTuple, namedtuple("AbsoluteInvariants", "j1 j2 j3")):
@@ -98,8 +89,7 @@ def rosenhain_poly(l1, l2, l3):
 def _rosenhain_forms(z, l1, l2, l3):
     """(I2, I4, I6, I10) of Y^2 = X(X-1)(X-l1)(X-l2)(X-l3), homogenized by
     z: forms of degrees 4, 8, 12 and 18 in (z, l1, l2, l3) that are the
-    invariants at z = 1.  An int z = 1 multiplies each term by 1 exactly,
-    so floating-point lambdas see the same operations as without z."""
+    invariants at z = 1."""
     e1 = l1 + l2 + l3
     e2 = l1 * l2 + l1 * l3 + l2 * l3
     e3 = l1 * l2 * l3

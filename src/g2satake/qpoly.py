@@ -493,11 +493,11 @@ class ExactTuple:
     def evaluate(self, body, out_weights):
         """``body`` (weighted homogeneous, values of weights ``out_weights``)
         at this point: evaluated on the integer representative and divided
-        by r^w once per output, or directly on complex/GaussianRational."""
-        values = self.astuple()
-        rep = integral_representative(values, self.WEIGHTS)
+        by r^w once per output.  Exact only: a value that is not
+        int/Fraction raises DomainError."""
+        rep = integral_representative(self.astuple(), self.WEIGHTS)
         if rep is None:
-            return body(*values)
+            raise DomainError(f"{type(self).__name__} needs int/Fraction values")
         r, ints = rep
         return tuple(Fraction(v) / r**w for v, w in zip(body(*ints), out_weights))
 

@@ -20,11 +20,10 @@ from .errors import (DegeneratePointError, DomainError, IdentityViolationError,
                      InversionSingularError)
 from .igusa import (AbsoluteInvariants, IgusaInvariants, SiegelForms,
                     absolute_invariants, igusa_from_absolute,
-                    igusa_from_rosenhain, igusa_from_sextic, q_form,
-                    siegel_from_igusa)
+                    igusa_from_sextic, q_form, siegel_from_igusa)
 from .qpoly import ExactTuple, Poly, discriminant, integral_representative
 from .theta import (rosenhain_from_theta, rosenhain_from_theta4,
-                    satake_from_theta, theta4_from_satake)
+                    theta4_from_satake, thomae_fourth_powers)
 
 
 # ---------------------------------------------------------------------------
@@ -210,27 +209,19 @@ def reconstruct_from_satake_roots(roots):
 
 
 def theta_power_sum_consistency(tc):
-    """Match theta-side and curve-side power sums up to one weight rescaling.
+    """Fit the theta fourth powers to Thomae's formula for their curve.
 
-    The Satake coordinates built from theta constants and the power sums
-    of the Rosenhain curve they determine describe the same surface in
-    two normalizations of the sextic model, related by s_j -> r^(2j) s_j
-    for a single r^2.  That factor is solved from the s3/s2 ratios and
-    the remaining ratios are checked against its powers.
-
-    Returns (r_squared, max relative residual over j in {2, 3, 5, 6}).
+    With lambda = rosenhain_from_theta(tc), theta_i^4 = c P_i(lambda)
+    (``theta.thomae_fourth_powers``), and the Satake coordinates are linear
+    in the fourth powers, so s_j(theta) = c^j s_j(curve).  c is fitted
+    over all ten P_i at once, never divided by one.  Returns (c,
+    max_i |theta_i^4 - c P_i| / max_i |theta_i^4|).
     """
-    coords = satake_from_theta(tc)
-    lams = rosenhain_from_theta(tc)
-    curve = power_sums_from_igusa(igusa_from_rosenhain(*lams))
-    ratios = {}
-    for j, ref in ((2, curve.s2), (3, curve.s3), (5, curve.s5), (6, curve.s6)):
-        if ref == 0:
-            raise DegeneratePointError(f"curve power sum s{j} vanishes")
-        ratios[j] = coords.power_sum(j) / complex(ref)
-    r2 = ratios[3] / ratios[2]
-    worst = max(abs(ratios[j] - r2**j) / abs(r2**j) for j in ratios)
-    return r2, worst
+    t4 = tc.fourth_powers()
+    p = thomae_fourth_powers(rosenhain_from_theta(tc))
+    c = (sum(t * q.conjugate() for t, q in zip(t4, p))
+         / sum(abs(q) ** 2 for q in p))
+    return c, max(abs(t - c * q) for t, q in zip(t4, p)) / max(map(abs, t4))
 
 
 # ---------------------------------------------------------------------------

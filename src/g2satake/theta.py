@@ -109,9 +109,6 @@ class ThetaConstants(namedtuple("ThetaConstants", "values tails radius",
     def theta(self, i):
         return self.values[i - 1]
 
-    def fourth(self, i):
-        return self.values[i - 1] ** 4
-
     def fourth_powers(self):
         return tuple(v**4 for v in self.values)
 
@@ -285,24 +282,21 @@ class SatakeCoordinates(namedtuple("SatakeCoordinates", "x")):
 
     __slots__ = ()
 
-    def power_sum(self, j):
-        return sum(v**j for v in self.x)
-
     @property
     def sum_residual(self):
         return abs(sum(self.x))
 
     def quartic_residual(self):
         """|s2^2 - 4 s4| relative to |s2|^2 (Igusa-quartic membership)."""
-        s2 = self.power_sum(2)
-        s4 = self.power_sum(4)
+        s2 = sum(v**2 for v in self.x)
+        s4 = sum(v**4 for v in self.x)
         scale = max(abs(s2) ** 2, abs(s4), 1e-300)
         return abs(s2**2 - 4 * s4) / scale
 
 
 def satake_from_theta(tc):
     """The six linear combinations of fourth powers, in the fixed order."""
-    t4 = [tc.fourth(i) for i in range(1, 6)]
+    t4 = tc.fourth_powers()
     x = tuple(sum(c * t4[k] for k, c in enumerate(row)) for row in SATAKE_MATRIX)
     return SatakeCoordinates(x=x)
 
@@ -368,3 +362,21 @@ def rosenhain_from_theta4(t4):
     lam2 = half + (t[3] * t[8] - t[5] * t[9]) / d2
     lam3 = half + (t[1] * t[8] - t[5] * t[7]) / d3
     return lam1, lam2, lam3
+
+
+# Thomae's formula (Mumford, Tata Lectures on Theta II, IIIa section 8)
+THOMAE_SUBSETS = ((0, 2, 4), (0, 1, 3), (0, 2, 3), (0, 1, 4), (1, 3, 4),
+                  (2, 3, 4), (1, 2, 4), (0, 3, 4), (1, 2, 3), (0, 1, 2))
+
+
+def thomae_fourth_powers(lams):
+    """(P_T1, ..., P_T10), T_i = THOMAE_SUBSETS[i - 1]: at the branch points
+    a = (0, 1, l1, l2, l3), P_T = prod_{i<j in T} (a_i - a_j) * (a_k - a_l)
+    with {k, l} the complement of T.  The theta fourth powers of the curve
+    Y^2 = X(X-1)(X-l1)(X-l2)(X-l3) are c P_T for one constant c."""
+    a = (0, 1, *lams)
+    out = []
+    for i, j, m in THOMAE_SUBSETS:
+        k, l = (n for n in range(5) if n not in (i, j, m))
+        out.append((a[i] - a[j]) * (a[i] - a[m]) * (a[j] - a[m]) * (a[k] - a[l]))
+    return tuple(out)

@@ -20,6 +20,13 @@ def random_lambdas(rng, height=20, denom=None):
     return tuple(out)
 
 
+def lambdas_of_height(rng, digits):
+    """Three rationals with numerators and denominators of ``digits`` digits."""
+    lo, hi = 10 ** (digits - 1), 10**digits - 1
+    return [Fraction(rng.choice((-1, 1)) * rng.randint(lo, hi), rng.randint(lo, hi))
+            for _ in range(3)]
+
+
 def seeded_integer_points(rng, arity):
     """Integer points of 1 to 60 digits in every coordinate, then every
     sixth of them with each coordinate set to 0 in turn, then 0."""

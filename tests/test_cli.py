@@ -1,6 +1,7 @@
 import io
 import itertools
 import json
+import os
 import subprocess
 import sys
 import time
@@ -181,6 +182,54 @@ def test_malformed_job_document_is_a_schema_error(name, source, tmp_path,
     code, doc = invoke(capsys, "run", str(path))
     assert code == 1
     assert doc["status"] == "schema-error"
+
+
+# (the flag given twice, argv); a default (--tol) does not count as given
+REPEATED_FLAGS = [
+    ("--rosenhain", ["igusa", "--rosenhain=1/2,3,5", "--rosenhain=2,3,5"]),
+    ("--tol", ["roundtrip", "--rosenhain=2,3,5", "--tol=1e-3", "--tol=1e-9"]),
+    ("--tol", ["roundtrip", "--rosenhain=2,3,5", "--tol=1e-3", "--tol", "1e-3"]),
+    ("--theta-radius", ["theta", "--tau=0.44,1.86,-0.26,0.81,-0.1,1.93",
+                        "--theta-radius=3", "--theta-radius", "4"]),
+    ("--model", ["fibration", "--model", "alternate", "--model=kummer23",
+                 "--rosenhain=2,3,5"]),
+]
+
+
+@pytest.mark.parametrize("flag, argv", REPEATED_FLAGS,
+                         ids=[" ".join(argv) for _, argv in REPEATED_FLAGS])
+def test_repeated_flag_is_a_schema_error(flag, argv, capsys):
+    code, doc = invoke(capsys, *argv)
+    assert code == 1
+    assert doc["status"] == "schema-error"
+    assert doc["error"] == f"command line gives {flag} more than once"
+
+
+def test_document_out_and_pretty_win_over_the_runs(tmp_path, monkeypatch,
+                                                    capsys):
+    run_out, doc_out = tmp_path / "run.json", tmp_path / "doc.json"
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(
+        {"command": "igusa", "input": {"rosenhain": [2, 3, 5]},
+         "options": {"out": str(doc_out), "pretty": True}})))
+    assert run(["run", "-", f"--out={run_out}", "--pretty"]) == 0
+    assert capsys.readouterr().out == ""
+    assert not run_out.exists()
+    assert doc_out.read_text().startswith("{\n")
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader of the pipe is gone before the first write
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "g2satake.cli", "igusa", "--rosenhain=2,3,5",
+             "--pretty"], stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+    assert proc.returncode == 0
 
 
 @pytest.mark.parametrize("pretty", (True, False))

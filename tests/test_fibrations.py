@@ -20,7 +20,7 @@ from g2satake.igusa import (IgusaInvariants, SiegelForms, igusa_from_rosenhain,
                             igusa_from_sextic, rosenhain_poly, siegel_from_igusa)
 from g2satake.qpoly import Poly, integer_squarefree, primitive_part
 from g2satake.satake import power_sums_from_igusa, satake_sextic
-from conftest import random_lambdas, seeded_integer_points
+from conftest import lambdas_of_height, random_lambdas, seeded_integer_points
 from oracle_invariants import qvanish_expanded
 
 EVEN_SEXTIC = Poly.from_roots([F(1), F(-1), F(2), F(-2), F(3), F(-3)])
@@ -76,12 +76,10 @@ def test_classification_rejects_inexact_coefficients():
 
 
 @pytest.mark.parametrize("lams", [(2.0, 3.0, 5.0), (2 + 1j, 3, 5)], ids=str)
-def test_inexact_kummer_quartic_has_invariants_but_no_census(lams):
-    exact = kummer_quartic_model(2, 3, 5).quartic_invariants()
-    i, j = kummer_quartic_model(*lams).quartic_invariants()
-    if isinstance(lams[0], float):
-        assert (i, j) == exact
-    assert i.degree() == exact[0].degree() and j.degree() == exact[1].degree()
+def test_inexact_kummer_quartic_is_rejected(lams):
+    # the quartic invariants, like the census, are exact only
+    with pytest.raises(DomainError):
+        kummer_quartic_model(*lams).quartic_invariants()
     with pytest.raises(DomainError):
         classify_fibers(kummer_quartic_model(*lams).jacobian_model())
 
@@ -330,22 +328,23 @@ def test_qvanish_bracket_matches_radicand_discriminant(rng):
         assert ok, (lhs, rhs)
 
 
-def _height_lambdas(rng, digits):
-    lo, hi = 10 ** (digits - 1), 10**digits - 1
-    return [F(rng.choice((-1, 1)) * rng.randint(lo, hi), rng.randint(lo, hi))
-            for _ in range(3)]
-
-
 @pytest.mark.parametrize("digits", [2, 10, 30])
 def test_integer_bracket_matches_its_fraction_value(rng, digits):
     from g2satake.fibrations import _qvanish_form
 
-    p = params_for(*_height_lambdas(rng, digits))
+    p = params_for(*lambdas_of_height(rng, digits))
     for q in (p, p._replace(e=0), p._replace(c=F(2, 3)), p._replace(c=5),
               p._replace(b=0, d=F(1, 7**digits))):
         assert qvanish_bracket(q) == _qvanish_form(*map(F, q.astuple()))
     assert checked_degeneration_predicates(p) == (degeneration_predicates(p),
                                                    qvanish_identity(p))
+
+
+def test_bracket_rejects_inexact_parameters():
+    p = params_for(2, 3, 5)
+    for field in ("a", "c"):   # a weighted field, and c of weight 0
+        with pytest.raises(DomainError):
+            qvanish_bracket(p._replace(**{field: 0.5 + 1j}))
 
 
 def test_type_iii_siegel_identity(rng):
@@ -462,7 +461,7 @@ def assert_kummer1_factors_match_generic(lams):
 @pytest.mark.parametrize("digits", [2, 10, 30, 60])
 def test_kummer1_linear_factors_match_the_expanded_discriminant(rng, digits):
     for _ in range(3 if digits < 60 else 1):
-        assert_kummer1_factors_match_generic(_height_lambdas(rng, digits))
+        assert_kummer1_factors_match_generic(lambdas_of_height(rng, digits))
 
 
 @pytest.mark.parametrize("lams", KUMMER1_SPECIAL, ids=str)
@@ -483,7 +482,7 @@ def test_kummer1_wrong_discriminant_factors_are_an_identity_violation():
 @pytest.mark.parametrize("digits", [2, 10, 30, 60])
 def test_factored_discriminant_matches_generic_route(rng, digits):
     for _ in range(3 if digits < 60 else 1):
-        inv = igusa_from_rosenhain(*_height_lambdas(rng, digits))
+        inv = igusa_from_rosenhain(*lambdas_of_height(rng, digits))
         for model in two_torsion_models(inv):
             assert_factored_matches_generic(model)
 

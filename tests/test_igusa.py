@@ -9,7 +9,7 @@ from g2satake.igusa import (IgusaInvariants, SiegelForms, absolute_invariants,
                             igusa_from_sextic, igusa_from_siegel, q_form,
                             rosenhain_poly, siegel_from_igusa)
 from g2satake.qpoly import Poly, discriminant
-from conftest import random_lambdas, seeded_integer_points
+from conftest import lambdas_of_height, random_lambdas, seeded_integer_points
 from oracle_invariants import (invariants_from_root_pairs, q_expanded,
                                rosenhain_root_pairs)
 
@@ -73,6 +73,10 @@ def test_weighted_class_under_scaling(rng):
     b = igusa_from_sextic(p * u**6)
     assert a.same_projective_point(b)
     assert not a.astuple() == b.astuple()
+    # another class, and another zero pattern
+    assert not a.same_projective_point(a._replace(I6=a.I6 + 1))
+    assert not a.same_projective_point(a._replace(I4=0))
+    assert IgusaInvariants(0, 0, 0, 0).same_projective_point(IgusaInvariants(0, 0, 0, 0))
 
 
 def test_weighted_class_under_moebius_transposition(rng):
@@ -171,22 +175,16 @@ def test_igusa_from_absolute_representative():
     assert absolute_invariants(rep).astuple() == j.astuple()
 
 
-def _lambdas_of_height(rng, digits):
-    lo, hi = 10 ** (digits - 1), 10**digits - 1
-    return [F(rng.choice((-1, 1)) * rng.randint(lo, hi), rng.randint(lo, hi))
-            for _ in range(3)]
-
-
 @pytest.mark.parametrize("digits", [2, 10, 30, 60])
 def test_integer_q_form_matches_fraction_formula(rng, digits):
     for _ in range(3):
-        s = siegel_from_igusa(igusa_from_rosenhain(*_lambdas_of_height(rng, digits)))
+        s = siegel_from_igusa(igusa_from_rosenhain(*lambdas_of_height(rng, digits)))
         assert q_form(s) == q_expanded(*map(F, s.astuple()))
-    # an arbitrary rational point, and the generic (non-exact) path
+    # an arbitrary rational point; inexact form values are rejected
     s = SiegelForms(F(7, 12), F(-5, 18), F(11, 1000), F(3, 8))
     assert q_form(s) == q_expanded(*s.astuple())
-    z = SiegelForms(0.5 + 1j, -0.25j, 0.125, 2.0)
-    assert abs(q_form(z) - q_expanded(*z.astuple())) <= 1e-9 * abs(q_form(z))
+    with pytest.raises(DomainError):
+        q_form(SiegelForms(0.5 + 1j, -0.25j, 0.125, 2.0))
 
 
 def test_nested_q_poly_matches_the_expanded_form(rng):
@@ -199,7 +197,7 @@ def test_nested_q_poly_matches_the_expanded_form(rng):
 def test_integral_representative_is_small_for_rosenhain_input(rng):
     from g2satake.qpoly import integral_representative
 
-    lams = _lambdas_of_height(rng, 30)
+    lams = lambdas_of_height(rng, 30)
     s = siegel_from_igusa(igusa_from_rosenhain(*lams))
     r, ints = integral_representative(s.astuple(), (4, 6, 10, 12))
     assert all(v * r**w == n for v, w, n in zip(s.astuple(), (4, 6, 10, 12), ints))
@@ -224,7 +222,7 @@ def test_predicate_helpers_accept_a_known_q():
 
 @pytest.mark.parametrize("digits", [2, 10, 30, 60])
 def test_rosenhain_invariants_match_the_root_pair_oracle_at_height(rng, digits):
-    a, b, c = _lambdas_of_height(rng, digits)
+    a, b, c = lambdas_of_height(rng, digits)
     # generic, then I10 = 0: a repeated lambda, a lambda 0 and a lambda 1
     for lams in ((a, b, c), (a, a, b), (0, b, c), (a, 1, c), (a, b, 7)):
         inv = igusa_from_rosenhain(*lams)
@@ -237,7 +235,7 @@ def test_rosenhain_invariants_agree_on_the_integer_and_the_generic_path(rng):
     from g2satake.qpoly import GaussianRational
 
     for digits in (2, 30):
-        lams = _lambdas_of_height(rng, digits)
+        lams = lambdas_of_height(rng, digits)
         exact = igusa_from_rosenhain(*lams)
         # GaussianRational lambdas take the formulas at z = 1, exactly
         assert igusa_from_rosenhain(*map(GaussianRational, lams)) == exact

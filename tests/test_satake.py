@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -15,8 +17,10 @@ from g2satake.satake import (PowerSums, complete_bell, igusa_from_power_sums,
                              satake_discriminant_identity, satake_sextic,
                              satake_sextic_from_siegel,
                              theta_power_sum_consistency)
-from g2satake.theta import PeriodMatrix, even_theta_constants, satake_from_theta
-from conftest import random_lambdas
+from g2satake.theta import (SATAKE_MATRIX, PeriodMatrix, even_theta_constants,
+                            satake_from_theta, theta4_from_satake,
+                            thomae_fourth_powers)
+from conftest import lambdas_of_height, random_lambdas
 
 EVEN_SEXTIC = Poly.from_roots([F(1), F(-1), F(2), F(-2), F(3), F(-3)])
 
@@ -241,10 +245,50 @@ def test_theta_coordinates_match_power_sum_route():
     tau = PeriodMatrix(0.44 + 1.86j, -0.26 + 0.81j, -0.1 + 1.93j)
     tc = even_theta_constants(tau, 12)
     r2, worst = theta_power_sum_consistency(tc)
-    assert worst < 1e-7
+    assert worst < 1e-12
     # x built from theta matches satake_from_theta (same formulas): sanity
     co = satake_from_theta(tc)
     assert abs(sum(co.x)) < 1e-12
+
+
+def test_thomae_rescaling_is_stable_under_one_ulp():
+    # the golden tau; each real and imaginary part of the ten constants
+    # moves by one ulp in a seeded direction
+    tau = PeriodMatrix(0.44 + 1.86j, -0.26 + 0.81j, -0.1 + 1.93j)
+    tc = even_theta_constants(tau)
+    c0, _ = theta_power_sum_consistency(tc)
+    rng = random.Random(16)
+
+    def ulp(v):
+        return math.nextafter(v, rng.choice((-math.inf, math.inf)))
+
+    for _ in range(20):
+        values = tuple(complex(ulp(v.real), ulp(v.imag)) for v in tc.values)
+        c, _ = theta_power_sum_consistency(tc._replace(values=values))
+        assert abs(c - c0) <= 1e-12 * abs(c0)
+
+
+def _check_thomae_route(lams):
+    """Thomae's table gives the Satake roots x = SATAKE_MATRIX (P_T1, ...,
+    P_T5) of the curve and, back through theta4_from_satake, all ten P_T."""
+    p = thomae_fourth_powers(lams)
+    x = [sum(c * v for c, v in zip(row, p)) for row in SATAKE_MATRIX]
+    f = satake_sextic(power_sums_from_igusa(igusa_from_rosenhain(*lams)))
+    assert Poly.from_roots(x) == f
+    assert theta4_from_satake(x) == p
+
+
+@pytest.mark.parametrize("digits", [2, 10, 30, 60])
+def test_thomae_table_gives_the_satake_sextic_exactly(rng, digits):
+    for _ in range(6):
+        _check_thomae_route(lambdas_of_height(rng, digits))
+
+
+@pytest.mark.parametrize("lams", [(F(-7, 9), F(-3, 4), F(28, 27)),
+                                  (F(1, 10**30), F(2), F(3))],
+                         ids=["q0-double-root", "clustered-branch-points"])
+def test_thomae_table_on_special_inputs(lams):
+    _check_thomae_route(lams)
 
 
 @pytest.mark.parametrize("digits", [2, 10, 30, 60])
