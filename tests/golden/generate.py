@@ -35,6 +35,16 @@ MODELS = ("kummer1", "kummer23", "alternate", "alternate-ftheory", "standard")
 GENERIC = "2,3,5"
 GENERIC_NEG = "-1/3,7/2,-12/5"
 H10 = "4738291056/8829104735,-1920384756/6473829105,7364519028/2039485716"
+H10_B = "8759677792/9420260951,2195188523/4940602561,-8500710257/2724819962"
+H30 = ("-760052680584135277917699742353/948976433064614170000004856029,"
+       "-740311222875247614921391190876/929843575700088097723836082607,"
+       "-126650940139843540943465467603/145294969069157102331512933948")
+H60 = ("12348659103603927716851141919225599804700703053726843026920/"
+       "22456763511431642145044208825942677913383107567377786617989,"
+       "494208935864645487915430707762541360260330217817346688152377/"
+       "332207600816250623300487160073535044841088572320398619419610,"
+       "83109966715928345162574690810152341053565544684660855469287/"
+       "23197046027030193387888332672788233130298188602519188236558")
 Q0 = "2,3,2/3"                        # (c, b, c/b): extra involution x -> c/x
 Q0_H4 = "-1,2,-2"                     # on the Humbert surface H4
 Q0_ROUNDTRIP = "-7/9,-3/4,28/27"      # the Satake sextic has a double root
@@ -152,6 +162,17 @@ def cases():
     out += [(["run", "job.json"], doc, None) for doc in docs]
     out += [(["run", "-"], None, json.dumps(docs[1])),
             (["run", "-"], None, "{not json")]
+    # the fiber census and the discriminants at 10-60 digits and at Q = 0,
+    # where two Satake roots coincide; satake-sextic and predicates at 30
+    # digits print values past the encoder's limit (exit 2)
+    later = [["fibration", "--model", m, f"--rosenhain={H30}"] for m in MODELS]
+    later.append(["fibration", "--model", "alternate", f"--rosenhain={H60}"])
+    for source in (H10_B, H30, Q0_ROUNDTRIP):
+        later += [["satake-sextic", f"--rosenhain={source}"],
+                  ["predicates", f"--rosenhain={source}"]]
+    later += [["fibration", "--model", m, f"--rosenhain={Q0_ROUNDTRIP}"]
+              for m in MODELS]
+    out += [(argv, None, None) for argv in later]
     return out
 
 
