@@ -30,12 +30,12 @@ from .igusa import (AbsoluteInvariants, IgusaInvariants, SiegelForms,
                     absolute_invariants, derived_forms, humbert_predicates,
                     igusa_from_rosenhain, igusa_from_sextic, igusa_from_siegel,
                     q_form, siegel_from_igusa)
-from .qpoly import Poly, discriminant
+from .qpoly import Poly, discriminant, discriminant_from_roots
 from .roots import gaussian_roots
 from .satake import (PowerSums, phi_map, power_sums_from_igusa,
                      power_sums_from_siegel, reconstruct_from_satake_roots,
-                     satake_sextic, satake_sextic_from_siegel,
-                     theta_power_sum_consistency)
+                     satake_roots_from_rosenhain, satake_sextic,
+                     satake_sextic_from_siegel, theta_power_sum_consistency)
 from .theta import (MAX_RADIUS, PeriodMatrix, check_frobenius,
                     even_theta_constants, rosenhain_from_theta,
                     satake_from_theta)
@@ -130,6 +130,11 @@ def _siegel(key, val):
     return val if key == "siegel" else siegel_from_igusa(_invariants(key, val))
 
 
+def _satake_roots(key, val):
+    """The closed-form Satake roots (d, X) of a Rosenhain input, else None."""
+    return satake_roots_from_rosenhain(val) if key == "rosenhain" else None
+
+
 # ---------------------------------------------------------------------------
 # command handlers: (input key, parsed input value, **options)
 # ---------------------------------------------------------------------------
@@ -161,7 +166,8 @@ def cmd_satake_sextic(key, val):
         s = _siegel(key, val)
         ps = power_sums_from_siegel(s)
     f = satake_sextic(ps, s4)
-    disc = discriminant(f)
+    roots = _satake_roots(key, val)
+    disc = discriminant(f) if roots is None else discriminant_from_roots(f, *roots)
     out = {
         "power_sums": {"s1": ps.s1, "s2": ps.s2, "s3": ps.s3,
                        "s4": ps.s4, "s5": ps.s5, "s6": ps.s6},
@@ -218,14 +224,16 @@ def cmd_fibration(key, val, model):
         inv = _invariants(key, val)
         if inv.degenerate:
             raise DomainError(_NO_K3)
-        if model == "alternate-ftheory":
-            weierstrass = alternate_model_ftheory(siegel_from_igusa(inv))
-        elif model == "kummer23":
-            weierstrass = kumfib2_model(inv)
-        elif model == "alternate":
-            weierstrass = alternate_model(FibrationParams.from_igusa(inv))
-        else:
+        if model == "standard":
             weierstrass = standard_model(FibrationParams.from_igusa(inv))
+        elif model == "alternate-ftheory":
+            weierstrass = alternate_model_ftheory(siegel_from_igusa(inv),
+                                                  _satake_roots(key, val))
+        elif model == "kummer23":
+            weierstrass = kumfib2_model(inv, _satake_roots(key, val))
+        else:
+            weierstrass = alternate_model(FibrationParams.from_igusa(inv),
+                                          _satake_roots(key, val))
     census = classify_fibers(weierstrass)
     fibers = [{"type": f.fiber_type, "location": f.location,
                "orders": [None if o is None else PlainInt(o) for o in f.orders],
@@ -291,7 +299,8 @@ def cmd_predicates(key, val):
     if s.chi10 != 0:
         inv = igusa_from_siegel(s)
         p = FibrationParams.from_igusa(inv)
-        out["degeneration"], (ok_q, _, _) = checked_degeneration_predicates(p)
+        out["degeneration"], (ok_q, _, _) = checked_degeneration_predicates(
+            p, _satake_roots(key, val))
         ok_iii, _, _ = type_iii_siegel_identity(p, s)
         if not (ok_q and ok_iii):
             raise IdentityViolationError(

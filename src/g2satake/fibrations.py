@@ -10,15 +10,24 @@ against the Kodaira table.  Orders outside the table raise
 NonMinimalModelError instead of silently reducing the model.
 
 Coefficients must be rational (int or Fraction); the classification runs
-on primitive integer multiples of g2, g3 and Delta, each decomposed once,
-and rational fiber locations are split off every cluster exactly (p-adic
-lifting, no floating point).  A model with C = 0 (x = 0 is a two-torsion
-section: the alternate models and ``kumfib2_model``) has Delta a constant
-times B^2 (A^2 - 4B), so Delta is decomposed from B and A^2 - 4B and is
-never expanded.  The Jacobian of the Kummer quartic carries its Delta as
-the factors c t^6 prod (t - li)^2 prod (t - li lj)^2, the 2x2 determinants
-of the quartic's linear X-factors; the expanded Delta is only checked to
-be a constant multiple of their product.
+on primitive integer multiples of g2, g3 and Delta.  A factor of Delta
+that is linear in t is a fiber location as it stands (equal ones add
+their multiplicities), with no squarefree decomposition and no root
+search; the other factors are decomposed once, and rational fiber
+locations are split off every cluster exactly (p-adic lifting, no
+floating point).  A model with C = 0 (x = 0 is a two-torsion section: the
+alternate models and ``kumfib2_model``) has Delta a constant times
+B^2 (A^2 - 4B), so Delta is decomposed from B and A^2 - 4B and is never
+expanded.  The paper's theorem that the F-theory model shows the Satake
+sextic gives one of these pieces as linear factors at the Satake roots x_i
+(``satake.satake_roots_from_rosenhain``): A^2 - 4B is a constant times
+prod (t - x_i/12) for ``alternate_model_ftheory`` and prod (t + x_i/3) for
+``alternate_model``, and so is B for ``kumfib2_model``; the classifier
+checks the product against the piece exactly before it uses the roots.
+The Jacobian of the Kummer quartic carries its Delta as the factors
+c t^6 prod (t - li)^2 prod (t - li lj)^2, the 2x2 determinants of the
+quartic's linear X-factors; the expanded Delta is only checked to be a
+constant multiple of their product.
 
 The weighted forms behind the degeneration predicates are evaluated in
 nested form on integers: the quintic-discriminant bracket is Horner in e,
@@ -33,10 +42,10 @@ from itertools import combinations
 from math import lcm
 
 from .errors import DomainError, IdentityViolationError, NonMinimalModelError
-from .qpoly import (ExactTuple, Poly, discriminant, graded_integral_scale,
-                    integer_gcd, integer_quotient, integer_squarefree,
-                    integral_representative, primitive_part, promote_int,
-                    split_rational_roots)
+from .qpoly import (ExactTuple, Poly, discriminant, discriminant_from_roots,
+                    graded_integral_scale, integer_gcd, integer_quotient,
+                    integer_squarefree, integral_representative, primitive_part,
+                    promote_int, root_multiplicity, split_rational_roots)
 
 INFINITY = "infinity"
 
@@ -168,40 +177,55 @@ def _at_rho(f, rho):
     return primitive_part(Poly([c * rho**i for i, c in enumerate(f.coeffs)]))
 
 
+def _proportional(p, q):
+    """Whether p is a constant multiple of q, both nonzero, or both zero."""
+    if p and q:
+        return p * q.lead() == q * p.lead()
+    return not p and not q
+
+
+def _product(factors):
+    out = Poly([1])
+    for f, k in factors:
+        out = out * f**k
+    return out
+
+
 def _integral_short_form(A, B, C, known=()):
     """Primitive G2, G3 and the factors of D for integer A, B, C.
 
     g2 = -(4/3) (3B - A^2) and g3 = -(4/27) (2A^3 - 9AB + 27C), so G2, G3
     and D = 4 G2^3 + G3^2 are constant multiples of g2, g3 and Delta:
     same vanishing orders and degrees.  D comes back as factors [(F, k)],
-    D a constant times prod F^k: the ``known`` factors (integer Polys), if
-    any, once D is expanded and shown to be a constant multiple of their
-    product; else [(D, 1)] in general, and [(B, 2), (A^2 - 4B, 1)] when
-    C = 0, where x = 0 is a two-torsion section and D = -27 B^2 (A^2 - 4B)
-    is never expanded.  Identically vanishing polynomials come back as the
-    zero Poly.
+    D a constant times prod F^k.  When C = 0, x = 0 is a two-torsion
+    section and D = -27 B^2 (A^2 - 4B) is never expanded: the factors are
+    [(B, 2), (A^2 - 4B, 1)], and the ``known`` factors (integer Polys) of
+    exponent 2 replace B, those of exponent 1 replace A^2 - 4B, once their
+    product is shown to be a constant multiple of it.  When C != 0 they
+    replace [(D, 1)] once D is expanded and shown to be a constant multiple
+    of their product.  A mismatch raises IdentityViolationError.
+    Identically vanishing polynomials come back as the zero Poly.
     """
     AA = A * A
     g2 = 3 * B - AA
     g3 = A * (2 * AA - 9 * B) + 27 * C
-    if known:
-        D = 4 * g2 * g2 * g2 + g3 * g3
-        product = Poly([1])
-        for f, k in known:
-            product = product * f**k
-        if D and product:
-            proportional = D * product.lead() == product * D.lead()
-        else:
-            proportional = not D and not product
-        if not proportional:
-            raise IdentityViolationError(
-                "the known discriminant factors are not proportional to "
-                "the expanded discriminant")
-        factors = known
-    elif C:
+    if C:
         factors = [(4 * g2 * g2 * g2 + g3 * g3, 1)]
+        if known:
+            if not _proportional(factors[0][0], _product(known)):
+                raise IdentityViolationError(
+                    "the known discriminant factors are not proportional to "
+                    "the expanded discriminant")
+            factors = known
     else:
-        factors = [(B, 2), (AA - 4 * B, 1)]
+        pieces = {2: B, 1: AA - 4 * B}
+        for k in sorted({k for _, k in known}):
+            if k not in pieces or not _proportional(
+                    pieces.pop(k), _product([(f, 1) for f, j in known if j == k])):
+                raise IdentityViolationError(
+                    f"the known discriminant factors of exponent {k} do not "
+                    "multiply to " + ("B" if k == 2 else "A^2 - 4B"))
+        factors = [(f, k) for k, f in pieces.items()] + list(known)
     g2, g3 = (primitive_part(p) if p else p for p in (g2, g3))
     return g2, g3, factors
 
@@ -261,12 +285,32 @@ def _order_profile(cluster, parts):
     return out
 
 
+def _linear_roots(factors):
+    """Split the factors [(F, k)] into the roots of those of degree 1, with
+    multiplicities (equal roots add theirs), and the factors of higher
+    degree; constant factors are dropped."""
+    roots, others = {}, []
+    for f, k in factors:
+        if f.degree() == 1:
+            r = Fraction(-f.coeffs[0], f.coeffs[1])
+            roots[r] = roots.get(r, 0) + k
+        elif f.degree() > 1:
+            others.append((f, k))
+    return roots, others
+
+
 def classify_fibers(model):
     """Kodaira census of a model whose coefficients are int or Fraction.
 
     The surface degree is the smallest N with deg g2 <= 4N, deg g3 <= 6N
     and deg Delta <= 12N (N = 2 for K3); the fiber at t = infinity is read
     off the degree deficits of g2, g3 and Delta after homogenization.
+    Discriminant factors of degree 1 are kept apart from the rest: their
+    roots, with the multiplicities of equal roots added, are fiber
+    locations whose orders of g2 and g3 are read by exact division.  The
+    other factors are decomposed into squarefree clusters (a root they
+    share with a linear factor adds to its multiplicity), split by the
+    orders of g2 and g3, and searched for rational roots.
     """
     if not all(isinstance(c, (int, Fraction))
                for p in (model.A, model.B, model.C) for c in p.coeffs):
@@ -276,10 +320,25 @@ def classify_fibers(model):
     g2, g3, factors = _integral_short_form(*abc, known)
     if not all(f for f, _ in factors):
         raise DomainError("discriminant vanishes identically; not an elliptic surface")
-    parts2 = integer_squarefree(g2) if g2 else None
-    parts3 = integer_squarefree(g3) if g3 else None
+    roots, others = _linear_roots(factors)
+    clusters = []
+    for cluster, d in _factored_squarefree(others):
+        for r in roots:
+            if root_multiplicity(cluster, r):   # once: the cluster is squarefree
+                cluster = integer_quotient(cluster, Poly([-r.numerator, r.denominator]))
+                roots[r] += d
+        if cluster.degree() > 0:
+            clusters.append((cluster, d))
     fibers = []
-    for cluster, d in _factored_squarefree(factors):
+    for r, d in sorted(roots.items()):
+        a = root_multiplicity(g2, r) if g2 else None
+        b = root_multiplicity(g3, r) if g3 else None
+        fibers.append(KodairaFiber(
+            fiber_type=kodaira_type(a, b, d), location=r * rho, orders=(a, b, d)))
+    if clusters:
+        parts2 = integer_squarefree(g2) if g2 else None
+        parts3 = integer_squarefree(g3) if g3 else None
+    for cluster, d in clusters:
         for sub2, a in _order_profile(cluster, parts2):
             for sub3, b in _order_profile(sub2, parts3):
                 ftype = kodaira_type(a, b, d)
@@ -332,31 +391,51 @@ class FibrationParams(ExactTuple, namedtuple("FibrationParams", "a b c d e")):
         return Poly([self.d, self.c])
 
 
-def kumfib2_model(inv):
+def _satake_factors(roots, scale, k):
+    """((scale d t - X_i, k), ...): the factors that vanish at t = x_i / scale
+    for the Satake roots x_i = X_i / d; () for None."""
+    if roots is None:
+        return ()
+    d, xs = roots
+    return tuple((Poly([-x, scale * d]), k) for x in xs)
+
+
+def kumfib2_model(inv, roots=None):
     """The Kummer fibration with census 6 I2 + I5* + I1.
 
     y^2 = x^3 - 2 (t^3 + a t + b) x^2 + ((t^3+at+b)^2 - 4 e (c t + d)) x,
-    which is the same display as the I4/I2/I6/I10 form of the model.
+    which is the same display as the I4/I2/I6/I10 form of the model.  B is
+    the radicand, prod (t + x_i / 3) for the Satake roots ``roots`` = (d, X)
+    if given, which become its linear factors.
     """
     p = FibrationParams.from_igusa(inv)
-    return WeierstrassModel(A=-2 * p.cubic(), B=radicand(p), C=Poly())
+    return WeierstrassModel(A=-2 * p.cubic(), B=radicand(p), C=Poly(),
+                            disc_factors=_satake_factors(roots, -3, 2))
 
 
-def alternate_model(p):
-    """y^2 = x^3 + (t^3 + a t + b) x^2 + e (c t + d) x."""
-    return WeierstrassModel(A=p.cubic(), B=p.e * p.linear(), C=Poly())
+def alternate_model(p, roots=None):
+    """y^2 = x^3 + (t^3 + a t + b) x^2 + e (c t + d) x.
+
+    A^2 - 4B is the radicand: its linear factors are t + x_i / 3 for the
+    Satake roots ``roots`` = (d, X), if given.
+    """
+    return WeierstrassModel(A=p.cubic(), B=p.e * p.linear(), C=Poly(),
+                            disc_factors=_satake_factors(roots, -3, 1))
 
 
-def alternate_model_ftheory(s):
+def alternate_model_ftheory(s, roots=None):
     """y^2 = x^3 + (t^3 - psi4/48 t - psi6/864) x^2 - (4 chi10 t - chi12) x.
 
     Stays well-defined on chi10 = 0, where the I2 and I10* fibers merge
-    into I12*.
+    into I12*.  A^2 - 4B is f(12 t) / 1728^2 for the Satake sextic f: its
+    linear factors are t - x_i / 12 for the Satake roots ``roots`` = (d, X),
+    if given.
     """
     p4, p6, c10, c12 = s.astuple()
     A = Poly([-p6 / 864, -p4 / 48, 0, 1])
     B = Poly([c12, -4 * c10])
-    return WeierstrassModel(A=A, B=B, C=Poly())
+    return WeierstrassModel(A=A, B=B, C=Poly(),
+                            disc_factors=_satake_factors(roots, 12, 1))
 
 
 def standard_model(p):
@@ -566,8 +645,13 @@ def _degeneration_flags(p, bracket):
     }
 
 
-def _qvanish_check(p, bracket):
-    lhs = discriminant(radicand(p))
+def _qvanish_check(p, bracket, roots=None):
+    rad = radicand(p)
+    if roots is None:
+        lhs = discriminant(rad)
+    else:   # rad(t) = f(-3t) / 729, so its roots are -x_i / 3
+        d, xs = roots
+        lhs = discriminant_from_roots(rad, 3 * d, [-x for x in xs])
     rhs = 2**12 * p.e**3 * bracket
     return lhs == rhs, lhs, rhs
 
@@ -585,11 +669,15 @@ def qvanish_identity(p):
     return _qvanish_check(p, qvanish_bracket(p))
 
 
-def checked_degeneration_predicates(p):
+def checked_degeneration_predicates(p, roots=None):
     """``(degeneration_predicates(p), qvanish_identity(p))`` with the
-    bracket evaluated once."""
+    bracket evaluated once.  Given the Satake roots (d, X) of the curve
+    (``satake.satake_roots_from_rosenhain``), the left side is read off
+    them: the radicand is checked to be prod (t + x_i / 3) exactly
+    (IdentityViolationError else), and its discriminant is
+    3^-30 prod_{i<j} (x_i - x_j)^2."""
     bracket = qvanish_bracket(p)
-    return _degeneration_flags(p, bracket), _qvanish_check(p, bracket)
+    return _degeneration_flags(p, bracket), _qvanish_check(p, bracket, roots)
 
 
 def type_iii_siegel_identity(p, s):

@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import cache
 from math import gcd as _int_gcd, isqrt, lcm as _int_lcm
 
-from .errors import DomainError
+from .errors import DomainError, IdentityViolationError
 
 
 def _is_zero(c):
@@ -388,6 +388,33 @@ def discriminant(p):
     return sign * resultant(P, P.derivative()) * lc ** (2 * d - 2) / r ** (d * (d - 1))
 
 
+def discriminant_from_roots(p, den, nums):
+    """disc(p) of a monic p read off its rational roots r_i = nums[i] / den
+    (ints, den > 0): prod_{i<j} (r_i - r_j)^2.
+
+    p = prod (x - r_i) is checked first, exactly: prod (den x - nums[i])
+    is an integer polynomial, den^n times p; a mismatch raises
+    IdentityViolationError.  The product of the differences is reduced
+    against den^(n(n-1)/2) once and then squared, so that the gcd runs on
+    numbers half the size of the result's.
+    """
+    n = len(nums)
+    prod = [1]
+    for x in nums:   # times den t - x
+        prod = [a * den - b * x for a, b in zip([0] + prod, prod + [0])]
+    scale = den**n
+    if len(prod) != len(p.coeffs) or any(
+            a * c.denominator != scale * c.numerator
+            for a, c in zip(prod, p.coeffs)):
+        raise IdentityViolationError(
+            "the polynomial is not the product of x - r over its given roots")
+    diff = 1
+    for i, x in enumerate(nums):
+        for y in nums[i + 1:]:
+            diff *= x - y
+    return Fraction(diff, den ** (n * (n - 1) // 2)) ** 2
+
+
 # ---------------------------------------------------------------------------
 # integer representatives of weighted points
 # ---------------------------------------------------------------------------
@@ -419,13 +446,21 @@ def _perfect_root(b):
 def _coprime_base(nums):
     """Pairwise coprime integers > 1 such that every n in ``nums`` is a
     product of powers of them: factor refinement by gcds, no factoring,
-    with each element replaced by its root when it is a perfect power."""
+    with each element replaced by its root when it is a perfect power.
+    A base element that divides a new number is divided out of it with
+    all its powers at once, so a high power costs one step, not one per
+    exponent."""
     base = []
-    todo = [n for n in nums if n > 1]
+    todo = sorted({n for n in nums if n > 1})
     while todo:
         a = todo.pop()
         for i, b in enumerate(base):
             g = _int_gcd(a, b)
+            if g == b:
+                a = _divide_out(a, b)[1]
+                if a == 1:
+                    break
+                g = _int_gcd(a, b)
             if g > 1:
                 base.pop(i)
                 todo += [x for x in (b // g, g, a // g) if x > 1]
@@ -435,12 +470,14 @@ def _coprime_base(nums):
     return [_perfect_root(b) for b in base]
 
 
-def _valuation(n, b):
+def _divide_out(n, b):
+    """(e, n / b^e) for the exponent e of b in n != 0."""
     e = 0
-    while n % b == 0:
-        n //= b
-        e += 1
-    return e
+    q, rem = divmod(n, b)
+    while not rem:
+        n, e = q, e + 1
+        q, rem = divmod(n, b)
+    return e, n
 
 
 def integral_representative(values, weights):
@@ -460,7 +497,7 @@ def integral_representative(values, weights):
     dens = [f.denominator for f in fracs]
     r = 1
     for b in _coprime_base(dens):
-        r *= b ** max(-(-_valuation(d, b) // w) for d, w in zip(dens, weights))
+        r *= b ** max(-(-_divide_out(d, b)[0] // w) for d, w in zip(dens, weights))
     return r, [f.numerator * (r**w // f.denominator)
                for f, w in zip(fracs, weights)]
 
@@ -502,6 +539,48 @@ class ExactTuple:
         return tuple(Fraction(v) / r**w for v, w in zip(body(*ints), out_weights))
 
 
+def _least_cost_exponents(vals, span):
+    """(sigma, tau) for the valuations [(k, i, e)] of ``graded_integral_scale``:
+    among the integers tau in [-span, span], the one of least cost
+    sum(e + k sigma + i tau), the least on ties, where sigma(tau) =
+    max ceil(-(e + i tau) / k) is the least sigma that makes every
+    e + k sigma + i tau >= 0.
+
+    On tau = r + M q, M the lcm of the k, each ceiling is alpha - beta q
+    with beta = (M / k) i an integer, so the cost is E + I r + g(q) with
+    g(q) = max_j (K alpha_j + (I M - K beta_j) q), a maximum of lines in q
+    and hence convex (E, I and K the sums of e, i and k).  Its least
+    integer minimizer is the least q with g(q + 1) >= g(q), found by
+    bisection, so each residue r costs a few evaluations of g instead of
+    one per tau.
+    """
+    M = _int_lcm(*(k for k, _, _ in vals))
+    K = sum(k for k, _, _ in vals)
+    I = sum(i for _, i, _ in vals)
+    E = sum(e for _, _, e in vals)
+    best = None
+    for r in range(M):
+        lo, hi = -((span + r) // M), (span - r) // M
+        if lo > hi:
+            continue
+        lines = [(-K * ((e + i * r) // k), M * I - K * (M // k) * i)
+                 for k, i, e in vals]
+
+        def g(q):
+            return max(a + s * q for a, s in lines)
+
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if g(mid + 1) >= g(mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        found = (E + I * r + g(lo), r + M * lo)   # (cost, tau): the least tau on ties
+        best = found if best is None else min(best, found)
+    tau = best[1]
+    return max(-((e + i * tau) // k) for k, i, e in vals), tau
+
+
 def graded_integral_scale(terms):
     """Rationals (s, rho) with s^k rho^i c an integer for every (k, i, c).
 
@@ -509,23 +588,27 @@ def graded_integral_scale(terms):
     of polynomials rescaled by c -> s^k rho^i c (for a Weierstrass model
     x -> x / s and t -> rho t).  For each element b of a coprime base of
     the denominators, the exponents of b in s and rho minimize the summed
-    b-valuation of the rescaled terms, so a family that is weighted
-    homogeneous in t comes out as its integer representative.
+    b-valuation of the rescaled terms (``_least_cost_exponents``), so a
+    family that is weighted homogeneous in t comes out as its integer
+    representative.  Each term's valuations are read once, largest base
+    element first, and each is divided out of the denominator as soon as
+    it is read, so the smaller elements are read off a smaller number.
     """
     terms = [(k, i, Fraction(c)) for k, i, c in terms if c != 0]
+    base = sorted(_coprime_base([c.denominator for _, _, c in terms]), reverse=True)
+    table = []
+    for _, _, c in terms:
+        den, row = c.denominator, []
+        for b in base:
+            v, den = _divide_out(den, b)
+            row.append(_divide_out(c.numerator, b)[0] - v)
+        table.append(row)
     s = rho = Fraction(1)
-    for b in _coprime_base([c.denominator for _, _, c in terms]):
-        vals = [(k, i, _valuation(c.numerator, b) - _valuation(c.denominator, b))
-                for k, i, c in terms]
-        span = max(abs(e) for _, _, e in vals)
-        best = None
-        for tau in range(-span, span + 1):
-            sigma = max(-((e + i * tau) // k) for k, i, e in vals)
-            cost = sum(e + k * sigma + i * tau for k, i, e in vals)
-            if best is None or cost < best[0]:
-                best = (cost, sigma, tau)
-        s *= Fraction(b) ** best[1]
-        rho *= Fraction(b) ** best[2]
+    for b, column in zip(base, zip(*table)):
+        vals = [(k, i, e) for (k, i, _), e in zip(terms, column)]
+        sigma, tau = _least_cost_exponents(vals, max(abs(e) for e in column))
+        s *= Fraction(b) ** sigma
+        rho *= Fraction(b) ** tau
     return s, rho
 
 
@@ -725,6 +808,31 @@ def integer_squarefree(p):
         d = integer_quotient(d, g) - b.derivative()
         i += 1
     return out
+
+
+_SIEVE_PRIME = 2**61 - 1
+
+
+def root_multiplicity(p, r):
+    """The multiplicity of the rational r as a root of a nonzero integer
+    polynomial p: how often v t - u (r = u / v) divides it, by exact
+    division in Z[t].  Each division is tried only once sum c_i u^i
+    v^(n-i), which vanishes at a root, vanishes modulo a prime too."""
+    m = _SIEVE_PRIME
+    um, vm = r.numerator % m, r.denominator % m
+    cs, lin = list(p.coeffs), [-r.numerator, r.denominator]
+    k = 0
+    while True:
+        acc, upow = 0, 1
+        for c in cs:
+            acc = (acc * vm + c % m * upow) % m
+            upow = upow * um % m
+        if acc:
+            return k
+        cs = _quotient(cs, lin)
+        if cs is None:
+            return k
+        k += 1
 
 
 def poly_gcd(p, q):

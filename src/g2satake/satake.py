@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import permutations
-from math import comb, isqrt
+from math import comb, gcd, isqrt, lcm
 
 from .errors import (DegeneratePointError, DomainError, IdentityViolationError,
                      InversionSingularError)
@@ -22,8 +22,8 @@ from .igusa import (AbsoluteInvariants, IgusaInvariants, SiegelForms,
                     absolute_invariants, igusa_from_absolute,
                     igusa_from_sextic, q_form, siegel_from_igusa)
 from .qpoly import ExactTuple, Poly, discriminant, integral_representative
-from .theta import (rosenhain_from_theta, rosenhain_from_theta4,
-                    theta4_from_satake, thomae_fourth_powers)
+from .theta import (SATAKE_MATRIX, rosenhain_from_theta, rosenhain_from_theta4,
+                    theta4_from_satake, thomae_fourth_powers, thomae_products)
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +155,27 @@ def satake_sextic_from_siegel(s):
     p4, p6, c10, c12 = s.astuple()
     cube = Poly([-2 * p6, -3 * p4, 0, 1])
     return cube * cube + Poly([-3 * 2**14 * 3**5 * c12, 2**14 * 3**5 * c10])
+
+
+def satake_roots_from_rosenhain(lams):
+    """The six Satake roots of the curve with Rosenhain parameters ``lams``,
+    in closed form: (d, X) with x_i = X_i / d.
+
+    By Thomae's formula the theta fourth powers of the curve are the P_T of
+    its branch points 0, 1, l1, l2, l3 (``theta.thomae_fourth_powers``), and
+    x = SATAKE_MATRIX (P_T1, ..., P_T5) are the roots of its Satake sextic
+    ``satake_sextic(power_sums_from_igusa(igusa_from_rosenhain(*lams)))``.
+    With L the lcm of the denominators, the branch points L (0, 1, l1, l2,
+    l3) are integers, and so are their P_T, L^4 times those of the curve:
+    x = SATAKE_MATRIX P / L^4, returned with the common content of L^4 and
+    the six numerators divided out.
+    """
+    lams = [Fraction(v) for v in lams]
+    L = lcm(*(v.denominator for v in lams))
+    p = thomae_products((0, L, *(v.numerator * (L // v.denominator) for v in lams)))
+    xs = [sum(c * t for c, t in zip(row, p)) for row in SATAKE_MATRIX]
+    g = gcd(L**4, *xs)
+    return L**4 // g, [x // g for x in xs]
 
 
 def satake_discriminant_identity(inv):

@@ -323,7 +323,13 @@ def theta4_from_satake(coords):
 
 
 def _guard_denominator(value, scale, what):
-    if abs(value) <= 1e-10 * scale:
+    """An exact (int/Fraction) denominator vanishes only when it is 0; a
+    numeric one when it is below 1e-10 of ``scale``."""
+    if isinstance(value, (int, Fraction)):
+        vanishes = value == 0
+    else:
+        vanishes = abs(value) <= 1e-10 * scale
+    if vanishes:
         raise DegeneratePointError(
             f"{what} vanishes: tau lies on a boundary divisor (chi10 = 0 locus)")
 
@@ -369,14 +375,20 @@ THOMAE_SUBSETS = ((0, 2, 4), (0, 1, 3), (0, 2, 3), (0, 1, 4), (1, 3, 4),
                   (2, 3, 4), (1, 2, 4), (0, 3, 4), (1, 2, 3), (0, 1, 2))
 
 
-def thomae_fourth_powers(lams):
-    """(P_T1, ..., P_T10), T_i = THOMAE_SUBSETS[i - 1]: at the branch points
-    a = (0, 1, l1, l2, l3), P_T = prod_{i<j in T} (a_i - a_j) * (a_k - a_l)
-    with {k, l} the complement of T.  The theta fourth powers of the curve
-    Y^2 = X(X-1)(X-l1)(X-l2)(X-l3) are c P_T for one constant c."""
-    a = (0, 1, *lams)
+def thomae_products(a):
+    """(P_T1, ..., P_T10), T_i = THOMAE_SUBSETS[i - 1], at the five finite
+    branch points a = (a_0, ..., a_4): P_T = prod_{i<j in T} (a_i - a_j) *
+    (a_k - a_l) with {k, l} the complement of T.  Each P_T is homogeneous
+    of degree 4 in a, so integer branch points give integer P_T."""
     out = []
     for i, j, m in THOMAE_SUBSETS:
         k, l = (n for n in range(5) if n not in (i, j, m))
         out.append((a[i] - a[j]) * (a[i] - a[m]) * (a[j] - a[m]) * (a[k] - a[l]))
     return tuple(out)
+
+
+def thomae_fourth_powers(lams):
+    """``thomae_products`` at a = (0, 1, l1, l2, l3).  The theta fourth
+    powers of the curve Y^2 = X(X-1)(X-l1)(X-l2)(X-l3) are c P_T for one
+    constant c."""
+    return thomae_products((0, 1, *lams))

@@ -3,6 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+# Q = 0 inputs (c, b, c/b), where x -> c/x permutes the branch points, and
+# the Humbert-surface input -1, 2, -2: the Satake sextic has a double root
+Q0_LAMBDAS = [(Fraction(2), Fraction(3), Fraction(2, 3)),
+              (Fraction(-7, 9), Fraction(-3, 4), Fraction(28, 27)),
+              (Fraction(5), Fraction(-2), Fraction(-5, 2)),
+              (Fraction(3, 4), Fraction(5), Fraction(3, 20)),
+              (Fraction(-1), Fraction(2), Fraction(-2))]
+
 
 @pytest.fixture
 def rng():

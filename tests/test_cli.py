@@ -577,3 +577,34 @@ def test_roundtrip_on_q0_recovers_the_double_root(capsys):
     assert code == 0
     assert doc["result"]["max_rel_err"] == 0.0
 
+
+
+@pytest.mark.parametrize("argv", [
+    ["satake-sextic"], ["predicates"],
+    *(["fibration", "--model", m] for m in ("alternate", "alternate-ftheory", "kummer23")),
+], ids=" ".join)
+def test_a_wrong_closed_form_root_is_exit_3(capsys, monkeypatch, argv):
+    roots = cli.satake_roots_from_rosenhain
+
+    def one_wrong(lams):
+        d, xs = roots(lams)
+        return d, [xs[0] + d] + xs[1:]
+
+    monkeypatch.setattr(cli, "satake_roots_from_rosenhain", one_wrong)
+    code, doc = invoke(capsys, *argv, "--rosenhain=2,3,5")
+    assert code == 3
+    assert doc["status"] == "identity-violation"
+
+
+def test_q0_discriminants_and_census_from_the_closed_form_roots(capsys):
+    # the Satake sextic of -7/9, -3/4, 28/27 has a double root: disc = 0
+    code, doc = invoke(capsys, "satake-sextic", "--rosenhain=-7/9,-3/4,28/27")
+    assert code == 0
+    assert doc["result"]["discriminant"] == "0"
+    assert doc["result"]["discriminant_identity"] is True
+    code, doc = invoke(capsys, "predicates", "--rosenhain=-7/9,-3/4,28/27")
+    assert code == 0 and doc["result"]["identities_checked"] is True
+    code, doc = invoke(capsys, "fibration", "--model", "kummer23",
+                       "--rosenhain=-7/9,-3/4,28/27")
+    assert code == 0 and doc["result"]["euler_sum"] == 24
+    assert any(f["type"] == "I4" for f in doc["result"]["fibers"])

@@ -19,8 +19,10 @@ from g2satake.fibrations import (INFINITY, FibrationParams, QuarticModel,
 from g2satake.igusa import (IgusaInvariants, SiegelForms, igusa_from_rosenhain,
                             igusa_from_sextic, rosenhain_poly, siegel_from_igusa)
 from g2satake.qpoly import Poly, integer_squarefree, primitive_part
-from g2satake.satake import power_sums_from_igusa, satake_sextic
-from conftest import lambdas_of_height, random_lambdas, seeded_integer_points
+from g2satake.satake import (power_sums_from_igusa, satake_roots_from_rosenhain,
+                             satake_sextic)
+from conftest import (Q0_LAMBDAS, lambdas_of_height, random_lambdas,
+                      seeded_integer_points)
 from oracle_invariants import qvanish_expanded
 
 EVEN_SEXTIC = Poly.from_roots([F(1), F(-1), F(2), F(-2), F(3), F(-3)])
@@ -456,6 +458,8 @@ def assert_kummer1_factors_match_generic(lams):
     parts, degree = _generic_squarefree(A, B, C)
     assert _factored_squarefree(known) == parts
     assert sum(k * f.degree() for f, k in known) == degree
+    # equal linear factors (l_i l_j = l_k, l_i l_j = 1) add multiplicities
+    assert_known_factors_match_general_route(model)
 
 
 @pytest.mark.parametrize("digits", [2, 10, 30, 60])
@@ -524,6 +528,9 @@ T = Poly([0, 1])
     # B and A^2 - 4B share the root of A and B: d = 2 + 1, an additive fiber
     ((T - 1) * (T + 2), (T - 1) * (T - 3), ("III", F(1), (1, 2, 3))),
     (T * (T + 3), T * (T - 2), ("III", F(0), (1, 2, 3))),
+    # the same with B linear: its root adds to the multiplicity of the
+    # root that A^2 - 4B has there
+    (T * (T + 3), T, ("III", F(0), (1, 2, 3))),
     ((T * T + 1) * (T + 2), 5 * (T * T + 1), ("III", Poly([1, 0, 1]), (1, 2, 3))),
     # a repeated factor of B: d = 2 * 2
     (T + 5, (T - 1) ** 2 * (T + 1), ("I4", F(1), (0, 0, 4))),
@@ -562,3 +569,94 @@ def test_factored_discriminant_merges_equal_multiplicities():
 def test_factored_discriminant_vanishing_identically(A, B):
     with pytest.raises(DomainError, match="discriminant vanishes identically"):
         classify_fibers(WeierstrassModel(A=A, B=B, C=Poly()))
+
+
+# ---------------------------------------------------------------------------
+# known linear factors: the Satake roots and the Kummer determinants
+# ---------------------------------------------------------------------------
+
+
+def models_with_known_factors(lams, roots=None):
+    """The four models whose discriminant factors are known linear ones on
+    Rosenhain input: three from the Satake roots, kummer1 from the 2x2
+    determinants of its quartic."""
+    inv = igusa_from_rosenhain(*lams)
+    roots = roots or satake_roots_from_rosenhain(lams)
+    p = FibrationParams.from_igusa(inv)
+    return {"alternate": alternate_model(p, roots),
+            "kummer23": kumfib2_model(inv, roots),
+            "alternate-ftheory": alternate_model_ftheory(siegel_from_igusa(inv), roots),
+            "kummer1": kummer_quartic_model(*lams).jacobian_model()}
+
+
+def assert_known_factors_match_general_route(model):
+    assert model.disc_factors and all(f.degree() == 1 for f, _ in model.disc_factors)
+    census = classify_fibers(model)
+    general = classify_fibers(model._replace(disc_factors=()))
+    assert sorted(map(repr, census.fibers)) == sorted(map(repr, general.fibers))
+    assert census.euler_sum == 24
+    return census
+
+
+@pytest.mark.parametrize("digits", [2, 10, 30, 60])
+def test_known_linear_factors_match_the_general_route(rng, digits):
+    for _ in range(3 if digits < 60 else 1):
+        for model in models_with_known_factors(lambdas_of_height(rng, digits)).values():
+            assert_known_factors_match_general_route(model)
+
+
+@pytest.mark.parametrize("lams", Q0_LAMBDAS, ids=str)
+def test_known_linear_factors_merge_equal_satake_roots(lams):
+    # two Satake roots coincide: their I1 fibers merge into one I2, and
+    # the I2 fibers of kummer23 into one I4
+    merged = {"alternate": "I2", "alternate-ftheory": "I2", "kummer23": "I4"}
+    for name, model in models_with_known_factors(lams).items():
+        census = assert_known_factors_match_general_route(model)
+        if name in merged:
+            assert any(f.fiber_type == merged[name] and f.location != INFINITY
+                       and f.orders[2] == int(merged[name][1:])
+                       for f in census.fibers), (name, census)
+
+
+def test_known_linear_factors_skip_squarefree_and_lifting(rng, monkeypatch):
+    import g2satake.fibrations as fib
+
+    def refuse(*_):
+        raise AssertionError("not reached for known linear factors")
+
+    models = models_with_known_factors(lambdas_of_height(rng, 30))
+    monkeypatch.setattr(fib, "integer_squarefree", refuse)
+    monkeypatch.setattr(fib, "split_rational_roots", refuse)
+    for model in models.values():
+        assert classify_fibers(model).euler_sum == 24
+
+
+def test_one_wrong_satake_root_is_an_identity_violation():
+    lams = (F(2), F(3), F(5))
+    d, xs = satake_roots_from_rosenhain(lams)
+    wrong = (d, [xs[0] + 1] + xs[1:])
+    models = models_with_known_factors(lams, wrong)
+    del models["kummer1"]
+    for model in models.values():
+        with pytest.raises(IdentityViolationError):
+            classify_fibers(model)
+    with pytest.raises(IdentityViolationError):
+        checked_degeneration_predicates(params_for(*lams), wrong)
+
+
+def test_known_factors_name_their_piece_by_exponent():
+    # exponent 3 names no piece of B^2 (A^2 - 4B)
+    lams = (F(2), F(3), F(5))
+    model = models_with_known_factors(lams)["alternate"]
+    moved = tuple((f, 3) for f, _ in model.disc_factors)
+    with pytest.raises(IdentityViolationError):
+        classify_fibers(model._replace(disc_factors=moved))
+
+
+def test_predicates_from_satake_roots_match_the_subresultant(rng):
+    for lams in [lambdas_of_height(rng, d) for d in (2, 10, 30)] + Q0_LAMBDAS:
+        p = params_for(*lams)
+        roots = satake_roots_from_rosenhain(lams)
+        flags, (ok, lhs, rhs) = checked_degeneration_predicates(p, roots)
+        assert ok and lhs == rhs
+        assert (flags, (ok, lhs, rhs)) == checked_degeneration_predicates(p)

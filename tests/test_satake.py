@@ -9,18 +9,19 @@ from g2satake.errors import (DegeneratePointError, DomainError,
 from g2satake.igusa import (IgusaInvariants, SiegelForms, absolute_invariants,
                             igusa_from_rosenhain, igusa_from_sextic, q_form,
                             siegel_from_igusa)
-from g2satake.qpoly import Poly
+from g2satake.qpoly import Poly, discriminant, discriminant_from_roots
 from g2satake.roots import gaussian_roots
 from g2satake.satake import (PowerSums, complete_bell, igusa_from_power_sums,
                              is_rational_square, phi_map, power_sums_from_igusa,
                              reconstruct_from_satake_roots,
-                             satake_discriminant_identity, satake_sextic,
+                             satake_discriminant_identity,
+                             satake_roots_from_rosenhain, satake_sextic,
                              satake_sextic_from_siegel,
                              theta_power_sum_consistency)
 from g2satake.theta import (SATAKE_MATRIX, PeriodMatrix, even_theta_constants,
-                            satake_from_theta, theta4_from_satake,
-                            thomae_fourth_powers)
-from conftest import lambdas_of_height, random_lambdas
+                            rosenhain_from_theta4, satake_from_theta,
+                            theta4_from_satake, thomae_fourth_powers)
+from conftest import Q0_LAMBDAS, lambdas_of_height, random_lambdas
 
 EVEN_SEXTIC = Poly.from_roots([F(1), F(-1), F(2), F(-2), F(3), F(-3)])
 
@@ -270,12 +271,21 @@ def test_thomae_rescaling_is_stable_under_one_ulp():
 
 def _check_thomae_route(lams):
     """Thomae's table gives the Satake roots x = SATAKE_MATRIX (P_T1, ...,
-    P_T5) of the curve and, back through theta4_from_satake, all ten P_T."""
+    P_T5) of the curve and, back through theta4_from_satake, all ten P_T.
+    The integer closed form (d, X) gives the same roots, their product
+    discriminant is disc(f) = 2^52 3^21 Q, and lambda -> x -> theta^4 ->
+    lambda is exact."""
     p = thomae_fourth_powers(lams)
     x = [sum(c * v for c, v in zip(row, p)) for row in SATAKE_MATRIX]
-    f = satake_sextic(power_sums_from_igusa(igusa_from_rosenhain(*lams)))
+    inv = igusa_from_rosenhain(*lams)
+    f = satake_sextic(power_sums_from_igusa(inv))
     assert Poly.from_roots(x) == f
     assert theta4_from_satake(x) == p
+    d, xs = satake_roots_from_rosenhain(lams)
+    assert d > 0 and [F(v, d) for v in xs] == x
+    disc = discriminant_from_roots(f, d, xs)
+    assert disc == discriminant(f) == 2**52 * 3**21 * q_form(siegel_from_igusa(inv))
+    assert rosenhain_from_theta4(theta4_from_satake(x)) == tuple(map(F, lams))
 
 
 @pytest.mark.parametrize("digits", [2, 10, 30, 60])
@@ -284,11 +294,27 @@ def test_thomae_table_gives_the_satake_sextic_exactly(rng, digits):
         _check_thomae_route(lambdas_of_height(rng, digits))
 
 
-@pytest.mark.parametrize("lams", [(F(-7, 9), F(-3, 4), F(28, 27)),
-                                  (F(1, 10**30), F(2), F(3))],
-                         ids=["q0-double-root", "clustered-branch-points"])
+Q0_DOUBLE_ROOT = (F(-7, 9), F(-3, 4), F(28, 27))
+Q0_OTHERS = [lams for lams in Q0_LAMBDAS if lams != Q0_DOUBLE_ROOT]
+
+
+# the rosenhain_from_theta4 guard must not take the exact denominator of
+# the clustered branch points, of size 1e-30, for zero
+@pytest.mark.parametrize("lams", [Q0_DOUBLE_ROOT, (F(1, 10**30), F(2), F(3)),
+                                  *Q0_OTHERS],
+                         ids=["q0-double-root", "clustered-branch-points",
+                              *(f"q0-{i}" for i in range(len(Q0_OTHERS)))])
 def test_thomae_table_on_special_inputs(lams):
     _check_thomae_route(lams)
+
+
+def test_discriminant_from_roots_rejects_a_wrong_root():
+    lams = (F(2), F(3), F(5))
+    d, xs = satake_roots_from_rosenhain(lams)
+    f = satake_sextic(power_sums_from_igusa(igusa_from_rosenhain(*lams)))
+    for wrong in ([xs[0] + 1] + xs[1:], xs[:-1], xs + [0]):
+        with pytest.raises(IdentityViolationError):
+            discriminant_from_roots(f, d, wrong)
 
 
 @pytest.mark.parametrize("digits", [2, 10, 30, 60])
