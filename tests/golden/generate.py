@@ -24,9 +24,11 @@ import json
 import os
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 from g2satake.cli import run
+from g2satake.igusa import igusa_from_rosenhain
 
 CORPUS = Path(__file__).with_name("corpus.jsonl")
 
@@ -55,6 +57,12 @@ I10_ZERO = "2,3,3"                    # repeated lambda: singular sextic
 CHI10_ZERO = "38/69,-21/82,0,-39/56"  # Siegel forms on the product locus
 I2_ZERO = "0,17/5,-23/7,11/13"        # Igusa invariants with I2 = 0, I10 != 0
 BAD_POWER_SUMS = "0,1,0,99,0,0"       # s4 != s2^2/4
+# Igusa invariants of 2,3,5: the six I2 of kummer23 sit at rational roots
+# of B that only the p-adic lift finds
+IGUSA_GENERIC = "550,8272,1399200,2073600"
+# the invariants that igusa --rosenhain=H10 prints
+IGUSA_H10 = ",".join(str(v) for v in igusa_from_rosenhain(
+    *map(Fraction, H10.split(","))).astuple())
 TAU = "0.44,1.86,-0.26,0.81,-0.1,1.93"
 TAU_SMALL = "0.12,1.25,0.31,0.42,-0.37,1.4"
 TAU_DIAGONAL = "0.1,1.2,0,0,0.2,1.5"  # z = 0: theta_10 vanishes (chi10 = 0)
@@ -172,6 +180,11 @@ def cases():
                   ["predicates", f"--rosenhain={source}"]]
     later += [["fibration", "--model", m, f"--rosenhain={Q0_ROUNDTRIP}"]
               for m in MODELS]
+    # the census on input without Rosenhain lambdas, so without known
+    # Satake roots: rational fibers by lifting, and irrational clusters
+    for source in (f"--igusa={IGUSA_GENERIC}", f"--igusa={IGUSA_H10}",
+                   "--siegel=3,5,7,11"):
+        later += [["fibration", "--model", m, source] for m in MODELS[1:]]
     out += [(argv, None, None) for argv in later]
     return out
 
