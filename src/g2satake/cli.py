@@ -282,9 +282,10 @@ def cmd_theta(_key, tau, theta_radius):
         "igusa_quartic_residual": coords.quartic_residual(),
     }
     try:
-        out["rosenhain"] = [complex(l) for l in rosenhain_from_theta(tc)]
+        lam = rosenhain_from_theta(tc)
+        out["rosenhain"] = [complex(l) for l in lam]
         out["power_sum_rescaling"], out["power_sum_residual"] = (
-            theta_power_sum_consistency(tc))
+            theta_power_sum_consistency(tc, lam))
     except DomainError as e:
         out["rosenhain"] = None
         out["degenerate"] = str(e)
@@ -292,13 +293,13 @@ def cmd_theta(_key, tau, theta_radius):
 
 
 def cmd_predicates(key, val):
-    s = _siegel(key, val)
+    inv = None if key == "siegel" else _invariants(key, val)
+    s = val if inv is None else siegel_from_igusa(inv)
     forms = derived_forms(s)
     out = {"humbert": humbert_predicates(s, forms.q),
            "chi35_squared": forms.chi35_squared, "Q": forms.q}
     if s.chi10 != 0:
-        inv = igusa_from_siegel(s)
-        p = FibrationParams.from_igusa(inv)
+        p = FibrationParams.from_igusa(igusa_from_siegel(s) if inv is None else inv)
         out["degeneration"], (ok_q, _, _) = checked_degeneration_predicates(
             p, _satake_roots(key, val))
         ok_iii, _, _ = type_iii_siegel_identity(p, s)

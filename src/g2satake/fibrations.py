@@ -11,15 +11,17 @@ NonMinimalModelError instead of silently reducing the model.
 
 Coefficients must be rational (int or Fraction); the classification runs
 on primitive integer multiples of g2, g3 and Delta.  A factor of Delta
-that is linear in t is a fiber location as it stands (equal ones add
-their multiplicities), with no squarefree decomposition and no root
-search; the other factors are decomposed once, and rational fiber
-locations are split off every cluster exactly (p-adic lifting, no
-floating point).  A model with C = 0 (x = 0 is a two-torsion section: the
-alternate models and ``kumfib2_model``) has Delta a constant times
-B^2 (A^2 - 4B), so Delta is decomposed from B and A^2 - 4B and is never
-expanded.  The paper's theorem that the F-theory model shows the Satake
-sextic gives one of these pieces as linear factors at the Satake roots x_i
+that is linear in t is a fiber location as it stands, with no squarefree
+decomposition and no root search.  The other factors are multiplied
+together with their common exponent taken out and decomposed once; the
+rational roots of every cluster are found exactly (p-adic lifting, no
+floating point) and join the linear ones, and what is left is split by
+the vanishing orders of g2 and g3 through gcds.  A model with C = 0
+(x = 0 is a two-torsion section: the alternate models and
+``kumfib2_model``) has Delta a constant times B^2 (A^2 - 4B), so Delta
+is decomposed from B and A^2 - 4B and is never expanded.  The paper's
+theorem that the F-theory model shows the Satake sextic gives one of
+these pieces as linear factors at the Satake roots x_i
 (``satake.satake_roots_from_rosenhain``): A^2 - 4B is a constant times
 prod (t - x_i/12) for ``alternate_model_ftheory`` and prod (t + x_i/3) for
 ``alternate_model``, and so is B for ``kumfib2_model``; the classifier
@@ -39,7 +41,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 
 from .errors import DomainError, IdentityViolationError, NonMinimalModelError
 from .qpoly import (ExactTuple, Poly, discriminant, discriminant_from_roots,
@@ -230,59 +232,24 @@ def _integral_short_form(A, B, C, known=()):
     return g2, g3, factors
 
 
-def _factored_squarefree(factors):
-    """Squarefree decomposition [(g, d)] of c * prod F^k, given the nonzero
-    factors [(F, k)].
+def _orders(h, g):
+    """The squarefree h split by the vanishing order of g at its roots:
+    [(piece, order)] with the pieces covering h (order None when g = 0).
 
-    Each F is decomposed on its own and its multiplicities are multiplied
-    by k; the pieces of different factors are refined to pairwise coprime
-    ones (a common part adds its multiplicities), and the pieces of equal
-    multiplicity are multiplied back together.  So each g is the primitive,
-    squarefree polynomial with positive leading coefficient that
-    ``integer_squarefree`` gives for the expanded product, in ascending d.
+    gcd(h, g) holds the roots where g vanishes; the rest of h has order 0.
+    g is divided by the gcd, which lowers each of those orders by one, and
+    the gcd is split the same way.
     """
-    pieces = []
-    for f, k in factors:
-        new = []
-        for g, i in integer_squarefree(primitive_part(f)):
-            kept = []
-            for h, m in pieces:
-                common = integer_gcd(g, h)
-                if common.degree() > 0:
-                    new.append((common, m + k * i))
-                    g = integer_quotient(g, common)
-                    h = integer_quotient(h, common)
-                if h.degree() > 0:
-                    kept.append((h, m))
-            pieces = kept
-            if g.degree() > 0:
-                new.append((g, k * i))
-        pieces += new
-    merged = {}
-    for g, d in pieces:
-        merged[d] = merged[d] * g if d in merged else g
-    return [(merged[d], d) for d in sorted(merged)]
-
-
-def _order_profile(cluster, parts):
-    """Split a squarefree cluster by vanishing order, given the squarefree
-    decomposition ``parts`` of a polynomial (None: it vanishes identically,
-    infinite order).
-
-    Returns [(subcluster, order)] covering the cluster.
-    """
-    if parts is None:
-        return [(cluster, None)]
-    remaining = cluster
-    out = []
-    for factor, mult in parts:
-        common = integer_gcd(remaining, factor)
-        if common.degree() > 0:
-            out.append((common, mult))
-            remaining = integer_quotient(remaining, common)
-    if remaining.degree() > 0:
-        out.append((remaining, 0))
-    return out
+    if not g:
+        return [(h, None)]
+    out, k = [], 0
+    while True:
+        common = integer_gcd(h, g)
+        if common.degree() < h.degree():
+            out.append((integer_quotient(h, common), k))
+        if common.degree() < 1:
+            return out
+        h, g, k = common, integer_quotient(g, common), k + 1
 
 
 def _linear_roots(factors):
@@ -305,12 +272,12 @@ def classify_fibers(model):
     The surface degree is the smallest N with deg g2 <= 4N, deg g3 <= 6N
     and deg Delta <= 12N (N = 2 for K3); the fiber at t = infinity is read
     off the degree deficits of g2, g3 and Delta after homogenization.
-    Discriminant factors of degree 1 are kept apart from the rest: their
-    roots, with the multiplicities of equal roots added, are fiber
-    locations whose orders of g2 and g3 are read by exact division.  The
-    other factors are decomposed into squarefree clusters (a root they
-    share with a linear factor adds to its multiplicity), split by the
-    orders of g2 and g3, and searched for rational roots.
+    Discriminant factors of degree 1 give their roots as they stand; the
+    others are multiplied together, their common exponent taken out, and
+    decomposed once.  The rational roots of each cluster join the linear
+    ones (equal roots add their multiplicities), so every rational fiber
+    reads its orders of g2 and g3 by exact division; the irrational rest
+    is split by those orders through gcds (``_orders``).
     """
     if not all(isinstance(c, (int, Fraction))
                for p in (model.A, model.B, model.C) for c in p.coeffs):
@@ -322,37 +289,30 @@ def classify_fibers(model):
         raise DomainError("discriminant vanishes identically; not an elliptic surface")
     roots, others = _linear_roots(factors)
     clusters = []
-    for cluster, d in _factored_squarefree(others):
-        for r in roots:
-            if root_multiplicity(cluster, r):   # once: the cluster is squarefree
-                cluster = integer_quotient(cluster, Poly([-r.numerator, r.denominator]))
-                roots[r] += d
-        if cluster.degree() > 0:
-            clusters.append((cluster, d))
+    if others:
+        k = gcd(*(j for _, j in others))
+        product = _product([(f, j // k) for f, j in others])
+        for cluster, i in integer_squarefree(primitive_part(product)):
+            rational, rest = split_rational_roots(cluster)
+            for r in rational:
+                roots[r] = roots.get(r, 0) + i * k
+            if rest.degree() > 0:
+                clusters.append((rest, i * k))
     fibers = []
     for r, d in sorted(roots.items()):
         a = root_multiplicity(g2, r) if g2 else None
         b = root_multiplicity(g3, r) if g3 else None
         fibers.append(KodairaFiber(
             fiber_type=kodaira_type(a, b, d), location=r * rho, orders=(a, b, d)))
-    if clusters:
-        parts2 = integer_squarefree(g2) if g2 else None
-        parts3 = integer_squarefree(g3) if g3 else None
     for cluster, d in clusters:
-        for sub2, a in _order_profile(cluster, parts2):
-            for sub3, b in _order_profile(sub2, parts3):
-                ftype = kodaira_type(a, b, d)
-                rational, rest = split_rational_roots(sub3)
-                for r in rational:
-                    fibers.append(KodairaFiber(
-                        fiber_type=ftype, location=r * rho, orders=(a, b, d)))
-                n = rest.degree()
-                if n > 0:
-                    # the monic cluster in t = rho T
-                    located = Poly([c * rho ** (n - i) for i, c in enumerate(rest.coeffs)])
-                    fibers.append(KodairaFiber(
-                        fiber_type=ftype, location=located.monic(),
-                        orders=(a, b, d), count=n))
+        for part, a in _orders(cluster, g2):
+            for piece, b in _orders(part, g3):
+                n = piece.degree()
+                # the monic cluster in t = rho T
+                located = Poly([c * rho ** (n - i) for i, c in enumerate(piece.coeffs)])
+                fibers.append(KodairaFiber(
+                    fiber_type=kodaira_type(a, b, d), location=located.monic(),
+                    orders=(a, b, d), count=n))
     d_deg = sum(k * f.degree() for f, k in factors)
     # the zero polynomial has degree -1, which never raises the maximum
     surface = max(1, -(-g2.degree() // 4), -(-g3.degree() // 6), -(-d_deg // 12))

@@ -22,8 +22,8 @@ from .igusa import (AbsoluteInvariants, IgusaInvariants, SiegelForms,
                     absolute_invariants, igusa_from_absolute,
                     igusa_from_sextic, q_form, siegel_from_igusa)
 from .qpoly import ExactTuple, Poly, discriminant, integral_representative
-from .theta import (SATAKE_MATRIX, rosenhain_from_theta, rosenhain_from_theta4,
-                    theta4_from_satake, thomae_fourth_powers, thomae_products)
+from .theta import (SATAKE_MATRIX, rosenhain_from_theta4, theta4_from_satake,
+                    thomae_fourth_powers, thomae_products)
 
 
 # ---------------------------------------------------------------------------
@@ -229,17 +229,17 @@ def reconstruct_from_satake_roots(roots):
         "no root ordering yields nonvanishing denominators")
 
 
-def theta_power_sum_consistency(tc):
+def theta_power_sum_consistency(tc, lam):
     """Fit the theta fourth powers to Thomae's formula for their curve.
 
-    With lambda = rosenhain_from_theta(tc), theta_i^4 = c P_i(lambda)
+    With lam = rosenhain_from_theta(tc), theta_i^4 = c P_i(lam)
     (``theta.thomae_fourth_powers``), and the Satake coordinates are linear
     in the fourth powers, so s_j(theta) = c^j s_j(curve).  c is fitted
     over all ten P_i at once, never divided by one.  Returns (c,
     max_i |theta_i^4 - c P_i| / max_i |theta_i^4|).
     """
     t4 = tc.fourth_powers()
-    p = thomae_fourth_powers(rosenhain_from_theta(tc))
+    p = thomae_fourth_powers(lam)
     c = (sum(t * q.conjugate() for t, q in zip(t4, p))
          / sum(abs(q) ** 2 for q in p))
     return c, max(abs(t - c * q) for t, q in zip(t4, p)) / max(map(abs, t4))

@@ -24,8 +24,8 @@ from g2satake.satake import (phi_map, power_sums_from_igusa,
                              reconstruct_from_satake_roots,
                              satake_discriminant_identity, satake_sextic,
                              theta_power_sum_consistency)
-from g2satake.theta import (PeriodMatrix, check_frobenius,
-                            even_theta_constants, satake_from_theta)
+from g2satake.theta import (PeriodMatrix, check_frobenius, even_theta_constants,
+                            rosenhain_from_theta, satake_from_theta)
 
 EVEN_SEXTIC = Poly.from_roots([F(1), F(-1), F(2), F(-2), F(3), F(-3)])
 
@@ -192,7 +192,7 @@ def test_criterion_7_numeric_theta_loop():
         coords = satake_from_theta(tc)
         assert coords.sum_residual <= 1e-12
         assert coords.quartic_residual() <= 1e-9
-        _, worst = theta_power_sum_consistency(tc)
+        _, worst = theta_power_sum_consistency(tc, rosenhain_from_theta(tc))
         assert worst <= 1e-7
     _report(7, "theta loop at radius 12 over 5 generic tau", t0, 20)
 

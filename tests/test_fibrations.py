@@ -4,8 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from g2satake.errors import DomainError, IdentityViolationError, NonMinimalModelError
-from g2satake.fibrations import (INFINITY, FibrationParams, QuarticModel,
-                                 WeierstrassModel, alternate_model,
+from g2satake.fibrations import (INFINITY, FibrationParams, KodairaFiber,
+                                 QuarticModel, WeierstrassModel, alternate_model,
                                  alternate_model_ftheory,
                                  checked_degeneration_predicates, classify_fibers,
                                  degeneration_predicates, dual_isogeny,
@@ -14,11 +14,10 @@ from g2satake.fibrations import (INFINITY, FibrationParams, QuarticModel,
                                  nikulin_involution, qvanish_bracket,
                                  qvanish_identity, radicand, standard_model,
                                  type_iii_siegel_identity, _at_rho,
-                                 _factored_squarefree, _integral_model,
-                                 _integral_short_form)
+                                 _integral_model, _integral_short_form)
 from g2satake.igusa import (IgusaInvariants, SiegelForms, igusa_from_rosenhain,
                             igusa_from_sextic, rosenhain_poly, siegel_from_igusa)
-from g2satake.qpoly import Poly, integer_squarefree, primitive_part
+from g2satake.qpoly import Poly, integer_gcd, integer_squarefree, primitive_part
 from g2satake.satake import (power_sums_from_igusa, satake_roots_from_rosenhain,
                              satake_sextic)
 from conftest import (Q0_LAMBDAS, lambdas_of_height, random_lambdas,
@@ -415,13 +414,35 @@ def _generic_squarefree(A, B, C):
     return integer_squarefree(primitive_part(delta)), delta.degree()
 
 
+def assert_census_covers(model, parts, rho):
+    """Each squarefree part (g, d) of the expanded discriminant, in the
+    coordinate T = t / rho of ``_integral_model``, is covered by the finite
+    fibers with v(Delta) = d: they lie on g, and their counts add up to
+    deg g."""
+    census = classify_fibers(model)
+    counts = {}
+    for f in census.fibers:
+        if f.location == INFINITY:
+            continue
+        d = f.orders[2]
+        (g,) = [g for g, e in parts if e == d]
+        if isinstance(f.location, F):
+            assert g(f.location / rho) == 0
+        else:
+            piece = _at_rho(f.location, rho)
+            assert integer_gcd(g, piece).degree() == piece.degree() == f.count
+        counts[d] = counts.get(d, 0) + f.count
+    assert counts == {d: g.degree() for g, d in parts}
+    return census
+
+
 def assert_factored_matches_generic(model):
-    (A, B, C), _ = _integral_model(model)
+    (A, B, C), rho = _integral_model(model)
     assert C.is_zero()
     _, _, factors = _integral_short_form(A, B, C)
     assert factors == [(B, 2), (A * A - 4 * B, 1)]
     parts, degree = _generic_squarefree(A, B, C)
-    assert _factored_squarefree(factors) == parts
+    assert_census_covers(model, parts, rho)
     assert sum(k * f.degree() for f, k in factors) == degree
 
 
@@ -456,7 +477,7 @@ def assert_kummer1_factors_match_generic(lams):
     _, _, factors = _integral_short_form(A, B, C, known)
     assert factors == known
     parts, degree = _generic_squarefree(A, B, C)
-    assert _factored_squarefree(known) == parts
+    assert_census_covers(model, parts, rho)
     assert sum(k * f.degree() for f, k in known) == degree
     # equal linear factors (l_i l_j = l_k, l_i l_j = 1) add multiplicities
     assert_known_factors_match_general_route(model)
@@ -550,15 +571,55 @@ def test_factored_discriminant_merges_planted_factors(A, B, fiber):
 
 def test_factored_discriminant_merges_equal_multiplicities():
     # A = 2P, B = P^2 - (t - 3)^2: B = 8 (t - 1) and A^2 - 4B = 4 (t - 3)^2,
-    # so a piece of each has d = 2, and the two make one cluster
+    # so a piece of each has d = 2, and the two make one squarefree part
+    # (t - 1)(t - 3) of the expanded discriminant
     model = WeierstrassModel(A=2 * (T + 1), B=8 * (T - 1), C=Poly())
     assert_factored_matches_generic(model)
     (A, B, C), _ = _integral_model(model)
-    assert _factored_squarefree(_integral_short_form(A, B, C)[2]) == [
-        (Poly([3, -4, 1]), 2)]
+    assert _generic_squarefree(A, B, C)[0] == [(Poly([3, -4, 1]), 2)]
     census = classify_fibers(model)
     assert {(f.fiber_type, f.location) for f in census.fibers} == {
         ("I2", F(1)), ("I2", F(3)), ("I2*", INFINITY)}
+
+
+def test_planted_cluster_split_by_the_order_of_g2():
+    # Delta = 2^6 3^6 (T^2 - 2)^2 (T^2 - 3)^2 is one squarefree cluster of
+    # d = 2, and g2 = -9 (T^2 - 2), g3 = 27 (T^2 - 2)(T^2 - 1) vanish on
+    # its factor T^2 - 2 only
+    model = WeierstrassModel(A=Poly(), B=-3 * (T * T - 2),
+                             C=(T * T - 2) * (T * T - 1))
+    (A, B, C), rho = _integral_model(model)
+    parts, _ = _generic_squarefree(A, B, C)
+    assert parts == [(Poly([6, 0, -5, 0, 1]), 2)]
+    census = assert_census_covers(model, parts, rho)
+    assert set(census.fibers) == {
+        KodairaFiber("II", Poly([-2, 0, 1]), (1, 1, 2), 2),
+        KodairaFiber("I2", Poly([-3, 0, 1]), (0, 0, 2), 2),
+        KodairaFiber("IV", INFINITY, (2, 2, 4)),
+    }
+    assert len(census.fibers) == 3
+    assert census.euler_sum == 12
+
+
+def test_kummer23_without_roots_decomposes_only_the_radicand(rng, monkeypatch):
+    import g2satake.fibrations as fib
+
+    # B is the radicand, of degree 6, and enters Delta as B^2: the one
+    # squarefree decomposition sees B, never B^2, g2 or g3, and the
+    # multiplicities are doubled
+    seen = []
+
+    def spy(p):
+        seen.append(p.degree())
+        return integer_squarefree(p)
+
+    monkeypatch.setattr(fib, "integer_squarefree", spy)
+    for inv in (IgusaInvariants(550, 8272, 1399200, 2073600),
+                igusa_from_rosenhain(*lambdas_of_height(rng, 30))):
+        seen.clear()
+        census = classify_fibers(kumfib2_model(inv))
+        assert seen == [6]
+        assert census.type_multiset() == {"I2": 6, "I1": 1, "I5*": 1}
 
 
 @pytest.mark.parametrize("A, B", [

@@ -32,6 +32,26 @@ def test_poly_basics():
     assert (Poly([1, 1]) ** 3).coeffs == (1, 3, 3, 1)
 
 
+def test_power_forms_no_product_above_its_degree(monkeypatch):
+    # square-and-multiply stops squaring after the last bit of k: p**1 is
+    # no square, and p**k forms no product of degree above k deg p
+    p = Poly([3, -1, 2])
+    expected = [math.prod([p] * k, start=Poly([1])) for k in range(9)]
+    mul = Poly.__mul__
+    degrees = []
+
+    def spy(a, b):
+        out = mul(a, b)
+        degrees.append(out.degree())
+        return out
+
+    monkeypatch.setattr(Poly, "__mul__", spy)
+    for k in range(9):
+        degrees.clear()
+        assert p**k == expected[k]
+        assert max(degrees, default=0) <= k * p.degree(), (k, degrees)
+
+
 def test_resultant_linear_pair():
     assert resultant(Poly([-1, 1]), Poly([1, 1])) == 2
 

@@ -19,8 +19,9 @@ from g2satake.satake import (PowerSums, complete_bell, igusa_from_power_sums,
                              satake_sextic_from_siegel,
                              theta_power_sum_consistency)
 from g2satake.theta import (SATAKE_MATRIX, PeriodMatrix, even_theta_constants,
-                            rosenhain_from_theta4, satake_from_theta,
-                            theta4_from_satake, thomae_fourth_powers)
+                            rosenhain_from_theta, rosenhain_from_theta4,
+                            satake_from_theta, theta4_from_satake,
+                            thomae_fourth_powers)
 from conftest import Q0_LAMBDAS, lambdas_of_height, random_lambdas
 
 EVEN_SEXTIC = Poly.from_roots([F(1), F(-1), F(2), F(-2), F(3), F(-3)])
@@ -245,7 +246,7 @@ def test_reconstruction_all_zero_roots():
 def test_theta_coordinates_match_power_sum_route():
     tau = PeriodMatrix(0.44 + 1.86j, -0.26 + 0.81j, -0.1 + 1.93j)
     tc = even_theta_constants(tau, 12)
-    r2, worst = theta_power_sum_consistency(tc)
+    r2, worst = theta_power_sum_consistency(tc, rosenhain_from_theta(tc))
     assert worst < 1e-12
     # x built from theta matches satake_from_theta (same formulas): sanity
     co = satake_from_theta(tc)
@@ -257,7 +258,7 @@ def test_thomae_rescaling_is_stable_under_one_ulp():
     # moves by one ulp in a seeded direction
     tau = PeriodMatrix(0.44 + 1.86j, -0.26 + 0.81j, -0.1 + 1.93j)
     tc = even_theta_constants(tau)
-    c0, _ = theta_power_sum_consistency(tc)
+    c0, _ = theta_power_sum_consistency(tc, rosenhain_from_theta(tc))
     rng = random.Random(16)
 
     def ulp(v):
@@ -265,7 +266,8 @@ def test_thomae_rescaling_is_stable_under_one_ulp():
 
     for _ in range(20):
         values = tuple(complex(ulp(v.real), ulp(v.imag)) for v in tc.values)
-        c, _ = theta_power_sum_consistency(tc._replace(values=values))
+        moved = tc._replace(values=values)
+        c, _ = theta_power_sum_consistency(moved, rosenhain_from_theta(moved))
         assert abs(c - c0) <= 1e-12 * abs(c0)
 
 
