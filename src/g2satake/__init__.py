@@ -16,9 +16,9 @@ from .fibrations import (FiberCensus, FibrationParams, KodairaFiber,
                          alternate_model_ftheory, classify_fibers,
                          degeneration_predicates, dual_isogeny, isogeny,
                          kodaira_type, kumfib2_model, kummer_quartic_model,
-                         nikulin_involution, qvanish_bracket, qvanish_identity,
-                         radicand, standard_model,
-                         type_iii_bracket, type_iii_siegel_identity)
+                         nikulin_involution, qvanish_bracket, radicand,
+                         standard_model, type_iii_bracket,
+                         type_iii_siegel_identity)
 from .igusa import (AbsoluteInvariants, DerivedForms, IgusaInvariants,
                     SiegelForms, absolute_invariants, chi35_squared,
                     derived_forms, humbert_predicates, igusa_from_absolute,

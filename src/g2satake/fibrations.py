@@ -597,47 +597,32 @@ def type_iii_bracket(p):
     return p.a * p.c**2 * p.d - p.b * p.c**3 + p.d**3
 
 
-def _degeneration_flags(p, bracket):
-    return {
-        "su2_enhancement": bracket == 0,
-        "type_III": type_iii_bracket(p) == 0,
-        "so32_enhancement": p.e == 0,
-    }
+def degeneration_predicates(p, roots=None):
+    """The su(2), type-III and so(32) flags of the parameters ``p``.
 
-
-def _qvanish_check(p, bracket, roots=None):
+    The bracket is evaluated once, and disc_t((t^3+at+b)^2 - 4e(ct+d)) =
+    2^12 e^3 * bracket is checked exactly (the 2^12 was determined once on
+    random rational parameters and is frozen); a mismatch raises
+    IdentityViolationError.  Given the Satake roots (d, X) of the curve
+    (``satake.satake_roots_from_rosenhain``), the left side is read off
+    them: the radicand is checked to be prod (t + x_i / 3) exactly, and its
+    discriminant is 3^-30 prod_{i<j} (x_i - x_j)^2.
+    """
+    bracket = qvanish_bracket(p)
     rad = radicand(p)
     if roots is None:
         lhs = discriminant(rad)
     else:   # rad(t) = f(-3t) / 729, so its roots are -x_i / 3
         d, xs = roots
         lhs = discriminant_from_roots(rad, 3 * d, [-x for x in xs])
-    rhs = 2**12 * p.e**3 * bracket
-    return lhs == rhs, lhs, rhs
-
-
-def degeneration_predicates(p):
-    return _degeneration_flags(p, qvanish_bracket(p))
-
-
-def qvanish_identity(p):
-    """disc_t((t^3+at+b)^2 - 4e(ct+d)) = 2^12 e^3 * bracket, exactly.
-
-    The 2^12 was determined once on random rational parameters and is
-    frozen; the check reruns the identity on the given parameters.
-    """
-    return _qvanish_check(p, qvanish_bracket(p))
-
-
-def checked_degeneration_predicates(p, roots=None):
-    """``(degeneration_predicates(p), qvanish_identity(p))`` with the
-    bracket evaluated once.  Given the Satake roots (d, X) of the curve
-    (``satake.satake_roots_from_rosenhain``), the left side is read off
-    them: the radicand is checked to be prod (t + x_i / 3) exactly
-    (IdentityViolationError else), and its discriminant is
-    3^-30 prod_{i<j} (x_i - x_j)^2."""
-    bracket = qvanish_bracket(p)
-    return _degeneration_flags(p, bracket), _qvanish_check(p, bracket, roots)
+    if lhs != 2**12 * p.e**3 * bracket:
+        raise IdentityViolationError(
+            "disc_t(radicand) = 2^12 e^3 * bracket fails on this input")
+    return {
+        "su2_enhancement": bracket == 0,
+        "type_III": type_iii_bracket(p) == 0,
+        "so32_enhancement": p.e == 0,
+    }
 
 
 def type_iii_siegel_identity(p, s):
@@ -646,9 +631,13 @@ def type_iii_siegel_identity(p, s):
     Ties the parameter-space type-III condition to its Siegel-form
     expression through the dictionary, for the parameters ``p`` and the
     form values ``s`` of one curve; the constant -(2^36)/27 is frozen.
+    Returns both sides; a mismatch raises IdentityViolationError.
     """
     lhs = p.e**3 * type_iii_bracket(p)
     rhs = -Fraction(2**36, 27) * (2 * s.psi6 * s.chi10**3
                                   + 9 * s.psi4 * s.chi10**2 * s.chi12
                                   - 27 * s.chi12**3)
-    return lhs == rhs, lhs, rhs
+    if lhs != rhs:
+        raise IdentityViolationError(
+            "the type-III Siegel-form identity fails on this input")
+    return lhs, rhs

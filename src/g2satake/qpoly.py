@@ -3,9 +3,6 @@
 Scalars are plain Python numbers: ``fractions.Fraction`` (or ``int``) for
 exact work, ``complex`` for numeric work.  ``Poly`` is a dense univariate
 polynomial over any such coefficient ring, stored lowest degree first.
-Coefficients may themselves be ``Poly`` instances, which is how the few
-bivariate computations in this package (models over Q[t]) are carried
-out.
 
 Ints become Fractions in one place: ``ExactTuple``, the mixin of the exact
 value records (namedtuples), stores int fields as Fractions (``promote_int``
@@ -33,13 +30,6 @@ from functools import cache
 from math import gcd as _int_gcd, isqrt, lcm as _int_lcm
 
 from .errors import DomainError, IdentityViolationError
-
-
-def _is_zero(c):
-    """Zero test that works for numbers and nested Poly coefficients."""
-    if isinstance(c, Poly):
-        return not c.coeffs
-    return c == 0
 
 
 class GaussianRational:
@@ -157,7 +147,7 @@ class Poly:
 
     def __init__(self, coeffs=()):
         cs = list(coeffs)
-        while cs and _is_zero(cs[-1]):
+        while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
 
@@ -192,7 +182,7 @@ class Poly:
             return self.coeffs == other.coeffs
         # allow comparison against a scalar constant
         if not self.coeffs:
-            return _is_zero(other)
+            return other == 0
         return len(self.coeffs) == 1 and self.coeffs[0] == other
 
     def __hash__(self):
@@ -230,7 +220,7 @@ class Poly:
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            if _is_zero(other):
+            if other == 0:
                 return Poly()
             return Poly([c * other for c in self.coeffs])
         a, b = self.coeffs, other.coeffs
@@ -238,7 +228,7 @@ class Poly:
             return Poly()
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
-            if _is_zero(ca):
+            if ca == 0:
                 continue
             for j, cb in enumerate(b):
                 out[i + j] = out[i + j] + ca * cb
@@ -285,6 +275,10 @@ class Poly:
 # ---------------------------------------------------------------------------
 # exact resultants and discriminants
 # ---------------------------------------------------------------------------
+
+
+def _exact(values):
+    return all(isinstance(v, (int, Fraction)) for v in values)
 
 
 def _clear_denominators(p):
@@ -350,6 +344,8 @@ def resultant(p, q):
     """
     if not isinstance(p, Poly) or not isinstance(q, Poly):
         raise DomainError("resultant expects Poly arguments")
+    if not _exact(p.coeffs + q.coeffs):
+        raise DomainError("resultant needs exact (int/Fraction) coefficients")
     if p.is_zero() or q.is_zero():
         raise DomainError("resultant of the zero polynomial is undefined")
     m, n = p.degree(), q.degree()
@@ -378,13 +374,12 @@ def discriminant(p):
     d = p.degree()
     if d < 2:
         raise DomainError("discriminant needs degree >= 2")
+    if not _exact(p.coeffs):
+        raise DomainError("discriminant needs exact (int/Fraction) coefficients")
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
     lc = Fraction(p.lead())
-    rep = integral_representative([c / lc for c in p.coeffs[:-1]],
-                                  range(d, 0, -1))
-    if rep is None:
-        raise DomainError("discriminant needs exact (int/Fraction) coefficients")
-    r, ints = rep
+    r, ints = integral_representative([c / lc for c in p.coeffs[:-1]],
+                                      range(d, 0, -1))
     P = Poly(ints + [1])
     return sign * resultant(P, P.derivative()) * lc ** (2 * d - 2) / r ** (d * (d - 1))
 
@@ -492,7 +487,7 @@ def integral_representative(values, weights):
     evaluated on ``ints`` and divided once by the matching power of r
     give the exact values at the original point.
     """
-    if not all(isinstance(v, (int, Fraction)) for v in values):
+    if not _exact(values):
         return None
     fracs = [Fraction(v) for v in values]
     dens = [f.denominator for f in fracs]

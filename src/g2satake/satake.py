@@ -21,7 +21,8 @@ from .errors import (DegeneratePointError, DomainError, IdentityViolationError,
 from .igusa import (AbsoluteInvariants, IgusaInvariants, SiegelForms,
                     absolute_invariants, igusa_from_absolute,
                     igusa_from_sextic, q_form, siegel_from_igusa)
-from .qpoly import ExactTuple, Poly, discriminant, integral_representative
+from .qpoly import (ExactTuple, Poly, discriminant, discriminant_from_roots,
+                    integral_representative)
 from .theta import (SATAKE_MATRIX, rosenhain_from_theta4, theta4_from_satake,
                     thomae_fourth_powers, thomae_products)
 
@@ -178,16 +179,20 @@ def satake_roots_from_rosenhain(lams):
     return L**4 // g, [x // g for x in xs]
 
 
-def satake_discriminant_identity(inv):
-    """Check disc(f) = 2^52 3^21 Q exactly; returns both sides."""
-    f = satake_sextic(power_sums_from_igusa(inv))
-    lhs = discriminant(f)
-    rhs = 2**52 * 3**21 * q_form(siegel_from_igusa(inv))
-    if lhs != rhs:
-        raise IdentityViolationError(
-            f"discriminant identity fails: disc(f) = {lhs}, "
-            f"2^52 3^21 Q = {rhs}")
-    return lhs, rhs
+def satake_discriminant_identity(s, f, roots=None):
+    """disc(f) = 2^52 3^21 Q exactly, for the Satake sextic ``f`` of the
+    Siegel form values ``s`` (chi10 = 0 included); returns (disc(f), Q).
+
+    Given the closed-form Satake roots (d, X) of the curve
+    (``satake_roots_from_rosenhain``), disc(f) is read off them, after f
+    is checked to be prod (x - x_i) exactly; else it is the subresultant
+    discriminant.  A mismatch raises IdentityViolationError.
+    """
+    disc = discriminant(f) if roots is None else discriminant_from_roots(f, *roots)
+    q = q_form(s)
+    if disc != 2**52 * 3**21 * q:
+        raise IdentityViolationError("disc(f) = 2^52 3^21 Q fails on this input")
+    return disc, q
 
 
 # ---------------------------------------------------------------------------

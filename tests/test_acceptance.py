@@ -17,12 +17,14 @@ from g2satake.fibrations import (FibrationParams, alternate_model,
                                  type_iii_siegel_identity)
 from g2satake.igusa import (SiegelForms, absolute_invariants,
                             igusa_from_rosenhain, igusa_from_sextic,
-                            q_form, rosenhain_poly, siegel_from_igusa)
+                            igusa_from_siegel, q_form, rosenhain_poly,
+                            siegel_from_igusa)
 from g2satake.qpoly import Poly
 from g2satake.roots import gaussian_roots
 from g2satake.satake import (phi_map, power_sums_from_igusa,
                              reconstruct_from_satake_roots,
                              satake_discriminant_identity, satake_sextic,
+                             satake_sextic_from_siegel,
                              theta_power_sum_consistency)
 from g2satake.theta import (PeriodMatrix, check_frobenius, even_theta_constants,
                             rosenhain_from_theta, satake_from_theta)
@@ -66,15 +68,31 @@ def _report(num, label, t0, budget):
     assert dt < budget
 
 
+def _siegel_points(seed, count, height):
+    """Random Siegel form values, every fourth with chi10 = 0."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        vals = [F(rng.randint(-height, height), rng.randint(1, height))
+                for _ in range(4)]
+        if i % 4 == 3:
+            vals[2] = F(0)
+        out.append(SiegelForms(*vals))
+    return out
+
+
 TRIPLES_20 = _triples(1001, 20, 50)
 TRIPLES_10 = _triples(1002, 10, 20)
+SIEGEL_40 = _siegel_points(1004, 40, 50)
 
 
 def test_criterion_1_discriminant_identity():
     t0 = time.perf_counter()
     for lams in TRIPLES_20:
-        lhs, rhs = satake_discriminant_identity(igusa_from_rosenhain(*lams))
-        assert lhs == rhs   # exact, zero tolerance
+        inv = igusa_from_rosenhain(*lams)
+        disc, q = satake_discriminant_identity(
+            siegel_from_igusa(inv), satake_sextic(power_sums_from_igusa(inv)))
+        assert disc == 2**52 * 3**21 * q   # exact, zero tolerance
     _report(1, "disc(Satake sextic) = 2^52 3^21 Q, 20 triples", t0, 10)
 
 
@@ -161,9 +179,9 @@ def test_criterion_5_degenerations():
     assert classify_fibers(alternate_model_ftheory(chiless)).has_type("I12*")
     for lams in TRIPLES_10[:5]:
         inv = igusa_from_rosenhain(*lams)
-        ok, lhs, rhs = type_iii_siegel_identity(FibrationParams.from_igusa(inv),
-                                                siegel_from_igusa(inv))
-        assert ok and lhs == rhs
+        lhs, rhs = type_iii_siegel_identity(FibrationParams.from_igusa(inv),
+                                            siegel_from_igusa(inv))
+        assert lhs == rhs
     _report(5, "degeneration corollaries and type-III dictionary", t0, 10)
 
 
@@ -179,8 +197,17 @@ def test_criterion_6_satake_positions():
         # Satake sextic, its I1 fibers sitting at t = x_i/12
         ftheory = alternate_model_ftheory(siegel_from_igusa(inv))
         assert f(Poly([0, 12])) == 1728**2 * (ftheory.A**2 - 4 * ftheory.B)
-    _report(6, "I2/I1 positions are the Satake sextic at t=-x/3 and x/12",
-            t0, 5)
+    # the same on Siegel input, chi10 = 0 included, where the radicand
+    # (a function of the Igusa invariants) exists only off chi10 = 0
+    for s in SIEGEL_40:
+        f = satake_sextic_from_siegel(s)
+        ftheory = alternate_model_ftheory(s)
+        assert f(Poly([0, 12])) == 1728**2 * (ftheory.A**2 - 4 * ftheory.B)
+        if s.chi10 != 0:
+            p = FibrationParams.from_igusa(igusa_from_siegel(s))
+            assert f(Poly([0, F(-3)])) == 729 * radicand(p)
+    _report(6, "I2/I1 positions are the Satake sextic at t=-x/3 and x/12, "
+            "10 Rosenhain and 40 Siegel points", t0, 5)
 
 
 def test_criterion_7_numeric_theta_loop():

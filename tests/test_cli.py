@@ -114,6 +114,17 @@ def test_exit_code_identity_violation(capsys):
     assert doc["status"] == "identity-violation"
 
 
+@pytest.mark.parametrize("flag", ["--rosenhain=2,3,5", "--siegel=3,5,7,11"])
+def test_a_failed_discriminant_identity_is_exit_3(capsys, monkeypatch, flag):
+    from g2satake import igusa
+
+    q_poly = igusa._q_poly
+    monkeypatch.setattr(igusa, "_q_poly", lambda *v: q_poly(*v) + 1)
+    code, doc = invoke(capsys, "satake-sextic", flag)
+    assert code == 3
+    assert doc["status"] == "identity-violation"
+
+
 def test_deterministic_output(capsys):
     code1 = run(["igusa", "--rosenhain", "2,3,5"])
     out1 = capsys.readouterr().out

@@ -6,14 +6,12 @@ import pytest
 from g2satake.errors import DomainError, IdentityViolationError, NonMinimalModelError
 from g2satake.fibrations import (INFINITY, FibrationParams, KodairaFiber,
                                  QuarticModel, WeierstrassModel, alternate_model,
-                                 alternate_model_ftheory,
-                                 checked_degeneration_predicates, classify_fibers,
+                                 alternate_model_ftheory, classify_fibers,
                                  degeneration_predicates, dual_isogeny,
                                  euler_number, isogeny, kodaira_type,
                                  kumfib2_model, kummer_quartic_model,
-                                 nikulin_involution, qvanish_bracket,
-                                 qvanish_identity, radicand, standard_model,
-                                 type_iii_siegel_identity, _at_rho,
+                                 nikulin_involution, qvanish_bracket, radicand,
+                                 standard_model, type_iii_siegel_identity, _at_rho,
                                  _integral_model, _integral_short_form)
 from g2satake.igusa import (IgusaInvariants, SiegelForms, igusa_from_rosenhain,
                             igusa_from_sextic, rosenhain_poly, siegel_from_igusa)
@@ -324,9 +322,7 @@ def test_qvanish_bracket_matches_radicand_discriminant(rng):
         vals = [F(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(5)]
         if vals[4] == 0:
             continue
-        p = FibrationParams(*vals)
-        ok, lhs, rhs = qvanish_identity(p)
-        assert ok, (lhs, rhs)
+        degeneration_predicates(FibrationParams(*vals))   # raises on a mismatch
 
 
 @pytest.mark.parametrize("digits", [2, 10, 30])
@@ -337,8 +333,6 @@ def test_integer_bracket_matches_its_fraction_value(rng, digits):
     for q in (p, p._replace(e=0), p._replace(c=F(2, 3)), p._replace(c=5),
               p._replace(b=0, d=F(1, 7**digits))):
         assert qvanish_bracket(q) == _qvanish_form(*map(F, q.astuple()))
-    assert checked_degeneration_predicates(p) == (degeneration_predicates(p),
-                                                   qvanish_identity(p))
 
 
 def test_bracket_rejects_inexact_parameters():
@@ -351,9 +345,23 @@ def test_bracket_rejects_inexact_parameters():
 def test_type_iii_siegel_identity(rng):
     for _ in range(4):
         inv = igusa_from_rosenhain(*random_lambdas(rng, 10))
-        ok, lhs, rhs = type_iii_siegel_identity(FibrationParams.from_igusa(inv),
-                                                siegel_from_igusa(inv))
-        assert ok, (lhs, rhs)
+        lhs, rhs = type_iii_siegel_identity(FibrationParams.from_igusa(inv),
+                                            siegel_from_igusa(inv))
+        assert lhs == rhs
+
+
+def test_failed_degeneration_identities_raise(monkeypatch):
+    import g2satake.fibrations as fib
+
+    p = params_for(2, 3, 5)
+    other = siegel_from_igusa(igusa_from_rosenhain(2, 3, 7))
+    with pytest.raises(IdentityViolationError, match="type-III"):
+        type_iii_siegel_identity(p, other)
+    form = fib._qvanish_form
+    monkeypatch.setattr(fib, "_qvanish_form", lambda *v: form(*v) + 1)
+    for roots in (None, satake_roots_from_rosenhain((2, 3, 5))):
+        with pytest.raises(IdentityViolationError, match="bracket"):
+            degeneration_predicates(p, roots)
 
 
 def test_standard_to_alternate_birational_transform(rng):
@@ -702,7 +710,7 @@ def test_one_wrong_satake_root_is_an_identity_violation():
         with pytest.raises(IdentityViolationError):
             classify_fibers(model)
     with pytest.raises(IdentityViolationError):
-        checked_degeneration_predicates(params_for(*lams), wrong)
+        degeneration_predicates(params_for(*lams), wrong)
 
 
 def test_known_factors_name_their_piece_by_exponent():
@@ -718,6 +726,5 @@ def test_predicates_from_satake_roots_match_the_subresultant(rng):
     for lams in [lambdas_of_height(rng, d) for d in (2, 10, 30)] + Q0_LAMBDAS:
         p = params_for(*lams)
         roots = satake_roots_from_rosenhain(lams)
-        flags, (ok, lhs, rhs) = checked_degeneration_predicates(p, roots)
-        assert ok and lhs == rhs
-        assert (flags, (ok, lhs, rhs)) == checked_degeneration_predicates(p)
+        # each route raises on a mismatch with the same right side
+        assert degeneration_predicates(p, roots) == degeneration_predicates(p)

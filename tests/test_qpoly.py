@@ -80,6 +80,19 @@ def test_resultant_rejects_zero():
         resultant(Poly(), Poly([1, 1]))
 
 
+@pytest.mark.parametrize("call", [
+    lambda: discriminant(Poly([1, 0, 2.5])),
+    lambda: discriminant(Poly([1, 0, 1j])),
+    lambda: resultant(Poly([1, 0.5]), Poly([1, 1])),
+    lambda: resultant(Poly([1, 1j]), Poly([1, 1])),
+], ids=["discriminant-float", "discriminant-complex", "resultant-float",
+        "resultant-complex"])
+def test_resultant_and_discriminant_reject_inexact_coefficients(call):
+    # a float must not be read as the rational it rounds to
+    with pytest.raises(DomainError, match="exact"):
+        call()
+
+
 def test_discriminant_quadratic():
     assert discriminant(Poly([-1, 0, 1])) == 4
     assert discriminant(Poly([1, -2, 1])) == 0

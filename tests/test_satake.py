@@ -162,22 +162,43 @@ def test_integer_sextic_matches_the_fraction_route(rng, digits):
         satake_sextic(PowerSums(1j, 0, 0, 0))
 
 
+def _discriminant_identity(inv, roots=None):
+    return satake_discriminant_identity(
+        siegel_from_igusa(inv), satake_sextic(power_sums_from_igusa(inv)), roots)
+
+
 def test_discriminant_identity_random(rng):
     for _ in range(6):
-        inv = igusa_from_rosenhain(*random_lambdas(rng, 30))
-        lhs, rhs = satake_discriminant_identity(inv)
-        assert lhs == rhs != 0
+        lams = random_lambdas(rng, 30)
+        inv = igusa_from_rosenhain(*lams)
+        disc, q = _discriminant_identity(inv)
+        assert disc == 2**52 * 3**21 * q != 0
+        # the closed-form roots give the same discriminant
+        assert _discriminant_identity(
+            inv, satake_roots_from_rosenhain(lams)) == (disc, q)
 
 
 def test_discriminant_identity_unit_i10():
-    lhs, rhs = satake_discriminant_identity(IgusaInvariants(0, 0, 0, 1))
-    q = q_form(SiegelForms(F(0), F(0), F(-1, 2**14), F(0)))
-    assert lhs == 2**52 * 3**21 * q
+    disc, q = _discriminant_identity(IgusaInvariants(0, 0, 0, 1))
+    assert q == q_form(SiegelForms(F(0), F(0), F(-1, 2**14), F(0)))
+    assert disc == 2**52 * 3**21 * q
 
 
 def test_discriminant_identity_even_sextic_vanishes():
-    lhs, rhs = satake_discriminant_identity(igusa_from_sextic(EVEN_SEXTIC))
-    assert lhs == rhs == 0
+    assert _discriminant_identity(igusa_from_sextic(EVEN_SEXTIC)) == (0, 0)
+
+
+def test_discriminant_identity_on_chi10_zero():
+    s = SiegelForms(F(38, 69), F(-21, 82), F(0), F(-39, 56))
+    disc, q = satake_discriminant_identity(s, satake_sextic_from_siegel(s))
+    assert disc == 2**52 * 3**21 * q != 0
+
+
+def test_discriminant_identity_mismatch_raises():
+    s = siegel_from_igusa(igusa_from_rosenhain(2, 3, 5))
+    other = satake_sextic_from_siegel(siegel_from_igusa(igusa_from_rosenhain(2, 3, 7)))
+    with pytest.raises(IdentityViolationError, match="2\\^52 3\\^21 Q"):
+        satake_discriminant_identity(s, other)
 
 
 def test_phi_dual_path_and_structure(rng):
