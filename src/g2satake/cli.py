@@ -26,16 +26,16 @@ from .fibrations import (FibrationParams, alternate_model, alternate_model_ftheo
                          classify_fibers, degeneration_predicates,
                          kumfib2_model, kummer_quartic_model, standard_model,
                          type_iii_siegel_identity)
-from .igusa import (AbsoluteInvariants, IgusaInvariants, SiegelForms,
-                    absolute_invariants, derived_forms, humbert_predicates,
-                    igusa_from_rosenhain, igusa_from_sextic, igusa_from_siegel,
-                    siegel_from_igusa)
+from .igusa import (SIEGEL_WEIGHTS, AbsoluteInvariants, IgusaInvariants,
+                    IgusaPoint, SiegelForms, SiegelPoint, absolute_invariants,
+                    humbert_predicates, igusa_from_rosenhain, igusa_from_sextic,
+                    igusa_from_siegel, rosenhain_integers, siegel_from_igusa)
 from .qpoly import Poly, discriminant
 from .roots import gaussian_roots
 from .satake import (PowerSums, phi_map, power_sums_from_igusa,
-                     power_sums_from_siegel, reconstruct_from_satake_roots,
-                     satake_discriminant_identity, satake_roots_from_rosenhain,
-                     satake_sextic, satake_sextic_from_siegel,
+                     reconstruct_from_satake_roots, satake_discriminant_identity,
+                     satake_roots_from_rosenhain, satake_sextic,
+                     satake_sextic_from_siegel, satake_sextic_on_point,
                      theta_power_sum_consistency)
 from .theta import (MAX_RADIUS, PeriodMatrix, check_frobenius,
                     even_theta_constants, rosenhain_from_theta,
@@ -116,24 +116,73 @@ def _checked(convert, accept, what):
     return parse
 
 
-def _invariants(key, val):
-    """Igusa invariants of a parsed curve input."""
-    if key == "rosenhain":
-        return igusa_from_rosenhain(*val)
-    if key == "siegel":
-        return igusa_from_siegel(val)
-    if key == "sextic":
-        return igusa_from_sextic(val)
-    return val
+class CurvePoint:
+    """One curve input and its integral weighted point, built on first use
+    and once per job; the exact handlers read from it.
 
+    ``igusa`` is the ``IgusaPoint`` (u; I2', I4', I6', I10'), built on
+    Rosenhain input from the integer forms alone.  ``siegel`` is the
+    ``SiegelPoint`` over v = 12 u, the unit on which the Siegel forms and
+    the fibration parameters are integers; on Siegel input with chi10 = 0,
+    where there are no Igusa invariants, it is built from the forms
+    (``SiegelPoint.of``).
+    ``roots`` are the closed-form Satake roots of Rosenhain input in the
+    weighted coordinate X = v^2 x, else None.
+    """
 
-def _siegel(key, val):
-    return val if key == "siegel" else siegel_from_igusa(_invariants(key, val))
+    def __init__(self, key, val):
+        self.key, self.val = key, val
 
+    def invariants(self):
+        """The Igusa invariants as Fractions."""
+        if self.key == "siegel":
+            return igusa_from_siegel(self.val)
+        if self.key == "sextic":
+            return igusa_from_sextic(self.val)
+        if self.key == "rosenhain":
+            return igusa_from_rosenhain(*self.val)
+        return self.val
 
-def _satake_roots(key, val):
-    """The closed-form Satake roots (d, X) of a Rosenhain input, else None."""
-    return satake_roots_from_rosenhain(val) if key == "rosenhain" else None
+    def degenerate(self):
+        """I10 = 0, where there is no genus-two curve: on Rosenhain input,
+        where the branch points 0, 1, l1, l2, l3 (and infinity) are not
+        distinct, read off the lambdas."""
+        if self.key == "rosenhain":
+            return len({0, 1, *self.val}) < 5
+        return self.igusa.I10 == 0
+
+    @functools.cached_property
+    def igusa(self):
+        if self.key == "rosenhain":
+            return IgusaPoint.from_rosenhain(self.val)
+        return IgusaPoint.of(self.invariants())
+
+    @functools.cached_property
+    def siegel(self):
+        if self.key == "siegel" and self.val.chi10 == 0:
+            return SiegelPoint.of(self.val)
+        return self.igusa.siegel()
+
+    def integral_invariants(self):
+        """The Igusa invariants over v, integers in the weighted coordinate
+        from which the fibration parameters are built."""
+        return IgusaInvariants(*self.igusa.scaled(12).astuple())
+
+    def params(self):
+        """The fibration parameters over v, integers."""
+        return FibrationParams.from_igusa(self.integral_invariants())
+
+    @functools.cached_property
+    def roots(self):
+        """The closed-form Satake roots of Rosenhain input in X = v^2 x, as
+        (1, [v^2 x_i]): the roots of the monic integer sextic
+        v^12 f(X / v^2), integers since the denominator d of the x_i divides
+        v^2; else None."""
+        if self.key != "rosenhain":
+            return None
+        d, xs = satake_roots_from_rosenhain(self.val)
+        w = self.siegel.v ** 2 // d
+        return 1, [w * x for x in xs]
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +190,8 @@ def _satake_roots(key, val):
 # ---------------------------------------------------------------------------
 
 
-def cmd_igusa(key, val):
-    inv = _invariants(key, val)
+def cmd_igusa(_key, point):
+    inv = point.invariants()
     out = {
         "invariants": {"I2": inv.I2, "I4": inv.I4, "I6": inv.I6, "I10": inv.I10},
         "degenerate": inv.degenerate, "absolute": None, "siegel": None,
@@ -156,6 +205,12 @@ def cmd_igusa(key, val):
     return out
 
 
+def _reduced(values, weights, unit):
+    """The values of an integral point over ``unit``, reduced: only values
+    that are printed are reduced, each once."""
+    return [Fraction(v, unit**w) for v, w in zip(values, weights)]
+
+
 def cmd_satake_sextic(key, val):
     out = {"dual_construction_checked": True}
     if key == "power_sums":
@@ -164,24 +219,23 @@ def cmd_satake_sextic(key, val):
         ps = PowerSums(s2=val[1], s3=val[2], s5=val[4], s6=val[5])
         f = satake_sextic(ps, val[3])   # s4 checked against s2^2/4
         out["discriminant"] = discriminant(f)
+        coefficients = list(f.coeffs)
     else:
-        s = _siegel(key, val)
-        ps = power_sums_from_siegel(s)
-        f = satake_sextic(ps)
-        if f != satake_sextic_from_siegel(s):
-            raise IdentityViolationError(
-                "power-sum and Siegel-form constructions of the sextic disagree")
+        s = val.siegel
+        S, f = satake_sextic_on_point(s)   # in X = v^2 x
         out["discriminant"], out["Q"] = satake_discriminant_identity(
-            s, f, _satake_roots(key, val))
+            s, f, val.roots)
         out["discriminant_identity"] = True
+        ps = PowerSums(*_reduced(S, SIEGEL_WEIGHTS, s.v))
+        coefficients = _reduced(f.coeffs, range(12, -1, -2), s.v)
     out["power_sums"] = {"s1": ps.s1, "s2": ps.s2, "s3": ps.s3,
                          "s4": ps.s4, "s5": ps.s5, "s6": ps.s6}
-    out["coefficients"] = list(f.coeffs)
+    out["coefficients"] = coefficients
     return out
 
 
 def cmd_phi(key, val):
-    j = val if key == "absolute" else absolute_invariants(_invariants(key, val))
+    j = val if key == "absolute" else absolute_invariants(val.invariants())
     res = phi_map(j)
     return {
         "j_source": {"j1": j.j1, "j2": j.j2, "j3": j.j3},
@@ -202,46 +256,54 @@ _NO_K3 = ("I10 = 0: the sextic is singular; there is no genus-two curve "
           "and no K3 fibration")
 
 
-def cmd_fibration(key, val, model):
+def cmd_fibration(key, point, model):
+    """Each model is built on the integral point, in its weighted
+    coordinate T (t = rho T), and ``classify_fibers`` reads the census back
+    into t."""
     if model not in _MODELS:
         raise SchemaError(f"--model must be one of {_MODELS}")
     if model == "kummer1":
         if key != "rosenhain":
             raise SchemaError("--model kummer1 needs --rosenhain")
-        # the branch points 0, 1, l1, l2, l3 (and infinity) are distinct
-        # exactly when I10 != 0
-        if len({0, 1, *val}) < 5:
+        if point.degenerate():
             raise DomainError(_NO_K3)
-        weierstrass = kummer_quartic_model(*val).jacobian_model()
+        z, ints = rosenhain_integers(point.val)
+        weierstrass = kummer_quartic_model(*ints, z=z).jacobian_model()
+        rho = Fraction(1, z)
     elif model == "alternate-ftheory" and key == "siegel":
-        # defined on chi10 = 0 too, where I2 and I10* merge into I12*
-        weierstrass = alternate_model_ftheory(val)
+        # defined on chi10 = 0 too, where I2 and I10* merge into I12*; over
+        # 12 v, psi4 / 48 and psi6 / 864 are integers
+        s = point.siegel.scaled(12)
+        weierstrass = alternate_model_ftheory(s.integral_forms())
+        rho = Fraction(1, s.v**2)
     else:
-        inv = _invariants(key, val)
-        if inv.degenerate:
+        if point.degenerate():
             raise DomainError(_NO_K3)
+        v = point.siegel.v
+        rho = Fraction(1, v * v)   # t has weight 2 ...
         if model == "standard":
-            weierstrass = standard_model(FibrationParams.from_igusa(inv))
+            weierstrass = standard_model(point.params())
+            rho = v**4              # ... and -4 in the standard model
         elif model == "alternate-ftheory":
-            weierstrass = alternate_model_ftheory(siegel_from_igusa(inv),
-                                                  _satake_roots(key, val))
+            weierstrass = alternate_model_ftheory(
+                point.siegel.integral_forms(), point.roots)
         elif model == "kummer23":
-            weierstrass = kumfib2_model(inv, _satake_roots(key, val))
+            weierstrass = kumfib2_model(point.integral_invariants(), point.roots)
         else:
-            weierstrass = alternate_model(FibrationParams.from_igusa(inv),
-                                          _satake_roots(key, val))
-    census = classify_fibers(weierstrass)
-    fibers = [{"type": f.fiber_type, "location": f.location,
+            weierstrass = alternate_model(point.params(), point.roots)
+    census = classify_fibers(weierstrass, rho)
+    # each location is encoded once, here; run() passes the strings through
+    fibers = [{"type": f.fiber_type, "location": _encode(f.location),
                "orders": [None if o is None else PlainInt(o) for o in f.orders],
                "count": PlainInt(f.count), "euler": PlainInt(f.euler)}
               for f in census.fibers]
-    fibers.sort(key=lambda d: (d["type"], json.dumps(_encode(d["location"]))))
+    fibers.sort(key=lambda d: (d["type"], json.dumps(d["location"])))
     return {"model": model, "fibers": fibers,
             "euler_sum": PlainInt(census.euler_sum)}
 
 
-def cmd_roundtrip(_key, lams, tol):
-    inv = igusa_from_rosenhain(*lams)
+def cmd_roundtrip(_key, point, tol):
+    inv = igusa_from_rosenhain(*point.val)
     f = satake_sextic(power_sums_from_igusa(inv))
     roots = gaussian_roots(f)
     rec_lams, ordering = reconstruct_from_satake_roots(roots)
@@ -288,15 +350,19 @@ def cmd_theta(_key, tau, theta_radius):
     return out
 
 
-def cmd_predicates(key, val):
-    inv = None if key == "siegel" else _invariants(key, val)
-    s = val if inv is None else siegel_from_igusa(inv)
-    forms = derived_forms(s)
-    out = {"humbert": humbert_predicates(s, forms.q),
-           "chi35_squared": forms.chi35_squared, "Q": forms.q}
+def cmd_predicates(key, point):
+    s = point.siegel
+    roots = None if s.chi10 == 0 else point.roots
+    if roots is None:
+        q = Fraction(s.q(), s.v**60)
+    else:   # Q read off disc(f) = 2^52 3^21 Q, checked here too: disc(f)
+        # reduces at half the size of Q
+        _, q = satake_discriminant_identity(s, satake_sextic_from_siegel(s), roots)
+    out = {"humbert": humbert_predicates(s, q), "Q": q,
+           "chi35_squared": Fraction(s.chi10, s.v**10) * q / (2**12 * 3**9)}
     if s.chi10 != 0:
-        p = FibrationParams.from_igusa(igusa_from_siegel(s) if inv is None else inv)
-        out["degeneration"] = degeneration_predicates(p, _satake_roots(key, val))
+        p = point.params()
+        out["degeneration"] = degeneration_predicates(p, roots)
         type_iii_siegel_identity(p, s)
         out["identities_checked"] = True
     else:
@@ -404,12 +470,15 @@ def build_parser():
 
 def _dispatch(args):
     """Check that exactly one input flag is given (an empty value counts),
-    parse it and call the handler with it and the command's options."""
+    parse it and call the handler with it and the command's options; a
+    curve input reaches the handler as its ``CurvePoint``."""
     handler, inputs, options = COMMANDS[args.command]
     given = [k for k in inputs if getattr(args, k) is not None]
     if len(given) == 1:
         key = given[0]
         value = _INPUTS[key][1](getattr(args, key), _flag(key))
+        if key in _CURVE:
+            value = CurvePoint(key, value)
         return handler(key, value, **{k: getattr(args, k) for k in options})
     if len(inputs) == 1:
         raise SchemaError(f"{args.command} needs {_flag(inputs[0])} "

@@ -10,7 +10,12 @@ against the Kodaira table.  Orders outside the table raise
 NonMinimalModelError instead of silently reducing the model.
 
 Coefficients must be rational (int or Fraction); the classification runs
-on primitive integer multiples of g2, g3 and Delta.  A factor of Delta
+on primitive integer multiples of g2, g3 and Delta.  A model with integer
+coefficients is classified as it is; the CLI builds every model so, on the
+integral weighted point of its curve, in a coordinate T with t = rho T
+(t has weight 2 in the alternate models and ``kumfib2_model``, -4 in
+``standard_model``), and ``classify_fibers`` reads the census back into t.
+Rational models are first made integral by ``_integral_model``.  A factor of Delta
 that is linear in t is a fiber location as it stands, with no squarefree
 decomposition and no root search.  The other factors are multiplied
 together with their common exponent taken out and decomposed once; the
@@ -47,7 +52,7 @@ from .errors import DomainError, IdentityViolationError, NonMinimalModelError
 from .qpoly import (ExactTuple, Poly, discriminant, discriminant_from_roots,
                     graded_integral_scale, integer_gcd, integer_quotient,
                     integer_squarefree, integral_representative, primitive_part,
-                    promote_int, root_multiplicity, split_rational_roots)
+                    promote_int, root_multiplicities, split_rational_roots)
 
 INFINITY = "infinity"
 
@@ -161,9 +166,12 @@ def _integral_model(model):
 
     x -> x / s and t -> rho T make A, B, C integral (``graded_integral_scale``
     keeps the integers small); the model in T has the same fiber types,
-    at the roots divided by rho.
+    at the roots divided by rho.  An integral model (int coefficients, or
+    Fractions of denominator 1) is its own, with rho = 1.
     """
     parts = (model.A.coeffs, model.B.coeffs, model.C.coeffs)
+    if all(c.denominator == 1 for cs in parts for c in cs):
+        return tuple(Poly([c.numerator for c in cs]) for cs in parts), 1
     s, rho = graded_integral_scale(
         (k, i, c) for k, cs in enumerate(parts, 1) for i, c in enumerate(cs))
     A, B, C = (Poly([(c * s**k * rho**i).numerator for i, c in enumerate(cs)])
@@ -173,8 +181,9 @@ def _integral_model(model):
 
 def _at_rho(f, rho):
     """f(rho T) as a primitive integer polynomial in T (0 stays 0): a factor
-    of the discriminant in t, moved to the coordinate of ``_integral_model``."""
-    if not f:
+    of the discriminant in t, moved to the coordinate of ``_integral_model``.
+    An int f at rho = 1 is used as it stands."""
+    if not f or rho == 1 and all(isinstance(c, int) for c in f.coeffs):
         return f
     return primitive_part(Poly([c * rho**i for i, c in enumerate(f.coeffs)]))
 
@@ -266,8 +275,12 @@ def _linear_roots(factors):
     return roots, others
 
 
-def classify_fibers(model):
+def classify_fibers(model, rho=1):
     """Kodaira census of a model whose coefficients are int or Fraction.
+
+    The model's coordinate T is t / rho for the rational ``rho``: the
+    census is found in T and its locations are read back into t here, once
+    (a model built on an integral weighted point lives in such a T).
 
     The surface degree is the smallest N with deg g2 <= 4N, deg g3 <= 6N
     and deg Delta <= 12N (N = 2 for K3); the fiber at t = infinity is read
@@ -282,8 +295,9 @@ def classify_fibers(model):
     if not all(isinstance(c, (int, Fraction))
                for p in (model.A, model.B, model.C) for c in p.coeffs):
         raise DomainError("Kodaira classification needs int or Fraction coefficients")
-    abc, rho = _integral_model(model)
-    known = [(_at_rho(f, rho), k) for f, k in model.disc_factors]
+    abc, scale = _integral_model(model)
+    known = [(_at_rho(f, scale), k) for f, k in model.disc_factors]
+    rho *= scale
     g2, g3, factors = _integral_short_form(*abc, known)
     if not all(f for f, _ in factors):
         raise DomainError("discriminant vanishes identically; not an elliptic surface")
@@ -299,9 +313,11 @@ def classify_fibers(model):
             if rest.degree() > 0:
                 clusters.append((rest, i * k))
     fibers = []
-    for r, d in sorted(roots.items()):
-        a = root_multiplicity(g2, r) if g2 else None
-        b = root_multiplicity(g3, r) if g3 else None
+    points = sorted(roots.items())
+    g2_orders, g3_orders = (
+        root_multiplicities(g, [r for r, _ in points]) if g else [None] * len(points)
+        for g in (g2, g3))
+    for (r, d), a, b in zip(points, g2_orders, g3_orders):
         fibers.append(KodairaFiber(
             fiber_type=kodaira_type(a, b, d), location=r * rho, orders=(a, b, d)))
     for cluster, d in clusters:
@@ -471,17 +487,28 @@ class QuarticModel(namedtuple("QuarticModel", "coeffs disc_factors",
         return Poly(out)
 
 
-def kummer_quartic_model(l1, l2, l3):
+def kummer_quartic_model(l1, l2, l3, z=1):
     """The genus-one fibration Y^2 = t (1 - X + t) prod (li^2 - li X + t).
 
     Classifying its Jacobian gives 6 I2 + 2 I0* for generic lambdas, and
     its ``sextic_limit()`` is the defining sextic x (x-1)(x-l1)(x-l2)(x-l3).
+
+    Given ``z``, the lambdas are the integers Li of the branch points
+    (z, L1, L2, L3) of li = Li / z (``igusa.rosenhain_integers``), and the
+    model is Y^2 = T prod (a^2 - a X + z T) / gcd(a, z) over a = z, L1,
+    L2, L3: the same fibration in X = z x and T = z t, up to constant
+    factors, with integer coefficients that each factor's content keeps
+    small.
     """
     t = Poly([0, 1])
-    one = Poly([1])
-    factors = [(one + t, -one)] + [
-        (l * l * one + t, -l * one) for l in (l1, l2, l3)
-    ]
+
+    def factor(a):   # a^2 - a X + z t as (a^2 + z t, -a), over its content
+        g = gcd(a, z) if z != 1 else 1
+        if g == 1:
+            return Poly([a * a, z]), Poly([-a])
+        return Poly([a * a // g, z // g]), Poly([-a // g])
+
+    factors = [factor(a) for a in (z, l1, l2, l3)]
     # product of (const(t) + coef * X) as X-coefficient list of Polys in t
     xcoeffs = [t]  # overall factor t
     for const, lin in factors:
@@ -580,15 +607,17 @@ def qvanish_bracket(p):
     weights (4, 6, 2, 10), and c has weight 0: exact parameters are
     evaluated on the integer representative of (a, b, d, e), with c as
     it is, in the nested form of ``_qvanish_form`` (Horner in e), and
-    divided by r^30 once.  Exact only: other values raise DomainError.
+    divided by r^30 once; integral parameters (an integral weighted point)
+    are their own representative.  Exact only: other values raise
+    DomainError.
     """
-    a, b, c, d, e = p.astuple()
-    rep = integral_representative((a, b, d, e), (4, 6, 2, 10))
-    if rep is None or not isinstance(c, Fraction):   # ints are Fractions here
+    vals = p.astuple()
+    if not all(isinstance(v, Fraction) for v in vals):   # ints are Fractions here
         raise DomainError("the bracket needs exact (int/Fraction) parameters")
-    r, (a, b, d, e) = rep
-    if c.denominator == 1:
-        c = c.numerator
+    a, b, c, d, e = (v.numerator if v.denominator == 1 else v for v in vals)
+    if all(isinstance(v, int) for v in (a, b, d, e)):   # an integral point
+        return _qvanish_form(a, b, c, d, e)
+    r, (a, b, d, e) = integral_representative((a, b, d, e), (4, 6, 2, 10))
     return Fraction(_qvanish_form(a, b, c, d, e), r**30)
 
 

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 
 from .errors import DomainError, ProductLocusError
-from .qpoly import ExactTuple, Poly, discriminant, integral_representative
+from .qpoly import (ExactTuple, Poly, discriminant, integral_representative,
+                    reduce_representative)
 
 # weights of (I2, I4, I6, I10) and of (psi4, psi6, chi10, chi12)
 IGUSA_WEIGHTS = (2, 4, 6, 10)
@@ -70,10 +71,102 @@ class SiegelForms(ExactTuple,
     """Values of the even generators (psi4, psi6, chi10, chi12)."""
 
     __slots__ = ()
-    WEIGHTS = SIEGEL_WEIGHTS
 
 
 DerivedForms = namedtuple("DerivedForms", "chi35_squared q")
+
+
+# ---------------------------------------------------------------------------
+# integral weighted points
+# ---------------------------------------------------------------------------
+
+
+class _IntegralPoint:
+    """Mixin of the integral weighted points, listed before their
+    ``namedtuple`` base: a unit (the first field) and the integers of the
+    point's weighted class over it, each value of weight w being its
+    integer over unit^w.  Weighted-homogeneous formulas are evaluated on
+    the integers, so identities between them are compared over Z, and only
+    printed values are ever reduced.  ``WEIGHTS`` names the weights."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, values):
+        """The point of exact values, on ``integral_representative``."""
+        rep = integral_representative(values.astuple(), cls.WEIGHTS)
+        if rep is None:
+            raise DomainError(f"{type(values).__name__} needs int/Fraction values")
+        return cls(rep[0], *rep[1])
+
+    def astuple(self):
+        """The integers, without the unit."""
+        return tuple(self[1:])
+
+    def scaled(self, k):
+        """The same point over the unit k times as large."""
+        return self._make([k * self[0], *(v * k**w for v, w in
+                                          zip(self.astuple(), self.WEIGHTS))])
+
+
+class IgusaPoint(_IntegralPoint, namedtuple("IgusaPoint", "u I2 I4 I6 I10")):
+    """The Igusa invariants on integers: I_k = I_k' / u^k, u > 0."""
+
+    __slots__ = ()
+    WEIGHTS = IGUSA_WEIGHTS
+
+    @classmethod
+    def from_rosenhain(cls, lams):
+        """The point of the Rosenhain parameters ``lams``, with no Fraction
+        in between: the forms of degrees 4, 8, 12 and 18 at the integer
+        point (r, L1, L2, L3) of ``rosenhain_integers`` are I2, I4, I6 and
+        I10 / r^2 over u = r^2.  u is then reduced (``reduce_representative``)
+        over the lambda denominators and the gcds of r with the differences
+        a - b of the integer branch points 0, r, L1, L2, L3 and with the
+        numerators (a - b) / gcd(a - b, r) of the lambda differences, which
+        split the primes of r by how close the branch points lie; u usually
+        comes out near r."""
+        r, ints = rosenhain_integers(lams)
+        I2, I4, I6, I10 = _rosenhain_forms(r, *ints)
+        parts = [Fraction(v).denominator for v in lams]
+        branch = (0, r, *ints)
+        for i, a in enumerate(branch):
+            for b in branch[i + 1:]:
+                g = gcd(r, a - b)
+                parts += [g, gcd(r, (a - b) // g)]
+        u, vals = reduce_representative(r * r, (I2, I4, I6, I10 * r * r),
+                                        IGUSA_WEIGHTS, parts)
+        return cls(u, *vals)
+
+    def siegel(self):
+        """The Siegel point over v = 12 u, on which the dictionary
+        ``siegel_from_igusa`` and the parameters of the fibrations
+        (``FibrationParams.from_igusa``) are integers."""
+        v = self.scaled(12)
+        s = siegel_from_igusa(IgusaInvariants(*v.astuple()))
+        return SiegelPoint(v.u, *(x.numerator for x in s))
+
+
+class SiegelPoint(_IntegralPoint,
+                  namedtuple("SiegelPoint", "v psi4 psi6 chi10 chi12")):
+    """The Siegel form values on integers: s_k = s_k' / v^k, v > 0.
+
+    The integers are the form values in the weighted coordinate of unit
+    v, which the form-level functions that only add and multiply accept as
+    they are (``satake_sextic_from_siegel``, ``humbert_predicates``, ...).
+    """
+
+    __slots__ = ()
+    WEIGHTS = SIEGEL_WEIGHTS
+
+    def integral_forms(self):
+        """The integers as SiegelForms, for the form-level functions that
+        divide (``alternate_model_ftheory``)."""
+        return SiegelForms(*self.astuple())
+
+    def q(self):
+        """Q at the integers, of weight 60 (``q_form``)."""
+        return _q_poly(*self.astuple())
 
 
 # ---------------------------------------------------------------------------
@@ -126,18 +219,27 @@ def _rosenhain_forms(z, l1, l2, l3):
     return I2, I4, I6, I10
 
 
+def rosenhain_integers(lams):
+    """(r, [L1, L2, L3]) with li = Li / r, r the least common denominator:
+    the integer branch points 0, r, L1, L2, L3 (and infinity) are r times
+    0, 1, l1, l2, l3."""
+    lams = [Fraction(v) for v in lams]
+    r = lcm(*(v.denominator for v in lams))
+    return r, [v.numerator * (r // v.denominator) for v in lams]
+
+
 def igusa_from_rosenhain(l1, l2, l3):
     """Invariants of Y^2 = X(X-1)(X-l1)(X-l2)(X-l3), exact in the lambdas.
 
-    Rational lambdas li = Li / r (r the least common denominator) are
-    evaluated once on the integer point (r, L1, L2, L3), and each form is
-    divided by r to its degree.  Repeated or 0/1 lambdas are not
-    rejected: they surface as I10 = 0 and the ``degenerate`` flag.
+    Rational lambdas are evaluated once on the integer point (r, L1, L2,
+    L3) of ``rosenhain_integers``, and each form is divided by r to its
+    degree.  Repeated or 0/1 lambdas are not rejected: they surface as
+    I10 = 0 and the ``degenerate`` flag.
     """
-    rep = integral_representative((l1, l2, l3), (1, 1, 1))
-    if rep is None:
-        return IgusaInvariants(*_rosenhain_forms(1, l1, l2, l3))
-    r, ints = rep
+    lams = (l1, l2, l3)
+    if not all(isinstance(v, (int, Fraction)) for v in lams):
+        return IgusaInvariants(*_rosenhain_forms(1, *lams))
+    r, ints = rosenhain_integers(lams)
     return IgusaInvariants(*(Fraction(v, r**w) for v, w in
                              zip(_rosenhain_forms(r, *ints), (4, 8, 12, 18))))
 
@@ -299,7 +401,8 @@ def q_form(s):
     weighted class, in the nested form of ``_q_poly`` (Horner in chi10,
     with u = psi4^3 - psi6^2), and divided by r^60 once.
     """
-    return s.evaluate(lambda *v: (_q_poly(*v),), (60,))[0]
+    point = SiegelPoint.of(s)
+    return Fraction(point.q(), point.v**60)
 
 
 def derived_forms(s):

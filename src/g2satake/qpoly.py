@@ -11,12 +11,13 @@ through.
 
 The exact algorithms run on integers: a weighted point with rational
 coordinates is carried as an integer representative
-(``integral_representative``), resultants follow the subresultant PRS
-over Z, and gcds, squarefree decompositions and rational roots work on
-primitive integer polynomials.  gcds are multi-modular: images modulo
-primes just below 2^30 are combined by the Chinese remainder theorem,
-and a candidate is accepted only once exact division shows that it
-divides both inputs.  Rational roots are lifted p-adically and accepted
+(``integral_representative``, made smaller by ``reduce_representative``;
+``igusa.IgusaPoint`` builds one per curve), resultants follow the
+subresultant PRS over Z, and gcds, squarefree decompositions and rational
+roots work on primitive integer polynomials.  gcds are multi-modular:
+images modulo primes just below 2^30 are combined by the Chinese
+remainder theorem, and a candidate is accepted only once exact division
+shows that it divides both inputs.  Rational roots are lifted p-adically and accepted
 once exact substitution shows that they are roots.
 
 Everything here is immutable and pure; no operation ever rounds a
@@ -283,6 +284,8 @@ def _exact(values):
 
 def _clear_denominators(p):
     """Return (integer-coefficient Poly, positive denominator d) with p = P/d."""
+    if all(isinstance(c, int) for c in p.coeffs):
+        return p, 1
     fracs = [Fraction(c) for c in p.coeffs]
     d = _int_lcm(*(f.denominator for f in fracs))
     return Poly([f.numerator * (d // f.denominator) for f in fracs]), d
@@ -384,21 +387,19 @@ def discriminant(p):
     return sign * resultant(P, P.derivative()) * lc ** (2 * d - 2) / r ** (d * (d - 1))
 
 
-def discriminant_from_roots(p, den, nums):
-    """disc(p) of a monic p read off its rational roots r_i = nums[i] / den
-    (ints, den > 0): prod_{i<j} (r_i - r_j)^2.
+def root_differences(p, den, nums):
+    """prod_{i<j} (nums[i] - nums[j]) for a monic p with the rational roots
+    r_i = nums[i] / den (ints, den > 0), so that disc(p) is its square over
+    den^(n(n-1)).
 
     p = prod (x - r_i) is checked first, exactly: prod (den x - nums[i])
     is an integer polynomial, den^n times p; a mismatch raises
-    IdentityViolationError.  The product of the differences is reduced
-    against den^(n(n-1)/2) once and then squared, so that the gcd runs on
-    numbers half the size of the result's.
+    IdentityViolationError.
     """
-    n = len(nums)
     prod = [1]
     for x in nums:   # times den t - x
         prod = [a * den - b * x for a, b in zip([0] + prod, prod + [0])]
-    scale = den**n
+    scale = den ** len(nums)
     if len(prod) != len(p.coeffs) or any(
             a * c.denominator != scale * c.numerator
             for a, c in zip(prod, p.coeffs)):
@@ -408,7 +409,18 @@ def discriminant_from_roots(p, den, nums):
     for i, x in enumerate(nums):
         for y in nums[i + 1:]:
             diff *= x - y
-    return Fraction(diff, den ** (n * (n - 1) // 2)) ** 2
+    return diff
+
+
+def discriminant_from_roots(p, den, nums):
+    """disc(p) of a monic p read off its rational roots r_i = nums[i] / den
+    (ints, den > 0): prod_{i<j} (r_i - r_j)^2, once ``root_differences``
+    has checked the roots.  The product of the differences is reduced
+    against den^(n(n-1)/2) once and then squared, so that the gcd runs on
+    numbers half the size of the result's.
+    """
+    n = len(nums)
+    return Fraction(root_differences(p, den, nums), den ** (n * (n - 1) // 2)) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +510,38 @@ def integral_representative(values, weights):
                for f, w in zip(fracs, weights)]
 
 
+def reduce_representative(r, ints, weights, parts):
+    """(r / g, [n / g^w]) for the largest g found that divides r with g^w
+    dividing every n of weight w: the same weighted point on a smaller
+    representative.
+
+    ``r`` is taken apart over the coprime base of ``parts``, numbers whose
+    prime divisors are those of r (its factors, and gcds of r with the
+    quantities the point is built from).  For each base element b the
+    exponents j from that of b in r down are tried until b^(w j) divides
+    every n, by exact division, whose quotients are kept.
+    """
+    ints = list(ints)
+    for b in _coprime_base(parts):
+        for j in range(_divide_out(r, b)[0], 0, -1):
+            quotients = _quotients(ints, weights, b**j)
+            if quotients is not None:
+                r, ints = r // b**j, quotients
+                break
+    return r, ints
+
+
+def _quotients(ints, weights, g):
+    """[n / g^w], or None as soon as some g^w does not divide its n."""
+    out = []
+    for n, w in zip(ints, weights):
+        q, rem = divmod(n, g**w)
+        if rem:
+            return None
+        out.append(q)
+    return out
+
+
 def promote_int(v):
     """Fraction(v) for an int v, so that division stays exact; else v."""
     return Fraction(v) if isinstance(v, int) else v
@@ -506,9 +550,7 @@ def promote_int(v):
 class ExactTuple:
     """Mixin of the value records, listed before their ``namedtuple`` base:
     int fields are stored as Fractions, whether passed by position or by
-    keyword (``_replace`` builds through ``_make`` and so does the same).
-    A subclass that is a weighted point names the weights of its fields
-    in ``WEIGHTS``, which ``evaluate`` reads."""
+    keyword (``_replace`` builds through ``_make`` and so does the same)."""
 
     __slots__ = ()
 
@@ -522,17 +564,6 @@ class ExactTuple:
 
     def astuple(self):
         return tuple(self)
-
-    def evaluate(self, body, out_weights):
-        """``body`` (weighted homogeneous, values of weights ``out_weights``)
-        at this point: evaluated on the integer representative and divided
-        by r^w once per output.  Exact only: a value that is not
-        int/Fraction raises DomainError."""
-        rep = integral_representative(self.astuple(), self.WEIGHTS)
-        if rep is None:
-            raise DomainError(f"{type(self).__name__} needs int/Fraction values")
-        r, ints = rep
-        return tuple(Fraction(v) / r**w for v, w in zip(body(*ints), out_weights))
 
 
 def _least_cost_exponents(vals, span):
@@ -622,7 +653,9 @@ def graded_integral_scale(terms):
 
 
 def _primitive_coeffs(cs):
-    c = _int_gcd(*cs)
+    # the smallest nonzero coefficient first: math.gcd stops working once
+    # it reaches 1, and the content is usually found on small numbers
+    c = _int_gcd(min(filter(None, cs), key=abs), *cs)
     if cs[-1] < 0:
         c = -c
     return [a // c for a in cs]
@@ -809,26 +842,33 @@ def integer_squarefree(p):
 _SIEVE_PRIME = 2**61 - 1
 
 
-def root_multiplicity(p, r):
-    """The multiplicity of the rational r as a root of a nonzero integer
-    polynomial p: how often v t - u (r = u / v) divides it, by exact
-    division in Z[t].  Each division is tried only once sum c_i u^i
-    v^(n-i), which vanishes at a root, vanishes modulo a prime too."""
+def root_multiplicities(p, roots):
+    """The multiplicity of each rational r in ``roots`` as a root of a
+    nonzero integer polynomial p: how often v t - u (r = u / v) divides it,
+    by exact division in Z[t].  Each division is tried only once sum c_i
+    u^i v^(n-i), which vanishes at a root, vanishes modulo a prime too; p
+    is reduced modulo that prime once for all the roots."""
     m = _SIEVE_PRIME
-    um, vm = r.numerator % m, r.denominator % m
-    cs, lin = list(p.coeffs), [-r.numerator, r.denominator]
-    k = 0
-    while True:
-        acc, upow = 0, 1
-        for c in cs:
-            acc = (acc * vm + c % m * upow) % m
-            upow = upow * um % m
-        if acc:
-            return k
-        cs = _quotient(cs, lin)
-        if cs is None:
-            return k
-        k += 1
+    residues = [c % m for c in p.coeffs]
+    out = []
+    for r in roots:
+        um, vm = r.numerator % m, r.denominator % m
+        cs, res, lin = p.coeffs, residues, [-r.numerator, r.denominator]
+        k = 0
+        while True:
+            acc, upow = 0, 1
+            for c in res:
+                acc = (acc * vm + c * upow) % m
+                upow = upow * um % m
+            if acc:
+                break
+            cs = _quotient(cs, lin)
+            if cs is None:
+                break
+            res = [c % m for c in cs]
+            k += 1
+        out.append(k)
+    return out
 
 
 def poly_gcd(p, q):

@@ -14,15 +14,16 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import permutations
-from math import comb, gcd, isqrt, lcm
+from math import comb, gcd, isqrt
 
 from .errors import (DegeneratePointError, DomainError, IdentityViolationError,
                      InversionSingularError)
-from .igusa import (AbsoluteInvariants, IgusaInvariants, SiegelForms,
-                    absolute_invariants, igusa_from_absolute,
-                    igusa_from_sextic, q_form, siegel_from_igusa)
-from .qpoly import (ExactTuple, Poly, discriminant, discriminant_from_roots,
-                    integral_representative)
+from .igusa import (SIEGEL_WEIGHTS, AbsoluteInvariants, IgusaInvariants,
+                    IgusaPoint, SiegelPoint, absolute_invariants,
+                    igusa_from_absolute, igusa_from_sextic, q_form,
+                    rosenhain_integers, siegel_from_igusa)
+from .qpoly import (ExactTuple, Poly, discriminant, integral_representative,
+                    root_differences)
 from .theta import (SATAKE_MATRIX, rosenhain_from_theta4, theta4_from_satake,
                     thomae_fourth_powers, thomae_products)
 
@@ -68,15 +69,23 @@ def _power_sums_siegel(p4, p6, c10, c12):
     return s2, s3, s5, s6
 
 
+def _power_sums(point, body):
+    """``body`` (weighted homogeneous, values of the Siegel weights) on the
+    integers of the integral ``point``, each divided by its unit to the
+    weight once."""
+    return PowerSums(*(Fraction(v) / point[0]**w
+                       for v, w in zip(body(*point.astuple()), SIEGEL_WEIGHTS)))
+
+
 def power_sums_from_igusa(inv):
     """(s2, s3, s5, s6); s_j has weight 2j, as (psi4, psi6, chi10, chi12)."""
-    return PowerSums(*inv.evaluate(_power_sums_igusa, SiegelForms.WEIGHTS))
+    return _power_sums(IgusaPoint.of(inv), _power_sums_igusa)
 
 
 def power_sums_from_siegel(s):
     """The same power sums as polynomials in the form values, so they stay
     defined on chi10 = 0, where the Igusa invariants are not."""
-    return PowerSums(*s.evaluate(_power_sums_siegel, SiegelForms.WEIGHTS))
+    return _power_sums(SiegelPoint.of(s), _power_sums_siegel)
 
 
 def igusa_from_power_sums(ps):
@@ -108,6 +117,28 @@ def complete_bell(i, z):
     return b[i]
 
 
+def _sextic_1440(S1, S2, S3, S4, S5, S6):
+    """1440 times the monic sextic of the integer power sums S1..S6 (S_j of
+    weight 2j), as the closed form, once it has been checked coefficient by
+    coefficient against the Bell-polynomial form."""
+    z = [S1, -S2, 2 * S3, -6 * S4, 24 * S5, -120 * S6]
+    bell = [1440]   # x^6 downwards
+    fact = 1
+    for i in range(1, 7):
+        fact *= i
+        bell.append((-1) ** i * 1440 // fact * complete_bell(i, z))
+
+    cube = Poly([-2 * S3, -3 * S2, 0, 12])   # 12 (x^3 - s2/4 x - s3/6)
+    closed = 10 * cube * cube + Poly([15 * S2**3 + 40 * S3**2 - 240 * S6,
+                                      120 * S2 * S3 - 288 * S5])
+
+    if closed.coeffs != tuple(reversed(bell)):
+        raise IdentityViolationError(
+            "Bell-polynomial and closed-form sextics disagree; "
+            "power sums violate s1 = 0 or s2^2 = 4 s4")
+    return closed
+
+
 def satake_sextic(ps, s4=None):
     """The monic sextic with the Satake coordinates as roots.
 
@@ -127,25 +158,29 @@ def satake_sextic(ps, s4=None):
                                   (2, 4, 6, 8, 10, 12))
     if rep is None:
         raise DomainError("satake_sextic needs exact (int/Fraction) power sums")
-    r, (S1, S2, S3, S4, S5, S6) = rep
-
-    z = [S1, -S2, 2 * S3, -6 * S4, 24 * S5, -120 * S6]
-    bell = [1440]   # x^6 downwards
-    fact = 1
-    for i in range(1, 7):
-        fact *= i
-        bell.append((-1) ** i * 1440 // fact * complete_bell(i, z))
-
-    cube = Poly([-2 * S3, -3 * S2, 0, 12])   # 12 (x^3 - s2/4 x - s3/6)
-    closed = 10 * cube * cube + Poly([15 * S2**3 + 40 * S3**2 - 240 * S6,
-                                      120 * S2 * S3 - 288 * S5])
-
-    if closed.coeffs != tuple(reversed(bell)):
-        raise IdentityViolationError(
-            "Bell-polynomial and closed-form sextics disagree; "
-            "power sums violate s1 = 0 or s2^2 = 4 s4")
+    r, S = rep
     return Poly([Fraction(c, 1440 * r ** (12 - 2 * k))
-                 for k, c in enumerate(closed.coeffs)])
+                 for k, c in enumerate(_sextic_1440(*S).coeffs)])
+
+
+def satake_sextic_on_point(s):
+    """The power sums and the Satake sextic of the integral Siegel point
+    ``s`` (an ``igusa.SiegelPoint`` of unit v), on integers.
+
+    Returns (S, F): the power sums S = (S2, S3, S5, S6) with s_j = S_j /
+    v^(2j), and the sextic in the weighted coordinate X = v^2 x, F(X) =
+    v^12 f(X / v^2), a monic integer Poly whose roots are v^2 x_i.  Both
+    constructions are computed and compared over Z: the power-sum sextic
+    (Bell and closed forms) and ``satake_sextic_from_siegel``; a mismatch
+    raises IdentityViolationError.  S2 = 12 psi4', so S2^2 / 4 is an
+    integer.
+    """
+    S2, S3, S5, S6 = S = _power_sums_siegel(*s.astuple())
+    f = satake_sextic_from_siegel(s)
+    if _sextic_1440(0, S2, S3, S2 * S2 // 4, S5, S6) != 1440 * f:
+        raise IdentityViolationError(
+            "power-sum and Siegel-form constructions of the sextic disagree")
+    return S, f
 
 
 def satake_sextic_from_siegel(s):
@@ -171,9 +206,8 @@ def satake_roots_from_rosenhain(lams):
     x = SATAKE_MATRIX P / L^4, returned with the common content of L^4 and
     the six numerators divided out.
     """
-    lams = [Fraction(v) for v in lams]
-    L = lcm(*(v.denominator for v in lams))
-    p = thomae_products((0, L, *(v.numerator * (L // v.denominator) for v in lams)))
+    L, ints = rosenhain_integers(lams)
+    p = thomae_products((0, L, *ints))
     xs = [sum(c * t for c, t in zip(row, p)) for row in SATAKE_MATRIX]
     g = gcd(L**4, *xs)
     return L**4 // g, [x // g for x in xs]
@@ -187,12 +221,29 @@ def satake_discriminant_identity(s, f, roots=None):
     (``satake_roots_from_rosenhain``), disc(f) is read off them, after f
     is checked to be prod (x - x_i) exactly; else it is the subresultant
     discriminant.  A mismatch raises IdentityViolationError.
+
+    ``s`` may be an integral ``SiegelPoint`` of unit v, with f and the
+    roots in its weighted coordinate X = v^2 x (``satake_sextic_on_point``):
+    both sides have weight 60, so the identity is checked there over Z, and
+    the values returned are those at the point itself, disc(f) =
+    disc(F) / v^60 reduced once (at half the size, from the root
+    differences, when the roots are given) and Q = disc(f) / (2^52 3^21).
     """
-    disc = discriminant(f) if roots is None else discriminant_from_roots(f, *roots)
-    q = q_form(s)
+    if roots is None:
+        diff, disc = None, discriminant(f)
+    else:
+        den, nums = roots
+        diff = root_differences(f, den, nums)
+        disc = Fraction(diff, den**15) ** 2
+    point = isinstance(s, SiegelPoint)
+    q = s.q() if point else q_form(s)
     if disc != 2**52 * 3**21 * q:
         raise IdentityViolationError("disc(f) = 2^52 3^21 Q fails on this input")
-    return disc, q
+    if not point:
+        return disc, q
+    disc = (disc / s.v**60 if diff is None
+            else Fraction(diff, den**15 * s.v**30) ** 2)
+    return disc, disc / (2**52 * 3**21)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,172 @@
+"""The integral weighted point of a curve input: ``igusa.IgusaPoint`` is
+right and minimal, a job builds it once (``cli.CurvePoint``), and every
+fibration census read off it equals the census of the Fraction invariants."""
+
+import contextlib
+import io
+import json
+import random
+from collections import Counter
+from fractions import Fraction as F
+
+import pytest
+
+from g2satake import cli, fibrations, igusa, qpoly, satake
+from g2satake.fibrations import (FibrationParams, alternate_model,
+                                 alternate_model_ftheory, classify_fibers,
+                                 kumfib2_model, kummer_quartic_model,
+                                 standard_model)
+from g2satake.igusa import (IGUSA_WEIGHTS, IgusaInvariants, IgusaPoint,
+                            SiegelForms, igusa_from_rosenhain, igusa_from_siegel,
+                            siegel_from_igusa)
+from g2satake.qpoly import integral_representative
+from g2satake.satake import (power_sums_from_siegel, satake_discriminant_identity,
+                             satake_roots_from_rosenhain, satake_sextic,
+                             satake_sextic_on_point)
+from conftest import Q0_LAMBDAS, lambdas_of_height
+
+_RNG = random.Random(20261019)
+
+# numerators that share primes with the lcm of the denominators
+SHARED_PRIMES = [(F(2, 3), F(9, 10), F(35, 6)),
+                 (F(15, 4), F(-8, 45), F(21, 20)),
+                 (F(49, 12), F(6, 7), F(-26, 21)),
+                 (F(4, 9), F(27, 8), F(-16, 3))]
+
+ROSENHAIN = {
+    **{f"h{d}-{i}": tuple(lambdas_of_height(_RNG, d))
+       for d in (2, 10, 30, 60) for i in range(2)},
+    "Q=0": Q0_LAMBDAS[1],
+    "repeated": (F(2, 3), F(2, 3), F(5, 7)),   # I10 = 0
+    **{f"shared-{i}": lams for i, lams in enumerate(SHARED_PRIMES)},
+}
+
+MODELS = ("kummer1", "kummer23", "alternate", "alternate-ftheory", "standard")
+
+
+@pytest.mark.parametrize("name", sorted(ROSENHAIN))
+def test_the_rosenhain_point_is_right_and_minimal(name):
+    lams = ROSENHAIN[name]
+    point = IgusaPoint.from_rosenhain(lams)
+    inv = igusa_from_rosenhain(*lams)
+    assert point.u > 0 and all(isinstance(v, int) for v in point)
+    assert all(F(v, point.u**w) == x for v, w, x in
+               zip(point.astuple(), IGUSA_WEIGHTS, inv.astuple()))
+    # no larger than the representative of the reduced invariants
+    r, _ = integral_representative(inv.astuple(), IGUSA_WEIGHTS)
+    assert r % point.u == 0
+
+
+def test_the_siegel_point_is_the_dictionary_over_12u():
+    lams = ROSENHAIN["h10-0"]
+    point = IgusaPoint.from_rosenhain(lams)
+    s = point.siegel()
+    assert s.v == 12 * point.u
+    expected = siegel_from_igusa(igusa_from_rosenhain(*lams))
+    assert all(F(v, s.v**w) == x for v, w, x in
+               zip(s.astuple(), igusa.SIEGEL_WEIGHTS, expected.astuple()))
+
+
+def test_the_discriminant_identity_on_the_point_gives_the_curves_values():
+    lams = ROSENHAIN["h10-1"]
+    s = IgusaPoint.from_rosenhain(lams).siegel()
+    _, F_ = satake_sextic_on_point(s)   # in X = v^2 x
+    d, xs = satake_roots_from_rosenhain(lams)
+    roots = [s.v**2 // d * x for x in xs]
+    forms = siegel_from_igusa(igusa_from_rosenhain(*lams))
+    expected = satake_discriminant_identity(
+        forms, satake_sextic(power_sums_from_siegel(forms)), (d, xs))
+    # the roots with denominators 1 and 2, and the subresultant route
+    for given in ((1, roots), (2, [2 * x for x in roots]), None):
+        assert satake_discriminant_identity(s, F_, given) == expected
+
+
+def _run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.run(argv)
+    return code, json.loads(out.getvalue())
+
+
+def _fibers(census_fibers):
+    """(type, encoded location, orders, count) of each fiber, sorted."""
+    return sorted((f.fiber_type, json.dumps(cli._encode(f.location)),
+                   list(f.orders), f.count) for f in census_fibers)
+
+
+def _fraction_model(key, val, model):
+    """The model on the reduced Fraction invariants, in t, with the Satake
+    roots (d, X) of Rosenhain input: the route of the point's parent."""
+    if key == "siegel" and model == "alternate-ftheory":
+        return alternate_model_ftheory(val)
+    if model == "kummer1":
+        return kummer_quartic_model(*val).jacobian_model()
+    inv = {"rosenhain": lambda: igusa_from_rosenhain(*val),
+           "siegel": lambda: igusa_from_siegel(val),
+           "igusa": lambda: val}[key]()
+    roots = satake_roots_from_rosenhain(val) if key == "rosenhain" else None
+    p = FibrationParams.from_igusa(inv)
+    return {"kummer23": lambda: kumfib2_model(inv, roots),
+            "alternate": lambda: alternate_model(p, roots),
+            "alternate-ftheory": lambda: alternate_model_ftheory(
+                siegel_from_igusa(inv), roots),
+            "standard": lambda: standard_model(p)}[model]()
+
+
+CURVES = {
+    **{name: ("rosenhain", lams) for name, lams in ROSENHAIN.items()},
+    "igusa-I2=0": ("igusa", IgusaInvariants(0, F(7, 3), F(-5, 2), F(11, 13))),
+    "siegel": ("siegel", SiegelForms(3, 5, 7, 11)),
+    "siegel-chi10=0": ("siegel", SiegelForms(F(3, 2), F(-5, 7), 0, F(11, 4))),
+}
+
+
+@pytest.mark.parametrize("name,model", [
+    (name, model) for name in sorted(CURVES) for model in MODELS
+    if model != "kummer1" or CURVES[name][0] == "rosenhain"])
+def test_the_census_of_the_point_is_that_of_the_fractions(name, model):
+    key, val = CURVES[name]
+    code, env = _run(["fibration", "--model", model,
+                      f"--{key}=" + ",".join(map(str, val))])
+    if name == "repeated" or (name == "siegel-chi10=0"
+                              and model != "alternate-ftheory"):
+        assert code == cli.EXIT_DOMAIN   # no K3 surface, or no invariants
+        return
+    assert code == cli.EXIT_OK, env
+    printed = sorted((f["type"], json.dumps(f["location"]), f["orders"],
+                      f["count"]) for f in env["result"]["fibers"])
+    census = classify_fibers(_fraction_model(key, val, model))
+    assert printed == _fibers(census.fibers)
+    assert env["result"]["euler_sum"] == 24
+
+
+def _spy_on(monkeypatch, names):
+    """Count the calls of the qpoly functions ``names`` through every
+    binding in the package."""
+    calls = Counter()
+    for name in names:
+        original = getattr(qpoly, name)
+
+        def spy(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (qpoly, igusa, satake, fibrations, cli):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("argv", (["predicates"], ["satake-sextic"],
+                                  ["fibration", "--model", "alternate"]),
+                         ids=" ".join)
+def test_a_job_builds_its_point_once(argv, monkeypatch):
+    calls = _spy_on(monkeypatch, ("integral_representative", "_coprime_base"))
+    lams = ",".join(map(str, ROSENHAIN["h30-0"]))
+    code, env = _run(argv + [f"--rosenhain={lams}"])
+    # the printed values of predicates and satake-sextic may pass Python's
+    # int-to-str limit at 30 digits, once every value has been computed
+    assert code == cli.EXIT_OK or "cannot be printed" in env["error"], env
+    # one coprime base, the point's reduction; no representative is rebuilt
+    # from Fractions on the way
+    assert calls == {"_coprime_base": 1}
