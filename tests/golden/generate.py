@@ -185,6 +185,10 @@ def cases():
     for source in (f"--igusa={IGUSA_GENERIC}", f"--igusa={IGUSA_H10}",
                    "--siegel=3,5,7,11"):
         later += [["fibration", "--model", m, source] for m in MODELS[1:]]
+    # the Rosenhain invariants at 30 and 60 digits, near a double root, at
+    # Q = 0, and at a lambda equal to 0 or 1 (I10 = 0)
+    later += [["igusa", f"--rosenhain={source}"]
+              for source in (H30, H60, CLUSTERED, Q0, Q0_H4, "0,2,3", "2,1,3")]
     out += [(argv, None, None) for argv in later]
     return out
 
