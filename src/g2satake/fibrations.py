@@ -50,9 +50,9 @@ from math import gcd, lcm
 
 from .errors import DomainError, IdentityViolationError, NonMinimalModelError
 from .qpoly import (ExactTuple, Poly, discriminant, discriminant_from_roots,
-                    graded_integral_scale, integer_gcd, integer_quotient,
-                    integer_squarefree, integral_representative, primitive_part,
-                    promote_int, root_multiplicities, split_rational_roots)
+                    integer_gcd, integer_quotient, integer_squarefree,
+                    integral_representative, primitive_part, promote_int,
+                    root_multiplicities, split_rational_roots)
 
 INFINITY = "infinity"
 
@@ -162,30 +162,22 @@ class WeierstrassModel(namedtuple("WeierstrassModel", "A B C disc_factors",
 
 
 def _integral_model(model):
-    """Integer polynomials A, B, C in T, and rho with t = rho T.
-
-    x -> x / s and t -> rho T make A, B, C integral (``graded_integral_scale``
-    keeps the integers small); the model in T has the same fiber types,
-    at the roots divided by rho.  An integral model (int coefficients, or
-    Fractions of denominator 1) is its own, with rho = 1.
-    """
+    """Integer polynomials A, B, C in t: x -> x / s, with s the least common
+    denominator of all the coefficients, scales A, B and C by s, s^2 and
+    s^3, and keeps t and the fiber types.  An integral model (int
+    coefficients, or Fractions of denominator 1) has s = 1."""
     parts = (model.A.coeffs, model.B.coeffs, model.C.coeffs)
-    if all(c.denominator == 1 for cs in parts for c in cs):
-        return tuple(Poly([c.numerator for c in cs]) for cs in parts), 1
-    s, rho = graded_integral_scale(
-        (k, i, c) for k, cs in enumerate(parts, 1) for i, c in enumerate(cs))
-    A, B, C = (Poly([(c * s**k * rho**i).numerator for i, c in enumerate(cs)])
-               for k, cs in enumerate(parts, 1))
-    return (A, B, C), rho
+    s = lcm(*(c.denominator for cs in parts for c in cs))
+    return tuple(Poly([c.numerator * (s**k // c.denominator) for c in cs])
+                 for k, cs in enumerate(parts, 1))
 
 
-def _at_rho(f, rho):
-    """f(rho T) as a primitive integer polynomial in T (0 stays 0): a factor
-    of the discriminant in t, moved to the coordinate of ``_integral_model``.
-    An int f at rho = 1 is used as it stands."""
-    if not f or rho == 1 and all(isinstance(c, int) for c in f.coeffs):
+def _integral_factor(f):
+    """A known factor of the discriminant as a primitive integer polynomial
+    (0 stays 0); an int f is used as it stands."""
+    if not f or all(isinstance(c, int) for c in f.coeffs):
         return f
-    return primitive_part(Poly([c * rho**i for i, c in enumerate(f.coeffs)]))
+    return primitive_part(f)
 
 
 def _proportional(p, q):
@@ -295,10 +287,8 @@ def classify_fibers(model, rho=1):
     if not all(isinstance(c, (int, Fraction))
                for p in (model.A, model.B, model.C) for c in p.coeffs):
         raise DomainError("Kodaira classification needs int or Fraction coefficients")
-    abc, scale = _integral_model(model)
-    known = [(_at_rho(f, scale), k) for f, k in model.disc_factors]
-    rho *= scale
-    g2, g3, factors = _integral_short_form(*abc, known)
+    known = [(_integral_factor(f), k) for f, k in model.disc_factors]
+    g2, g3, factors = _integral_short_form(*_integral_model(model), known)
     if not all(f for f, _ in factors):
         raise DomainError("discriminant vanishes identically; not an elliptic surface")
     roots, others = _linear_roots(factors)

@@ -1,10 +1,11 @@
 """Igusa-Clebsch invariants and the Siegel modular form dictionary.
 
-Invariants of a Rosenhain-form curve come from the explicit quintic
-polynomials in the three lambda parameters.  Invariants of a general
-degree-5/6 input come from classical transvectants of the binary sextic
-form; the linear combinations below were solved once against the
-Rosenhain polynomials and are exact:
+Invariants of a Rosenhain-form curve are sums of products of the
+differences of its branch points 0, 1, l1, l2, l3 and infinity (Igusa
+1960; Mestre 1991), the same differences whose products Thomae's formula
+turns into theta constants.  Invariants of a general degree-5/6 input
+come from classical transvectants of the binary sextic form, in the exact
+linear combinations
 
     I2  = -120 A
     I4  = -720 A^2 + 6750 B
@@ -20,11 +21,13 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from itertools import combinations, permutations
+from math import comb, factorial, gcd, lcm, prod
 
 from .errors import DomainError, ProductLocusError
 from .qpoly import (ExactTuple, Poly, discriminant, integral_representative,
                     reduce_representative)
+from .theta import THOMAE_SUBSETS, thomae_products
 
 # weights of (I2, I4, I6, I10) and of (psi4, psi6, chi10, chi12)
 IGUSA_WEIGHTS = (2, 4, 6, 10)
@@ -51,15 +54,26 @@ class IgusaInvariants(ExactTuple, namedtuple("IgusaInvariants", "I2 I4 I6 I10"))
                                  zip(self.astuple(), self.WEIGHTS)))
 
     def same_projective_point(self, other):
-        """Equality in weighted projective space with weights (2,4,6,10):
-        the same zero pattern, and a^w0 b0^w = b^w0 a0^w for every nonzero
-        pair (a, b) of weight w, with (a0, b0) the first of weight w0."""
+        """Equality in weighted projective space over C with weights
+        (2, 4, 6, 10): some lam has lam^w b = a for every pair (a, b) of
+        weight w.  Then the zero patterns agree, and with g the gcd of the
+        weights of the nonzero pairs and sum c_k w_k = g (Bezout), every
+        such lam has lam^g = mu = prod (a_k / b_k)^c_k; so the test is
+        mu^(w_k / g) = a_k / b_k for every nonzero pair."""
         pairs = [(a, b, w) for a, b, w in zip(self.astuple(), other.astuple(),
                                               self.WEIGHTS) if a != 0 or b != 0]
         if any(a == 0 or b == 0 for a, b, _ in pairs):
             return False
-        a0, b0, w0 = pairs[0] if pairs else (1, 1, 1)
-        return all(a**w0 * b0**w == b**w0 * a0**w for a, b, w in pairs)
+        g, cs = 0, []
+        for _, _, w in pairs:
+            # extended Euclid: x g + y w = gcd(g, w)
+            a, b, x, x1, y, y1 = g, w, 1, 0, 0, 1
+            while b:
+                k = a // b
+                a, b, x, x1, y, y1 = b, a - k * b, x1, x - k * x1, y1, y - k * y1
+            g, cs = a, [x * c for c in cs] + [y]
+        mu = prod((a / b) ** c for (a, b, _), c in zip(pairs, cs))
+        return all(mu ** (w // g) == a / b for a, b, w in pairs)
 
 
 class AbsoluteInvariants(ExactTuple, namedtuple("AbsoluteInvariants", "j1 j2 j3")):
@@ -118,23 +132,22 @@ class IgusaPoint(_IntegralPoint, namedtuple("IgusaPoint", "u I2 I4 I6 I10")):
     @classmethod
     def from_rosenhain(cls, lams):
         """The point of the Rosenhain parameters ``lams``, with no Fraction
-        in between: the forms of degrees 4, 8, 12 and 18 at the integer
-        point (r, L1, L2, L3) of ``rosenhain_integers`` are I2, I4, I6 and
-        I10 / r^2 over u = r^2.  u is then reduced (``reduce_representative``)
-        over the lambda denominators and the gcds of r with the differences
-        a - b of the integer branch points 0, r, L1, L2, L3 and with the
-        numerators (a - b) / gcd(a - b, r) of the lambda differences, which
-        split the primes of r by how close the branch points lie; u usually
-        comes out near r."""
+        in between: the forms of degrees 4, 8, 12 and 20 at the integer
+        branch points 0, r, L1, L2, L3 of ``rosenhain_integers``
+        (``_branch_point_forms``) are I2, I4, I6 and I10 over u = r^2.  u is
+        then reduced (``reduce_representative``) over the lambda
+        denominators and the gcds of r with the differences a - b of the
+        branch points and with the numerators (a - b) / gcd(a - b, r) of the
+        lambda differences, which split the primes of r by how close the
+        branch points lie; u usually comes out near r."""
         r, ints = rosenhain_integers(lams)
-        I2, I4, I6, I10 = _rosenhain_forms(r, *ints)
-        parts = [Fraction(v).denominator for v in lams]
         branch = (0, r, *ints)
+        parts = [Fraction(v).denominator for v in lams]
         for i, a in enumerate(branch):
             for b in branch[i + 1:]:
                 g = gcd(r, a - b)
                 parts += [g, gcd(r, (a - b) // g)]
-        u, vals = reduce_representative(r * r, (I2, I4, I6, I10 * r * r),
+        u, vals = reduce_representative(r * r, _branch_point_forms(branch),
                                         IGUSA_WEIGHTS, parts)
         return cls(u, *vals)
 
@@ -179,44 +192,55 @@ def rosenhain_poly(l1, l2, l3):
     return Poly.from_roots([0, 1, l1, l2, l3])
 
 
-def _rosenhain_forms(z, l1, l2, l3):
-    """(I2, I4, I6, I10) of Y^2 = X(X-1)(X-l1)(X-l2)(X-l3), homogenized by
-    z: forms of degrees 4, 8, 12 and 18 in (z, l1, l2, l3) that are the
-    invariants at z = 1."""
-    e1 = l1 + l2 + l3
-    e2 = l1 * l2 + l1 * l3 + l2 * l3
-    e3 = l1 * l2 * l3
-    I2 = 40 * e3 * z - 16 * (z + e1) * (e3 + e2 * z) + 6 * (e2 + e1 * z) ** 2
-    I4 = (-12 * e1**3 * e3 * z**2 + 4 * e1**2 * e2**2 * z**2
-          - 4 * e1**2 * e2 * e3 * z + 4 * e1**2 * e3**2
-          + 12 * e1**2 * e3 * z**3 - 4 * e1 * e2**2 * z**3
-          + 44 * e1 * e2 * e3 * z**2 - 12 * e2**3 * z**2 + 12 * e2**2 * e3 * z
-          - 12 * e2 * e3**2 - 12 * e1 * e3 * z**4 + 4 * e2**2 * z**4
-          - 72 * e3**2 * z**2)
-    I6 = (-24 * e1**3 * e3 * z**6 + 10 * e1**2 * e3**2 * z**4
-          + 32 * e2**2 * e3 * z**5 + 150 * e2 * e3**2 * z**4
-          + 8 * e1**2 * e2**2 * e3**2 + 118 * e1**3 * e2 * e3 * z**4
-          - 194 * e1**2 * e2 * e3**2 * z**2 + 118 * e1 * e2**3 * e3 * z**2
-          - 66 * e1 * e2**2 * e3**2 * z + 76 * e1 * e2 * e3**3
-          - 194 * e1 * e2**2 * e3 * z**4 + 412 * e1 * e2 * e3**2 * z**3
-          + 20 * e1**4 * e2 * e3 * z**3 - 36 * e1**3 * e2**2 * e3 * z**2
-          + 20 * e1**3 * e2 * e3**2 * z - 8 * e1**2 * e2**3 * e3 * z
-          + 8 * e1**2 * e2**2 * z**6 - 252 * e3**3 * z**3 - 36 * e3**4
-          - 24 * e2**5 * z**2 + 48 * e2**4 * z**4 - 24 * e2**3 * z**6
-          + 8 * e1**4 * e2**2 * z**4 - 8 * e1**3 * e2**3 * z**3
-          + 8 * e1**2 * e2**4 * z**2 - 8 * e1**3 * e2**2 * z**5
-          - 36 * e1**2 * e2**3 * z**4 + 20 * e1 * e2**4 * z**3
-          + 20 * e1 * e2**3 * z**5 - 36 * e3**2 * z**6 - 24 * e1**5 * e3 * z**4
-          + 48 * e1**4 * e3**2 * z**2 - 24 * e1**3 * e3**3
-          + 24 * e1**4 * e3 * z**5 - 136 * e1**3 * e3**2 * z**3
-          + 32 * e1**2 * e3**3 * z + 24 * e2**4 * e3 * z - 24 * e2**3 * e3**2
-          + 150 * e1 * e3**3 * z**2 - 136 * e2**3 * e3 * z**3
-          + 10 * e2**2 * e3**2 * z**2 - 42 * e2 * e3**3 * z
-          - 42 * e1 * e3**2 * z**5 + 76 * e1 * e2 * e3 * z**6
-          - 66 * e1**2 * e2 * e3 * z**5)
-    I10 = (e3**2 * (l3 - z) ** 2 * (l2 - z) ** 2 * (l2 - l3) ** 2
-           * (l1 - z) ** 2 * (l1 - l3) ** 2 * (l1 - l2) ** 2)
-    return I2, I4, I6, I10
+# the ten pairs (i, j), i < j, of the five finite branch points: the order
+# of their differences
+_PAIRS = tuple(combinations(range(5), 2))
+# the 15 pairings of the six branch points, each by its two pairs of finite
+# points (as indices into _PAIRS); the third pair holds infinity
+_PAIRINGS = tuple((m, n) for m, n in combinations(range(10), 2)
+                  if not set(_PAIRS[m]) & set(_PAIRS[n]))
+
+
+def _splits():
+    """For each Thomae subset T, with {i, j} its complement among the finite
+    points: the pairs (ix, jy), x != y in T, as indices into _PAIRS."""
+    at = {frozenset(p): n for n, p in enumerate(_PAIRS)}
+    out = []
+    for T in THOMAE_SUBSETS:
+        i, j = (n for n in range(5) if n not in T)
+        out.append(tuple((at[frozenset((i, x))], at[frozenset((j, y))])
+                         for x, y in permutations(T, 2)))
+    return tuple(out)
+
+
+_SPLITS = _splits()
+
+
+def _branch_point_forms(a):
+    """(I2', I4', I6', I10') of the sextic with the five finite branch points
+    a = (a_0, ..., a_4) and infinity: forms of degrees 4, 8, 12 and 20 in a.
+
+    With D_ij = (a_i - a_j)^2 (and D = 1 on a pair through infinity) and the
+    Thomae products P_T (``theta.thomae_products``), which are the triangle
+    products of the split of the six points into T and its complement with
+    infinity, these are the Igusa-Clebsch root-difference sums (Igusa 1960;
+    Mestre 1991):
+
+        I2'  = sum over the 15 pairings of D D
+        I4'  = sum_T P_T^2
+        I6'  = sum_T P_T^2 sum_{x != y in T} D_ix D_jy,  {i, j} the complement
+        I10' = prod_{i<j} (a_i - a_j)^2
+
+    At a = (0, 1, l1, l2, l3) they are the invariants of
+    Y^2 = X(X-1)(X-l1)(X-l2)(X-l3); scaling a by r scales each by r^(2w).
+    """
+    d = [a[i] - a[j] for i, j in _PAIRS]
+    D = [v * v for v in d]
+    p2 = [p * p for p in thomae_products(a)]
+    I6 = 0
+    for pp, split in zip(p2, _SPLITS):
+        I6 += pp * sum([D[m] * D[n] for m, n in split])
+    return sum([D[m] * D[n] for m, n in _PAIRINGS]), sum(p2), I6, prod(d) ** 2
 
 
 def rosenhain_integers(lams):
@@ -231,17 +255,18 @@ def rosenhain_integers(lams):
 def igusa_from_rosenhain(l1, l2, l3):
     """Invariants of Y^2 = X(X-1)(X-l1)(X-l2)(X-l3), exact in the lambdas.
 
-    Rational lambdas are evaluated once on the integer point (r, L1, L2,
-    L3) of ``rosenhain_integers``, and each form is divided by r to its
-    degree.  Repeated or 0/1 lambdas are not rejected: they surface as
-    I10 = 0 and the ``degenerate`` flag.
+    Rational lambdas are evaluated once on the integer branch points 0, r,
+    L1, L2, L3 of ``rosenhain_integers`` (``_branch_point_forms``), and the
+    form of weight w is divided by r^(2w); other values (``GaussianRational``,
+    complex) on 0, 1, l1, l2, l3.  Repeated or 0/1 lambdas are not rejected:
+    they surface as I10 = 0 and the ``degenerate`` flag.
     """
     lams = (l1, l2, l3)
     if not all(isinstance(v, (int, Fraction)) for v in lams):
-        return IgusaInvariants(*_rosenhain_forms(1, *lams))
+        return IgusaInvariants(*_branch_point_forms((0, 1, *lams)))
     r, ints = rosenhain_integers(lams)
-    return IgusaInvariants(*(Fraction(v, r**w) for v, w in
-                             zip(_rosenhain_forms(r, *ints), (4, 8, 12, 18))))
+    return IgusaInvariants(*(Fraction(v, r ** (2 * w)) for v, w in
+                             zip(_branch_point_forms((0, r, *ints)), IGUSA_WEIGHTS)))
 
 
 # ---------------------------------------------------------------------------

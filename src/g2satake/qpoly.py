@@ -566,79 +566,6 @@ class ExactTuple:
         return tuple(self)
 
 
-def _least_cost_exponents(vals, span):
-    """(sigma, tau) for the valuations [(k, i, e)] of ``graded_integral_scale``:
-    among the integers tau in [-span, span], the one of least cost
-    sum(e + k sigma + i tau), the least on ties, where sigma(tau) =
-    max ceil(-(e + i tau) / k) is the least sigma that makes every
-    e + k sigma + i tau >= 0.
-
-    On tau = r + M q, M the lcm of the k, each ceiling is alpha - beta q
-    with beta = (M / k) i an integer, so the cost is E + I r + g(q) with
-    g(q) = max_j (K alpha_j + (I M - K beta_j) q), a maximum of lines in q
-    and hence convex (E, I and K the sums of e, i and k).  Its least
-    integer minimizer is the least q with g(q + 1) >= g(q), found by
-    bisection, so each residue r costs a few evaluations of g instead of
-    one per tau.
-    """
-    M = _int_lcm(*(k for k, _, _ in vals))
-    K = sum(k for k, _, _ in vals)
-    I = sum(i for _, i, _ in vals)
-    E = sum(e for _, _, e in vals)
-    best = None
-    for r in range(M):
-        lo, hi = -((span + r) // M), (span - r) // M
-        if lo > hi:
-            continue
-        lines = [(-K * ((e + i * r) // k), M * I - K * (M // k) * i)
-                 for k, i, e in vals]
-
-        def g(q):
-            return max(a + s * q for a, s in lines)
-
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if g(mid + 1) >= g(mid):
-                hi = mid
-            else:
-                lo = mid + 1
-        found = (E + I * r + g(lo), r + M * lo)   # (cost, tau): the least tau on ties
-        best = found if best is None else min(best, found)
-    tau = best[1]
-    return max(-((e + i * tau) // k) for k, i, e in vals), tau
-
-
-def graded_integral_scale(terms):
-    """Rationals (s, rho) with s^k rho^i c an integer for every (k, i, c).
-
-    ``terms`` lists coefficients c of t^i in the k-th member of a family
-    of polynomials rescaled by c -> s^k rho^i c (for a Weierstrass model
-    x -> x / s and t -> rho t).  For each element b of a coprime base of
-    the denominators, the exponents of b in s and rho minimize the summed
-    b-valuation of the rescaled terms (``_least_cost_exponents``), so a
-    family that is weighted homogeneous in t comes out as its integer
-    representative.  Each term's valuations are read once, largest base
-    element first, and each is divided out of the denominator as soon as
-    it is read, so the smaller elements are read off a smaller number.
-    """
-    terms = [(k, i, Fraction(c)) for k, i, c in terms if c != 0]
-    base = sorted(_coprime_base([c.denominator for _, _, c in terms]), reverse=True)
-    table = []
-    for _, _, c in terms:
-        den, row = c.denominator, []
-        for b in base:
-            v, den = _divide_out(den, b)
-            row.append(_divide_out(c.numerator, b)[0] - v)
-        table.append(row)
-    s = rho = Fraction(1)
-    for b, column in zip(base, zip(*table)):
-        vals = [(k, i, e) for (k, i, _), e in zip(terms, column)]
-        sigma, tau = _least_cost_exponents(vals, max(abs(e) for e in column))
-        s *= Fraction(b) ** sigma
-        rho *= Fraction(b) ** tau
-    return s, rho
-
-
 # ---------------------------------------------------------------------------
 # gcd, squarefree structure and rational roots over Z
 # ---------------------------------------------------------------------------

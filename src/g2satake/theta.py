@@ -373,6 +373,9 @@ def rosenhain_from_theta4(t4):
 # Thomae's formula (Mumford, Tata Lectures on Theta II, IIIa section 8)
 THOMAE_SUBSETS = ((0, 2, 4), (0, 1, 3), (0, 2, 3), (0, 1, 4), (1, 3, 4),
                   (2, 3, 4), (1, 2, 4), (0, 3, 4), (1, 2, 3), (0, 1, 2))
+# each subset (i, j, m) followed by its complement (k, l)
+_THOMAE_SPLITS = tuple((*T, *(n for n in range(5) if n not in T))
+                       for T in THOMAE_SUBSETS)
 
 
 def thomae_products(a):
@@ -380,11 +383,8 @@ def thomae_products(a):
     branch points a = (a_0, ..., a_4): P_T = prod_{i<j in T} (a_i - a_j) *
     (a_k - a_l) with {k, l} the complement of T.  Each P_T is homogeneous
     of degree 4 in a, so integer branch points give integer P_T."""
-    out = []
-    for i, j, m in THOMAE_SUBSETS:
-        k, l = (n for n in range(5) if n not in (i, j, m))
-        out.append((a[i] - a[j]) * (a[i] - a[m]) * (a[j] - a[m]) * (a[k] - a[l]))
-    return tuple(out)
+    return tuple([(a[i] - a[j]) * (a[i] - a[m]) * (a[j] - a[m]) * (a[k] - a[l])
+                  for i, j, m, k, l in _THOMAE_SPLITS])
 
 
 def thomae_fourth_powers(lams):

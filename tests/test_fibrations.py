@@ -1,4 +1,5 @@
 import cmath
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -11,8 +12,9 @@ from g2satake.fibrations import (INFINITY, FibrationParams, KodairaFiber,
                                  euler_number, isogeny, kodaira_type,
                                  kumfib2_model, kummer_quartic_model,
                                  nikulin_involution, qvanish_bracket, radicand,
-                                 standard_model, type_iii_siegel_identity, _at_rho,
-                                 _integral_model, _integral_short_form)
+                                 standard_model, type_iii_siegel_identity,
+                                 _integral_factor, _integral_model,
+                                 _integral_short_form)
 from g2satake.igusa import (IgusaInvariants, SiegelForms, igusa_from_rosenhain,
                             igusa_from_sextic, rosenhain_poly, siegel_from_igusa)
 from g2satake.qpoly import Poly, integer_gcd, integer_squarefree, primitive_part
@@ -64,6 +66,18 @@ def test_rational_elliptic_surface_example():
     types = {(f.fiber_type, str(f.location)) for f in census.fibers}
     assert types == {("II", "0"), ("I1", "-27/4"), ("III*", "infinity")}
     assert census.euler_sum == 12
+    # denominators spread over the coefficients with no weighting in t: the
+    # census is that of the integral rescaling x -> x / s, s their product
+    A = Poly([0, F(2, 5), F(-1, 2)])
+    B = Poly([0, 0, F(-3, 7), 0, F(1, 3)])
+    C = Poly([0, 0, 0, F(5, 11), F(1, 13), F(-2, 9)])
+    s = math.prod(c.denominator for p in (A, B, C) for c in p.coeffs)
+    census = classify_fibers(WeierstrassModel(A=A, B=B, C=C))
+    integral = classify_fibers(WeierstrassModel(A=A * s, B=B * s**2, C=C * s**3))
+    assert [(f.fiber_type, f.orders, f.count) for f in census.fibers] == \
+        [(f.fiber_type, f.orders, f.count) for f in integral.fibers] == \
+        [("I0*", (2, 3, 6), 1), ("I1", (0, 0, 1), 6)]
+    assert census == integral
 
 
 def test_classification_rejects_inexact_coefficients():
@@ -422,11 +436,10 @@ def _generic_squarefree(A, B, C):
     return integer_squarefree(primitive_part(delta)), delta.degree()
 
 
-def assert_census_covers(model, parts, rho):
-    """Each squarefree part (g, d) of the expanded discriminant, in the
-    coordinate T = t / rho of ``_integral_model``, is covered by the finite
-    fibers with v(Delta) = d: they lie on g, and their counts add up to
-    deg g."""
+def assert_census_covers(model, parts):
+    """Each squarefree part (g, d) of the expanded discriminant of
+    ``_integral_model`` is covered by the finite fibers with v(Delta) = d:
+    they lie on g, and their counts add up to deg g."""
     census = classify_fibers(model)
     counts = {}
     for f in census.fibers:
@@ -435,9 +448,9 @@ def assert_census_covers(model, parts, rho):
         d = f.orders[2]
         (g,) = [g for g, e in parts if e == d]
         if isinstance(f.location, F):
-            assert g(f.location / rho) == 0
+            assert g(f.location) == 0
         else:
-            piece = _at_rho(f.location, rho)
+            piece = primitive_part(f.location)
             assert integer_gcd(g, piece).degree() == piece.degree() == f.count
         counts[d] = counts.get(d, 0) + f.count
     assert counts == {d: g.degree() for g, d in parts}
@@ -445,12 +458,12 @@ def assert_census_covers(model, parts, rho):
 
 
 def assert_factored_matches_generic(model):
-    (A, B, C), rho = _integral_model(model)
+    A, B, C = _integral_model(model)
     assert C.is_zero()
     _, _, factors = _integral_short_form(A, B, C)
     assert factors == [(B, 2), (A * A - 4 * B, 1)]
     parts, degree = _generic_squarefree(A, B, C)
-    assert_census_covers(model, parts, rho)
+    assert_census_covers(model, parts)
     assert sum(k * f.degree() for f, k in factors) == degree
 
 
@@ -479,13 +492,13 @@ KUMMER1_SPECIAL = [
 
 def assert_kummer1_factors_match_generic(lams):
     model = kummer_quartic_model(*lams).jacobian_model()
-    (A, B, C), rho = _integral_model(model)
-    known = [(_at_rho(f, rho), k) for f, k in model.disc_factors]
+    A, B, C = _integral_model(model)
+    known = [(_integral_factor(f), k) for f, k in model.disc_factors]
     assert all(f.degree() == 1 for f, _ in known)
     _, _, factors = _integral_short_form(A, B, C, known)
     assert factors == known
     parts, degree = _generic_squarefree(A, B, C)
-    assert_census_covers(model, parts, rho)
+    assert_census_covers(model, parts)
     assert sum(k * f.degree() for f, k in known) == degree
     # equal linear factors (l_i l_j = l_k, l_i l_j = 1) add multiplicities
     assert_known_factors_match_general_route(model)
@@ -583,7 +596,7 @@ def test_factored_discriminant_merges_equal_multiplicities():
     # (t - 1)(t - 3) of the expanded discriminant
     model = WeierstrassModel(A=2 * (T + 1), B=8 * (T - 1), C=Poly())
     assert_factored_matches_generic(model)
-    (A, B, C), _ = _integral_model(model)
+    A, B, C = _integral_model(model)
     assert _generic_squarefree(A, B, C)[0] == [(Poly([3, -4, 1]), 2)]
     census = classify_fibers(model)
     assert {(f.fiber_type, f.location) for f in census.fibers} == {
@@ -596,10 +609,10 @@ def test_planted_cluster_split_by_the_order_of_g2():
     # its factor T^2 - 2 only
     model = WeierstrassModel(A=Poly(), B=-3 * (T * T - 2),
                              C=(T * T - 2) * (T * T - 1))
-    (A, B, C), rho = _integral_model(model)
+    A, B, C = _integral_model(model)
     parts, _ = _generic_squarefree(A, B, C)
     assert parts == [(Poly([6, 0, -5, 0, 1]), 2)]
-    census = assert_census_covers(model, parts, rho)
+    census = assert_census_covers(model, parts)
     assert set(census.fibers) == {
         KodairaFiber("II", Poly([-2, 0, 1]), (1, 1, 2), 2),
         KodairaFiber("I2", Poly([-3, 0, 1]), (0, 0, 2), 2),

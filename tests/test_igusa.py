@@ -77,6 +77,14 @@ def test_weighted_class_under_scaling(rng):
     assert not a.same_projective_point(a._replace(I6=a.I6 + 1))
     assert not a.same_projective_point(a._replace(I4=0))
     assert IgusaInvariants(0, 0, 0, 0).same_projective_point(IgusaInvariants(0, 0, 0, 0))
+    # signs that no lam^w reaches, though each w0-th power against the first
+    # coordinate agrees; and one that lam = i reaches
+    one = IgusaInvariants(1, 1, 1, 1)
+    assert not one.same_projective_point(IgusaInvariants(1, -1, 1, 1))
+    assert not one.same_projective_point(IgusaInvariants(1, 1, -1, 1))
+    assert not IgusaInvariants(0, 1, 0, 1).same_projective_point(
+        IgusaInvariants(0, -1, 0, 1))
+    assert one.same_projective_point(IgusaInvariants(-1, 1, -1, -1))
 
 
 def test_weighted_class_under_moebius_transposition(rng):

@@ -409,120 +409,6 @@ def test_discriminant_of_rational_sextic_matches_root_product(rng):
     assert discriminant(Poly.from_roots(roots, lead=lead)) == expected
 
 
-def test_graded_integral_scale_recovers_the_weighting():
-    from g2satake.qpoly import graded_integral_scale
-
-    # t^3 + a t + b with a, b of weights 4 and 6 in the scale d (t weight 2)
-    d = 7**3 * 11
-    terms = [(1, 3, 1), (1, 1, F(5, d**4)), (1, 0, F(-3, d**6))]
-    s, rho = graded_integral_scale(terms)
-    assert (s, rho) == (d**6, F(1, d**2))
-    assert [c * s**k * rho**i for k, i, c in terms] == [1, 5, -3]
-
-
-def _scan_coprime_base(nums):
-    base = []
-    todo = [n for n in nums if n > 1]
-    while todo:
-        a = todo.pop()
-        for i, b in enumerate(base):
-            g = math.gcd(a, b)
-            if g > 1:
-                base.pop(i)
-                todo += [x for x in (b // g, g, a // g) if x > 1]
-                break
-        else:
-            base.append(a)
-    return [qpoly._perfect_root(b) for b in base]
-
-
-def _scan_valuation(n, b):
-    e = 0
-    while n % b == 0:
-        n //= b
-        e += 1
-    return e
-
-
-def scanned_integral_scale(terms):
-    """Reference for graded_integral_scale: one-step factor refinement,
-    valuations read per base element, every tau in [-span, span] tried."""
-    terms = [(k, i, F(c)) for k, i, c in terms if c != 0]
-    s = rho = F(1)
-    for b in _scan_coprime_base([c.denominator for _, _, c in terms]):
-        vals = [(k, i, _scan_valuation(c.numerator, b) - _scan_valuation(c.denominator, b))
-                for k, i, c in terms]
-        span = max(abs(e) for _, _, e in vals)
-        best = None
-        for tau in range(-span, span + 1):
-            sigma = max(-((e + i * tau) // k) for k, i, e in vals)
-            cost = sum(e + k * sigma + i * tau for k, i, e in vals)
-            if best is None or cost < best[0]:
-                best = (cost, sigma, tau)
-        s *= F(b) ** best[1]
-        rho *= F(b) ** best[2]
-    return s, rho
-
-
-def _model_terms(model):
-    parts = (model.A.coeffs, model.B.coeffs, model.C.coeffs)
-    return [(k, i, c) for k, cs in enumerate(parts, 1) for i, c in enumerate(cs)]
-
-
-def _five_models(lams):
-    from g2satake.fibrations import (alternate_model, kumfib2_model,
-                                     kummer_quartic_model, standard_model)
-    from g2satake.igusa import igusa_from_rosenhain
-
-    inv = igusa_from_rosenhain(*lams)
-    p = FibrationParams.from_igusa(inv)
-    return [kummer_quartic_model(*lams).jacobian_model(), kumfib2_model(inv),
-            alternate_model(p), alternate_model_ftheory(siegel_from_igusa(inv)),
-            standard_model(p)]
-
-
-@pytest.mark.parametrize("digits", [2, 10, 30, 60])
-def test_graded_integral_scale_matches_the_scan(rng, digits):
-    from conftest import lambdas_of_height
-
-    for _ in range(4):
-        for model in _five_models(lambdas_of_height(rng, digits)):
-            terms = _model_terms(model)
-            assert qpoly.graded_integral_scale(terms) == scanned_integral_scale(terms)
-
-
-def test_graded_integral_scale_matches_the_scan_on_special_loci(rng):
-    from conftest import Q0_LAMBDAS
-    from g2satake.fibrations import alternate_model, kumfib2_model
-
-    models = [m for lams in Q0_LAMBDAS + [(2, 3, 6), (-1, 2, -2), (4, F(1, 2), 2),
-                                          (F(1, 10**30), 2, 3)]
-              for m in _five_models(lams)]
-    small = [F(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(12)]
-    models.append(alternate_model_ftheory(SiegelForms(*small[:2], 0, small[2])))  # chi10 = 0
-    inv = IgusaInvariants(0, *small[3:6])                                          # I2 = 0
-    models += [alternate_model(FibrationParams.from_igusa(inv)), kumfib2_model(inv)]
-    for model in models:
-        terms = _model_terms(model)
-        assert qpoly.graded_integral_scale(terms) == scanned_integral_scale(terms)
-
-
-def test_graded_integral_scale_matches_the_scan_on_planted_valuations(rng):
-    # coefficients built from a few small primes, so that valuations, the
-    # spread of tau and ties between residues are all large
-    primes = (2, 3, 5, 7, 11, 97)
-
-    def power_product():
-        return math.prod(rng.choice(primes) ** rng.randint(0, 9) for _ in range(3))
-
-    for _ in range(500):
-        terms = [(k, i, F(rng.choice((-1, 1)) * power_product(), power_product()))
-                 for k in (1, 2, 3) if rng.random() < 0.7
-                 for i in range(rng.randint(0, 8)) if rng.random() < 0.5]
-        if terms:
-            assert qpoly.graded_integral_scale(terms) == scanned_integral_scale(terms)
-
-
 def test_root_multiplicity_counts_planted_roots(rng):
     from g2satake.qpoly import root_multiplicities
 
