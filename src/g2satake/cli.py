@@ -1,11 +1,13 @@
 """Command line front end with machine-readable JSON input and output.
 
 Every pipeline is a subcommand; the same handlers also run from a JSON
-job document via ``g2satake run job.json`` (or ``-`` for stdin).  Exact
-rationals are serialized as strings "p/q" (plain integers stay bare),
-complex numbers as [re, im] pairs, so no binary64 rounding ever touches
-an exact result.  Output is deterministic: keys are sorted and nothing
-time- or environment-dependent is emitted.
+job document via ``g2satake run job.json`` (or ``-`` for stdin).  Each
+envelope is printed by ``json.dumps`` with one ``default`` hook,
+``_json_value``: exact values are Fractions and print as strings "p/q",
+so no binary64 rounding ever touches an exact result; complex numbers
+print as [re, im] pairs, and a bare int is a count and stays a number.
+Output is deterministic: keys are sorted and nothing time- or
+environment-dependent is emitted.
 
 Exit codes: 0 success, 1 schema/usage error, 2 domain error,
 3 identity violation.
@@ -56,30 +58,21 @@ class SchemaError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-class PlainInt(int):
-    """Structural integer (count, order, exit data): stays a JSON number."""
-
-
-def _encode(v):
-    if isinstance(v, bool) or v is None:
-        return v
-    if isinstance(v, PlainInt):
-        return int(v)
-    if isinstance(v, (int, Fraction)):
-        return str(Fraction(v))
-    if isinstance(v, float):
-        return v
+def _json_value(v):
+    """``json.dumps``'s ``default``: how a value that is not native JSON
+    prints; a cluster Poly as {"cluster": [its coefficients]}."""
+    if isinstance(v, Fraction):
+        return str(v)
     if isinstance(v, complex):
         return [v.real, v.imag]
     if isinstance(v, Poly):
-        return {"cluster": [_encode(c) for c in v.coeffs]}
-    if isinstance(v, str):
-        return v
-    if isinstance(v, dict):
-        return {k: _encode(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_encode(x) for x in v]
+        return {"cluster": list(v.coeffs)}
     raise TypeError(f"cannot serialize {type(v)}")
+
+
+def _dumps(envelope, args):
+    return json.dumps(envelope, sort_keys=True, default=_json_value,
+                      indent=2 if args and args.pretty else None)
 
 
 def _parse_fraction(s):
@@ -184,6 +177,12 @@ class CurvePoint:
         w = self.siegel.v ** 2 // d
         return 1, [w * x for x in xs]
 
+    def satake(self):
+        """The Satake sextic in X = v^2 x, for the fibrations' known
+        discriminant factors: its closed-form roots on Rosenhain input, else
+        the monic integer Poly F(X) = v^12 f(X / v^2)."""
+        return self.roots or satake_sextic_from_siegel(self.siegel)
+
 
 # ---------------------------------------------------------------------------
 # command handlers: (input key, parsed input value, **options)
@@ -192,16 +191,11 @@ class CurvePoint:
 
 def cmd_igusa(_key, point):
     inv = point.invariants()
-    out = {
-        "invariants": {"I2": inv.I2, "I4": inv.I4, "I6": inv.I6, "I10": inv.I10},
-        "degenerate": inv.degenerate, "absolute": None, "siegel": None,
-    }
+    out = {"invariants": inv._asdict(), "degenerate": inv.degenerate,
+           "absolute": None, "siegel": None}
     if not inv.degenerate:
-        ab = absolute_invariants(inv)
-        out["absolute"] = {"j1": ab.j1, "j2": ab.j2, "j3": ab.j3}
-        s = siegel_from_igusa(inv)
-        out["siegel"] = {"psi4": s.psi4, "psi6": s.psi6,
-                         "chi10": s.chi10, "chi12": s.chi12}
+        out["absolute"] = absolute_invariants(inv)._asdict()
+        out["siegel"] = siegel_from_igusa(inv)._asdict()
     return out
 
 
@@ -228,27 +222,17 @@ def cmd_satake_sextic(key, val):
         out["discriminant_identity"] = True
         ps = PowerSums(*_reduced(S, SIEGEL_WEIGHTS, s.v))
         coefficients = _reduced(f.coeffs, range(12, -1, -2), s.v)
-    out["power_sums"] = {"s1": ps.s1, "s2": ps.s2, "s3": ps.s3,
-                         "s4": ps.s4, "s5": ps.s5, "s6": ps.s6}
+    out["power_sums"] = {f"s{i}": s for i, s in enumerate(ps.astuple(), 1)}
     out["coefficients"] = coefficients
     return out
 
 
 def cmd_phi(key, val):
     j = val if key == "absolute" else absolute_invariants(val.invariants())
-    res = phi_map(j)
-    return {
-        "j_source": {"j1": j.j1, "j2": j.j2, "j3": j.j3},
-        "j_image": {"j1": res.j_image.j1, "j2": res.j_image.j2,
-                    "j3": res.j_image.j3},
-        "diagnostics": {
-            "K": res.K, "L": res.L, "M": res.M,
-            "N_squared": res.N_squared,
-            "psi4_image": res.psi4_image, "psi6_image": res.psi6_image,
-            "chi10_image": res.chi10_image, "chi12_image": res.chi12_image,
-            "Q_source": res.Q_source, "Q_image": res.Q_image,
-        },
-    }
+    diagnostics = phi_map(j)._asdict()
+    return {"j_source": j._asdict(),
+            "j_image": diagnostics.pop("j_image")._asdict(),
+            "diagnostics": diagnostics}
 
 
 _MODELS = ("kummer1", "kummer23", "alternate", "alternate-ftheory", "standard")
@@ -274,7 +258,8 @@ def cmd_fibration(key, point, model):
         # defined on chi10 = 0 too, where I2 and I10* merge into I12*; over
         # 12 v, psi4 / 48 and psi6 / 864 are integers
         s = point.siegel.scaled(12)
-        weierstrass = alternate_model_ftheory(s.integral_forms())
+        weierstrass = alternate_model_ftheory(s.integral_forms(),
+                                              satake_sextic_from_siegel(s))
         rho = Fraction(1, s.v**2)
     else:
         if point.degenerate():
@@ -286,20 +271,17 @@ def cmd_fibration(key, point, model):
             rho = v**4              # ... and -4 in the standard model
         elif model == "alternate-ftheory":
             weierstrass = alternate_model_ftheory(
-                point.siegel.integral_forms(), point.roots)
+                point.siegel.integral_forms(), point.satake())
         elif model == "kummer23":
-            weierstrass = kumfib2_model(point.integral_invariants(), point.roots)
+            weierstrass = kumfib2_model(point.integral_invariants(), point.satake())
         else:
-            weierstrass = alternate_model(point.params(), point.roots)
+            weierstrass = alternate_model(point.params(), point.satake())
     census = classify_fibers(weierstrass, rho)
-    # each location is encoded once, here; run() passes the strings through
-    fibers = [{"type": f.fiber_type, "location": _encode(f.location),
-               "orders": [None if o is None else PlainInt(o) for o in f.orders],
-               "count": PlainInt(f.count), "euler": PlainInt(f.euler)}
-              for f in census.fibers]
-    fibers.sort(key=lambda d: (d["type"], json.dumps(d["location"])))
-    return {"model": model, "fibers": fibers,
-            "euler_sum": PlainInt(census.euler_sum)}
+    fibers = [{"type": f.fiber_type, "location": f.location, "orders": f.orders,
+               "count": f.count, "euler": f.euler} for f in census.fibers]
+    fibers.sort(key=lambda d: (d["type"],
+                               json.dumps(d["location"], default=_json_value)))
+    return {"model": model, "fibers": fibers, "euler_sum": census.euler_sum}
 
 
 def cmd_roundtrip(_key, point, tol):
@@ -319,7 +301,7 @@ def cmd_roundtrip(_key, point, tol):
         "status": "ok",
         "max_rel_err": max_rel,
         "tol": tol,
-        "ordering": [PlainInt(i) for i in ordering],
+        "ordering": ordering,
         "reconstructed_lambdas": [complex(l) for l in rec_lams],
     }
 
@@ -331,7 +313,7 @@ def cmd_theta(_key, tau, theta_radius):
     out = {
         "theta_constants": list(tc.values),
         "tail_estimates": list(tc.tails),
-        "radius": PlainInt(tc.radius),
+        "radius": tc.radius,
         "precise": tc.precise,
         "frobenius_residuals": dict(rep.residuals),
         "max_frobenius_residual": rep.max_residual,
@@ -545,14 +527,14 @@ def run(argv=None):
         args = build_parser().parse_args(argv)
         if args.command == "run":
             args = _args_from_job(args)
-        result = _dispatch(args)
+        envelope = {"command": args.command, "status": "ok",
+                    "result": _dispatch(args)}
         try:
-            payload = _encode(result)
+            text = _dumps(envelope, args)
         except ValueError:   # Python's limit on int-to-str conversion
             raise DomainError(
                 "the result holds an exact value of more than "
                 f"{sys.get_int_max_str_digits()} digits, which cannot be printed")
-        envelope = {"command": args.command, "status": "ok", "result": payload}
         code = EXIT_OK
     except SchemaError as e:
         envelope = {"status": "schema-error", "error": str(e)}
@@ -564,18 +546,17 @@ def run(argv=None):
         envelope = {"status": "domain-error", "error": str(e),
                     "error_type": type(e).__name__}
         code = EXIT_DOMAIN
-    indent = 2 if args and args.pretty else None
-    text = json.dumps(envelope, sort_keys=True, indent=indent)
-    if code == EXIT_OK and args and args.out:
+    if code != EXIT_OK:
+        text = _dumps(envelope, args)
+    elif args.out:
         try:
             with open(args.out, "w") as fh:
                 fh.write(text + "\n")
             return code
         except OSError as e:
             code = EXIT_SCHEMA
-            text = json.dumps({"status": "schema-error",
-                               "error": f"cannot write --out: {e}"},
-                              sort_keys=True, indent=indent)
+            text = _dumps({"status": "schema-error",
+                           "error": f"cannot write --out: {e}"}, args)
     try:
         print(text)
         sys.stdout.flush()

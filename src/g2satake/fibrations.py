@@ -25,12 +25,13 @@ the vanishing orders of g2 and g3 through gcds.  A model with C = 0
 (x = 0 is a two-torsion section: the alternate models and
 ``kumfib2_model``) has Delta a constant times B^2 (A^2 - 4B), so Delta
 is decomposed from B and A^2 - 4B and is never expanded.  The paper's
-theorem that the F-theory model shows the Satake sextic gives one of
-these pieces as linear factors at the Satake roots x_i
-(``satake.satake_roots_from_rosenhain``): A^2 - 4B is a constant times
-prod (t - x_i/12) for ``alternate_model_ftheory`` and prod (t + x_i/3) for
-``alternate_model``, and so is B for ``kumfib2_model``; the classifier
-checks the product against the piece exactly before it uses the roots.
+theorem that the F-theory model shows the Satake sextic f gives one of
+these pieces: A^2 - 4B is a constant times f(12 t) for
+``alternate_model_ftheory`` and f(-3 t) for ``alternate_model``, and so
+is B for ``kumfib2_model``.  The models take f, or its closed-form roots
+x_i (``satake.satake_roots_from_rosenhain``) as the linear factors
+t - x_i/12 or t + x_i/3, and the classifier checks their product against
+the piece exactly before it uses them.
 The Jacobian of the Kummer quartic carries its Delta as the factors
 c t^6 prod (t - li)^2 prod (t - li lj)^2, the 2x2 determinants of the
 quartic's linear X-factors; the expanded Delta is only checked to be a
@@ -357,51 +358,57 @@ class FibrationParams(ExactTuple, namedtuple("FibrationParams", "a b c d e")):
         return Poly([self.d, self.c])
 
 
-def _satake_factors(roots, scale, k):
-    """((scale d t - X_i, k), ...): the factors that vanish at t = x_i / scale
-    for the Satake roots x_i = X_i / d; () for None."""
-    if roots is None:
+def _satake_factors(satake, scale, k):
+    """The known factors of exponent k that the Satake sextic f gives, with
+    roots at t = x_i / scale: ((scale d t - X_i, k), ...) for its
+    closed-form roots x_i = X_i / d given as (d, X), ((f(scale t), k),) for
+    f given as a Poly, () for None."""
+    if satake is None:
         return ()
-    d, xs = roots
+    if isinstance(satake, Poly):
+        return ((Poly([c * scale**i for i, c in enumerate(satake.coeffs)]), k),)
+    d, xs = satake
     return tuple((Poly([-x, scale * d]), k) for x in xs)
 
 
-def kumfib2_model(inv, roots=None):
+def kumfib2_model(inv, satake=None):
     """The Kummer fibration with census 6 I2 + I5* + I1.
 
     y^2 = x^3 - 2 (t^3 + a t + b) x^2 + ((t^3+at+b)^2 - 4 e (c t + d)) x,
     which is the same display as the I4/I2/I6/I10 form of the model.  B is
-    the radicand, prod (t + x_i / 3) for the Satake roots ``roots`` = (d, X)
-    if given, which become its linear factors.
+    the radicand, f(-3 t) / 729 for the Satake sextic f: ``satake``, if
+    given, is f or its roots (d, X) (``_satake_factors``), the known factor
+    of B.
     """
     p = FibrationParams.from_igusa(inv)
     return WeierstrassModel(A=-2 * p.cubic(), B=radicand(p), C=Poly(),
-                            disc_factors=_satake_factors(roots, -3, 2))
+                            disc_factors=_satake_factors(satake, -3, 2))
 
 
-def alternate_model(p, roots=None):
+def alternate_model(p, satake=None):
     """y^2 = x^3 + (t^3 + a t + b) x^2 + e (c t + d) x.
 
-    A^2 - 4B is the radicand: its linear factors are t + x_i / 3 for the
-    Satake roots ``roots`` = (d, X), if given.
+    A^2 - 4B is the radicand, f(-3 t) / 729 for the Satake sextic f:
+    ``satake``, if given, is f or its roots (d, X), the known factor of
+    A^2 - 4B.
     """
     return WeierstrassModel(A=p.cubic(), B=p.e * p.linear(), C=Poly(),
-                            disc_factors=_satake_factors(roots, -3, 1))
+                            disc_factors=_satake_factors(satake, -3, 1))
 
 
-def alternate_model_ftheory(s, roots=None):
+def alternate_model_ftheory(s, satake=None):
     """y^2 = x^3 + (t^3 - psi4/48 t - psi6/864) x^2 - (4 chi10 t - chi12) x.
 
     Stays well-defined on chi10 = 0, where the I2 and I10* fibers merge
-    into I12*.  A^2 - 4B is f(12 t) / 1728^2 for the Satake sextic f: its
-    linear factors are t - x_i / 12 for the Satake roots ``roots`` = (d, X),
-    if given.
+    into I12*.  A^2 - 4B is f(12 t) / 1728^2 for the Satake sextic f:
+    ``satake``, if given, is f or its roots (d, X), the known factor of
+    A^2 - 4B.
     """
     p4, p6, c10, c12 = s.astuple()
     A = Poly([-p6 / 864, -p4 / 48, 0, 1])
     B = Poly([c12, -4 * c10])
     return WeierstrassModel(A=A, B=B, C=Poly(),
-                            disc_factors=_satake_factors(roots, 12, 1))
+                            disc_factors=_satake_factors(satake, 12, 1))
 
 
 def standard_model(p):

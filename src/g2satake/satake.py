@@ -41,7 +41,7 @@ class PowerSums(ExactTuple, namedtuple("PowerSums", "s2 s3 s5 s6")):
 
     @property
     def s1(self):
-        return 0
+        return Fraction(0)
 
     @property
     def s4(self):

@@ -593,16 +593,29 @@ def test_roundtrip_on_q0_recovers_the_double_root(capsys):
 @pytest.mark.parametrize("argv", [
     ["satake-sextic"], ["predicates"],
     *(["fibration", "--model", m] for m in ("alternate", "alternate-ftheory", "kummer23")),
+    # no closed-form roots: the fibrations take the Satake sextic itself
+    ["fibration", "--model", "alternate", "--igusa=550,8272,1399200,2073600"],
+    ["fibration", "--model", "kummer23", "--siegel=3,5,7,11"],
+    ["fibration", "--model", "alternate-ftheory", "--sextic=0,-1,0,0,0,1"],
+    ["fibration", "--model", "alternate-ftheory", "--siegel=3/2,-5/7,0,11/4"],
 ], ids=" ".join)
 def test_a_wrong_closed_form_root_is_exit_3(capsys, monkeypatch, argv):
-    roots = cli.satake_roots_from_rosenhain
+    """A wrong Satake root, or on other input a wrong Satake sextic (off by
+    one), fails the identity that checks it."""
+    if argv[-1].startswith("--"):
+        sextic = cli.satake_sextic_from_siegel
+        monkeypatch.setattr(cli, "satake_sextic_from_siegel",
+                            lambda s: sextic(s) + 1)
+    else:
+        roots = cli.satake_roots_from_rosenhain
 
-    def one_wrong(lams):
-        d, xs = roots(lams)
-        return d, [xs[0] + d] + xs[1:]
+        def one_wrong(lams):
+            d, xs = roots(lams)
+            return d, [xs[0] + d] + xs[1:]
 
-    monkeypatch.setattr(cli, "satake_roots_from_rosenhain", one_wrong)
-    code, doc = invoke(capsys, *argv, "--rosenhain=2,3,5")
+        monkeypatch.setattr(cli, "satake_roots_from_rosenhain", one_wrong)
+        argv = [*argv, "--rosenhain=2,3,5"]
+    code, doc = invoke(capsys, *argv)
     assert code == 3
     assert doc["status"] == "identity-violation"
 

@@ -15,6 +15,8 @@ import pytest
 from golden.generate import CORPUS, record
 
 NUMERIC_COMMANDS = ("theta", "roundtrip")
+# the keys under which an exact command prints JSON numbers: counts
+COUNT_KEYS = {"orders", "count", "euler", "euler_sum"}
 
 CASES = [json.loads(line) for line in CORPUS.read_text().splitlines()]
 
@@ -45,3 +47,27 @@ def test_golden_case(case, tmp_path, monkeypatch):
         return
     assert _command(case) in NUMERIC_COMMANDS, "output differs from the corpus"
     assert _close(json.loads(stdout), json.loads(case["stdout"]))
+
+
+def _numbers(value, key=None):
+    """(key, number) for each JSON number in ``value``, with the key it sits
+    under; a list's items sit under the list's key."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _numbers(v, k)
+    elif isinstance(value, list):
+        for v in value:
+            yield from _numbers(v, key)
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield key, value
+
+
+def test_exact_values_print_as_strings_and_counts_as_numbers():
+    # every exact value is a Fraction and prints as "p/q"; a JSON number in
+    # the output of an exact command (run documents included) is a count
+    for case in CASES:
+        doc = json.loads(case["stdout"])
+        if doc.get("command") in NUMERIC_COMMANDS:
+            continue
+        keys = {k for k, _ in _numbers(doc)}
+        assert keys <= COUNT_KEYS, (case["argv"], keys - COUNT_KEYS)

@@ -90,7 +90,7 @@ def _run(argv):
 
 def _fibers(census_fibers):
     """(type, encoded location, orders, count) of each fiber, sorted."""
-    return sorted((f.fiber_type, json.dumps(cli._encode(f.location)),
+    return sorted((f.fiber_type, json.dumps(f.location, default=cli._json_value),
                    list(f.orders), f.count) for f in census_fibers)
 
 

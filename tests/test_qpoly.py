@@ -52,6 +52,26 @@ def test_power_forms_no_product_above_its_degree(monkeypatch):
         assert max(degrees, default=0) <= k * p.degree(), (k, degrees)
 
 
+def test_gaussian_power_forms_no_product_above_its_norm(monkeypatch):
+    # the same for GaussianRational: (1 + i)**k has norm 2^k, and no
+    # product on the way to it has a larger one
+    z = qpoly.GaussianRational(1, 1)
+    mul = qpoly.GaussianRational.__mul__
+    norms = []
+
+    def spy(a, b):
+        out = mul(a, b)
+        norms.append(out.re**2 + out.im**2)
+        return out
+
+    monkeypatch.setattr(qpoly.GaussianRational, "__mul__", spy)
+    for k in range(9):
+        norms.clear()
+        w = z**k
+        assert w.re**2 + w.im**2 == 2**k
+        assert max(norms, default=1) <= 2**k, (k, norms)
+
+
 def test_resultant_linear_pair():
     assert resultant(Poly([-1, 1]), Poly([1, 1])) == 2
 
