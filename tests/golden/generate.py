@@ -189,7 +189,12 @@ def cases():
     # Q = 0, and at a lambda equal to 0 or 1 (I10 = 0)
     later += [["igusa", f"--rosenhain={source}"]
               for source in (H30, H60, CLUSTERED, Q0, Q0_H4, "0,2,3", "2,1,3")]
-    out += [(argv, None, None) for argv in later]
+    # predicates without Rosenhain lambdas: Siegel and Igusa input, Q = 0
+    # (y^2 = x^6 + 1, whose Satake sextic has a double root) and I2 = 0
+    later += [["predicates", source]
+              for source in ("--siegel=3,5,7,11", f"--igusa={IGUSA_GENERIC}",
+                             "--sextic=1,0,0,0,0,0,1", f"--igusa={I2_ZERO}")]
+    out +=[(argv, None, None) for argv in later]
     return out
 
 
