@@ -27,11 +27,11 @@ from .igusa import (AbsoluteInvariants, DerivedForms, IgusaInvariants,
 from .qpoly import (GaussianRational, Poly, discriminant, poly_gcd, resultant,
                     squarefree_decomposition)
 from .roots import complex_roots, gaussian_roots
-from .satake import (PhiResult, PowerSums, complete_bell, igusa_from_power_sums,
-                     phi_map, power_sums_from_igusa, is_rational_square,
-                     reconstruct_from_satake_roots, satake_discriminant_identity,
-                     satake_sextic, satake_sextic_from_siegel,
-                     theta_power_sum_consistency)
+from .satake import (PhiResult, PowerSums, SatakeSextic, complete_bell,
+                     igusa_from_power_sums, is_rational_square, phi_map,
+                     power_sums_from_igusa, reconstruct_from_satake_roots,
+                     satake_discriminant_identity, satake_sextic,
+                     satake_sextic_from_siegel, theta_power_sum_consistency)
 from .theta import (EVEN_CHARACTERISTICS, ODD_CHARACTERISTICS, PeriodMatrix,
                     SatakeCoordinates, ThetaConstants, check_frobenius,
                     even_theta_constants, rosenhain_from_theta,

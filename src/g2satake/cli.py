@@ -31,10 +31,11 @@ from .fibrations import (FibrationParams, alternate_model, alternate_model_ftheo
 from .igusa import (SIEGEL_WEIGHTS, AbsoluteInvariants, IgusaInvariants,
                     IgusaPoint, SiegelForms, SiegelPoint, absolute_invariants,
                     humbert_predicates, igusa_from_rosenhain, igusa_from_sextic,
-                    igusa_from_siegel, rosenhain_integers, siegel_from_igusa)
+                    igusa_from_siegel, rosenhain_integers, rosenhain_thomae,
+                    siegel_from_igusa)
 from .qpoly import Poly, discriminant
 from .roots import gaussian_roots
-from .satake import (PowerSums, phi_map, power_sums_from_igusa,
+from .satake import (PowerSums, SatakeSextic, phi_map, power_sums_from_igusa,
                      reconstruct_from_satake_roots, satake_discriminant_identity,
                      satake_roots_from_rosenhain, satake_sextic,
                      satake_sextic_from_siegel, satake_sextic_on_point,
@@ -118,9 +119,11 @@ class CurvePoint:
     ``SiegelPoint`` over v = 12 u, the unit on which the Siegel forms and
     the fibration parameters are integers; on Siegel input with chi10 = 0,
     where there are no Igusa invariants, it is built from the forms
-    (``SiegelPoint.of``).
-    ``roots`` are the closed-form Satake roots of Rosenhain input in the
-    weighted coordinate X = v^2 x, else None.
+    (``SiegelPoint.of``).  ``satake`` is the ``SatakeSextic`` of that
+    point, in X = v^2 x: F, and on Rosenhain input its closed-form roots
+    v^2 x_i, integers since the denominator d of the x_i divides v^2.  The
+    integer branch points of Rosenhain input and their Thomae products
+    (``thomae``) are evaluated once, for the Igusa point and the roots both.
     """
 
     def __init__(self, key, val):
@@ -145,9 +148,13 @@ class CurvePoint:
         return self.igusa.I10 == 0
 
     @functools.cached_property
+    def thomae(self):
+        return rosenhain_thomae(self.val)
+
+    @functools.cached_property
     def igusa(self):
         if self.key == "rosenhain":
-            return IgusaPoint.from_rosenhain(self.val)
+            return IgusaPoint.from_rosenhain(self.val, self.thomae)
         return IgusaPoint.of(self.invariants())
 
     @functools.cached_property
@@ -166,22 +173,12 @@ class CurvePoint:
         return FibrationParams.from_igusa(self.integral_invariants())
 
     @functools.cached_property
-    def roots(self):
-        """The closed-form Satake roots of Rosenhain input in X = v^2 x, as
-        (1, [v^2 x_i]): the roots of the monic integer sextic
-        v^12 f(X / v^2), integers since the denominator d of the x_i divides
-        v^2; else None."""
-        if self.key != "rosenhain":
-            return None
-        d, xs = satake_roots_from_rosenhain(self.val)
-        w = self.siegel.v ** 2 // d
-        return 1, [w * x for x in xs]
-
     def satake(self):
-        """The Satake sextic in X = v^2 x, for the fibrations' known
-        discriminant factors: its closed-form roots on Rosenhain input, else
-        the monic integer Poly F(X) = v^12 f(X / v^2)."""
-        return self.roots or satake_sextic_from_siegel(self.siegel)
+        s, roots = self.siegel, None
+        if self.key == "rosenhain":
+            d, xs = satake_roots_from_rosenhain(self.val, self.thomae)
+            roots = [s.v**2 // d * x for x in xs]
+        return SatakeSextic(satake_sextic_from_siegel(s), roots)
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +213,9 @@ def cmd_satake_sextic(key, val):
         coefficients = list(f.coeffs)
     else:
         s = val.siegel
-        S, f = satake_sextic_on_point(s)   # in X = v^2 x
+        S, f = satake_sextic_on_point(s, val.satake.F)   # in X = v^2 x
         out["discriminant"], out["Q"] = satake_discriminant_identity(
-            s, f, val.roots)
+            s, val.satake)
         out["discriminant_identity"] = True
         ps = PowerSums(*_reduced(S, SIEGEL_WEIGHTS, s.v))
         coefficients = _reduced(f.coeffs, range(12, -1, -2), s.v)
@@ -254,15 +251,10 @@ def cmd_fibration(key, point, model):
         z, ints = rosenhain_integers(point.val)
         weierstrass = kummer_quartic_model(*ints, z=z).jacobian_model()
         rho = Fraction(1, z)
-    elif model == "alternate-ftheory" and key == "siegel":
-        # defined on chi10 = 0 too, where I2 and I10* merge into I12*; over
-        # 12 v, psi4 / 48 and psi6 / 864 are integers
-        s = point.siegel.scaled(12)
-        weierstrass = alternate_model_ftheory(s.integral_forms(),
-                                              satake_sextic_from_siegel(s))
-        rho = Fraction(1, s.v**2)
     else:
-        if point.degenerate():
+        # alternate-ftheory is defined on chi10 = 0 too, where I2 and I10*
+        # merge into I12*: Siegel input has no I10 = 0 refusal there
+        if (model, key) != ("alternate-ftheory", "siegel") and point.degenerate():
             raise DomainError(_NO_K3)
         v = point.siegel.v
         rho = Fraction(1, v * v)   # t has weight 2 ...
@@ -271,11 +263,11 @@ def cmd_fibration(key, point, model):
             rho = v**4              # ... and -4 in the standard model
         elif model == "alternate-ftheory":
             weierstrass = alternate_model_ftheory(
-                point.siegel.integral_forms(), point.satake())
+                point.siegel.integral_forms(), point.satake)
         elif model == "kummer23":
-            weierstrass = kumfib2_model(point.integral_invariants(), point.satake())
+            weierstrass = kumfib2_model(point.integral_invariants(), point.satake)
         else:
-            weierstrass = alternate_model(point.params(), point.satake())
+            weierstrass = alternate_model(point.params(), point.satake)
     census = classify_fibers(weierstrass, rho)
     fibers = [{"type": f.fiber_type, "location": f.location, "orders": f.orders,
                "count": f.count, "euler": f.euler} for f in census.fibers]
@@ -334,17 +326,12 @@ def cmd_theta(_key, tau, theta_radius):
 
 def cmd_predicates(key, point):
     s = point.siegel
-    roots = None if s.chi10 == 0 else point.roots
-    if roots is None:
-        q = Fraction(s.q(), s.v**60)
-    else:   # Q read off disc(f) = 2^52 3^21 Q, checked here too: disc(f)
-        # reduces at half the size of Q
-        _, q = satake_discriminant_identity(s, satake_sextic_from_siegel(s), roots)
+    _, q = satake_discriminant_identity(s, point.satake)   # Q off disc(f)
     out = {"humbert": humbert_predicates(s, q), "Q": q,
            "chi35_squared": Fraction(s.chi10, s.v**10) * q / (2**12 * 3**9)}
     if s.chi10 != 0:
         p = point.params()
-        out["degeneration"] = degeneration_predicates(p, roots)
+        out["degeneration"] = degeneration_predicates(p, point.satake)
         type_iii_siegel_identity(p, s)
         out["identities_checked"] = True
     else:

@@ -28,10 +28,10 @@ is decomposed from B and A^2 - 4B and is never expanded.  The paper's
 theorem that the F-theory model shows the Satake sextic f gives one of
 these pieces: A^2 - 4B is a constant times f(12 t) for
 ``alternate_model_ftheory`` and f(-3 t) for ``alternate_model``, and so
-is B for ``kumfib2_model``.  The models take f, or its closed-form roots
-x_i (``satake.satake_roots_from_rosenhain``) as the linear factors
-t - x_i/12 or t + x_i/3, and the classifier checks their product against
-the piece exactly before it uses them.
+is B for ``kumfib2_model``.  The models take f as a ``satake.SatakeSextic``:
+its closed-form roots x_i, where they are known, as the linear factors
+t - x_i/12 or t + x_i/3, else f itself, and the classifier checks their
+product against the piece exactly before it uses them.
 The Jacobian of the Kummer quartic carries its Delta as the factors
 c t^6 prod (t - li)^2 prod (t - li lj)^2, the 2x2 determinants of the
 quartic's linear X-factors; the expanded Delta is only checked to be a
@@ -50,10 +50,10 @@ from itertools import combinations
 from math import gcd, lcm
 
 from .errors import DomainError, IdentityViolationError, NonMinimalModelError
-from .qpoly import (ExactTuple, Poly, discriminant, discriminant_from_roots,
-                    integer_gcd, integer_quotient, integer_squarefree,
-                    integral_representative, primitive_part, promote_int,
-                    root_multiplicities, split_rational_roots)
+from .qpoly import (ExactTuple, Poly, discriminant, integer_gcd,
+                    integer_quotient, integer_squarefree, integral_representative,
+                    primitive_part, promote_int, root_multiplicities,
+                    split_rational_roots)
 
 INFINITY = "infinity"
 
@@ -358,17 +358,21 @@ class FibrationParams(ExactTuple, namedtuple("FibrationParams", "a b c d e")):
         return Poly([self.d, self.c])
 
 
+def _at(f, scale):
+    """f(scale t)."""
+    return Poly([c * scale**i for i, c in enumerate(f.coeffs)])
+
+
 def _satake_factors(satake, scale, k):
-    """The known factors of exponent k that the Satake sextic f gives, with
-    roots at t = x_i / scale: ((scale d t - X_i, k), ...) for its
-    closed-form roots x_i = X_i / d given as (d, X), ((f(scale t), k),) for
-    f given as a Poly, () for None."""
+    """The known factors of exponent k that the Satake sextic gives, with
+    roots at t = X_i / scale for the roots X_i of ``satake`` (a
+    ``satake.SatakeSextic`` in X, or None): ((scale t - X_i, k), ...) for
+    its closed-form roots, else ((F(scale t), k),); () for None."""
     if satake is None:
         return ()
-    if isinstance(satake, Poly):
-        return ((Poly([c * scale**i for i, c in enumerate(satake.coeffs)]), k),)
-    d, xs = satake
-    return tuple((Poly([-x, scale * d]), k) for x in xs)
+    if satake.roots is None:
+        return ((_at(satake.F, scale), k),)
+    return tuple((Poly([-x, scale]), k) for x in satake.roots)
 
 
 def kumfib2_model(inv, satake=None):
@@ -377,7 +381,7 @@ def kumfib2_model(inv, satake=None):
     y^2 = x^3 - 2 (t^3 + a t + b) x^2 + ((t^3+at+b)^2 - 4 e (c t + d)) x,
     which is the same display as the I4/I2/I6/I10 form of the model.  B is
     the radicand, f(-3 t) / 729 for the Satake sextic f: ``satake``, if
-    given, is f or its roots (d, X) (``_satake_factors``), the known factor
+    given, is its ``SatakeSextic`` (``_satake_factors``), the known factor
     of B.
     """
     p = FibrationParams.from_igusa(inv)
@@ -389,7 +393,7 @@ def alternate_model(p, satake=None):
     """y^2 = x^3 + (t^3 + a t + b) x^2 + e (c t + d) x.
 
     A^2 - 4B is the radicand, f(-3 t) / 729 for the Satake sextic f:
-    ``satake``, if given, is f or its roots (d, X), the known factor of
+    ``satake``, if given, is its ``SatakeSextic``, the known factor of
     A^2 - 4B.
     """
     return WeierstrassModel(A=p.cubic(), B=p.e * p.linear(), C=Poly(),
@@ -401,7 +405,7 @@ def alternate_model_ftheory(s, satake=None):
 
     Stays well-defined on chi10 = 0, where the I2 and I10* fibers merge
     into I12*.  A^2 - 4B is f(12 t) / 1728^2 for the Satake sextic f:
-    ``satake``, if given, is f or its roots (d, X), the known factor of
+    ``satake``, if given, is its ``SatakeSextic``, the known factor of
     A^2 - 4B.
     """
     p4, p6, c10, c12 = s.astuple()
@@ -623,25 +627,27 @@ def type_iii_bracket(p):
     return p.a * p.c**2 * p.d - p.b * p.c**3 + p.d**3
 
 
-def degeneration_predicates(p, roots=None):
+def degeneration_predicates(p, satake=None):
     """The su(2), type-III and so(32) flags of the parameters ``p``.
 
     The bracket is evaluated once, and disc_t((t^3+at+b)^2 - 4e(ct+d)) =
     2^12 e^3 * bracket is checked exactly (the 2^12 was determined once on
     random rational parameters and is frozen); a mismatch raises
-    IdentityViolationError.  Given the Satake roots (d, X) of the curve
-    (``satake.satake_roots_from_rosenhain``), the left side is read off
-    them: the radicand is checked to be prod (t + x_i / 3) exactly, and its
-    discriminant is 3^-30 prod_{i<j} (x_i - x_j)^2.
+    IdentityViolationError.  Given the ``SatakeSextic`` F of the same
+    point, 729 radicand(t) = F(-3 t) is checked exactly, and the left side
+    is read off disc(F) = 3^30 disc_t(radicand) rather than taken again.
     """
     bracket = qvanish_bracket(p)
     rad = radicand(p)
-    if roots is None:
+    rhs = 2**12 * p.e**3 * bracket
+    if satake is None:
         lhs = discriminant(rad)
-    else:   # rad(t) = f(-3t) / 729, so its roots are -x_i / 3
-        d, xs = roots
-        lhs = discriminant_from_roots(rad, 3 * d, [-x for x in xs])
-    if lhs != 2**12 * p.e**3 * bracket:
+    else:
+        if 729 * rad != _at(satake.F, -3):
+            raise IdentityViolationError(
+                "729 radicand(t) = F(-3 t) fails on this input")
+        lhs, rhs = satake.discriminant(), 3**30 * rhs
+    if lhs != rhs:
         raise IdentityViolationError(
             "disc_t(radicand) = 2^12 e^3 * bracket fails on this input")
     return {

@@ -130,7 +130,7 @@ class IgusaPoint(_IntegralPoint, namedtuple("IgusaPoint", "u I2 I4 I6 I10")):
     WEIGHTS = IGUSA_WEIGHTS
 
     @classmethod
-    def from_rosenhain(cls, lams):
+    def from_rosenhain(cls, lams, thomae=None):
         """The point of the Rosenhain parameters ``lams``, with no Fraction
         in between: the forms of degrees 4, 8, 12 and 20 at the integer
         branch points 0, r, L1, L2, L3 of ``rosenhain_integers``
@@ -139,16 +139,17 @@ class IgusaPoint(_IntegralPoint, namedtuple("IgusaPoint", "u I2 I4 I6 I10")):
         denominators and the gcds of r with the differences a - b of the
         branch points and with the numerators (a - b) / gcd(a - b, r) of the
         lambda differences, which split the primes of r by how close the
-        branch points lie; u usually comes out near r."""
-        r, ints = rosenhain_integers(lams)
+        branch points lie; u usually comes out near r.  ``thomae``, if
+        given, is ``rosenhain_thomae(lams)``, already evaluated."""
+        r, ints, products = thomae or rosenhain_thomae(lams)
         branch = (0, r, *ints)
         parts = [Fraction(v).denominator for v in lams]
         for i, a in enumerate(branch):
             for b in branch[i + 1:]:
                 g = gcd(r, a - b)
                 parts += [g, gcd(r, (a - b) // g)]
-        u, vals = reduce_representative(r * r, _branch_point_forms(branch),
-                                        IGUSA_WEIGHTS, parts)
+        u, vals = reduce_representative(
+            r * r, _branch_point_forms(branch, products), IGUSA_WEIGHTS, parts)
         return cls(u, *vals)
 
     def siegel(self):
@@ -216,15 +217,15 @@ def _splits():
 _SPLITS = _splits()
 
 
-def _branch_point_forms(a):
+def _branch_point_forms(a, products=None):
     """(I2', I4', I6', I10') of the sextic with the five finite branch points
     a = (a_0, ..., a_4) and infinity: forms of degrees 4, 8, 12 and 20 in a.
 
     With D_ij = (a_i - a_j)^2 (and D = 1 on a pair through infinity) and the
-    Thomae products P_T (``theta.thomae_products``), which are the triangle
-    products of the split of the six points into T and its complement with
-    infinity, these are the Igusa-Clebsch root-difference sums (Igusa 1960;
-    Mestre 1991):
+    Thomae products P_T (``theta.thomae_products``, unless given as
+    ``products``), the triangle products of the split of the six points into
+    T and its complement with infinity, these are the Igusa-Clebsch
+    root-difference sums (Igusa 1960; Mestre 1991):
 
         I2'  = sum over the 15 pairings of D D
         I4'  = sum_T P_T^2
@@ -236,7 +237,7 @@ def _branch_point_forms(a):
     """
     d = [a[i] - a[j] for i, j in _PAIRS]
     D = [v * v for v in d]
-    p2 = [p * p for p in thomae_products(a)]
+    p2 = [p * p for p in products or thomae_products(a)]
     I6 = 0
     for pp, split in zip(p2, _SPLITS):
         I6 += pp * sum([D[m] * D[n] for m, n in split])
@@ -250,6 +251,15 @@ def rosenhain_integers(lams):
     lams = [Fraction(v) for v in lams]
     r = lcm(*(v.denominator for v in lams))
     return r, [v.numerator * (r // v.denominator) for v in lams]
+
+
+def rosenhain_thomae(lams):
+    """(r, [L1, L2, L3], P): ``rosenhain_integers`` and the Thomae products
+    P of the integer branch points 0, r, L1, L2, L3
+    (``theta.thomae_products``), on which both ``IgusaPoint.from_rosenhain``
+    and ``satake.satake_roots_from_rosenhain`` are built."""
+    r, ints = rosenhain_integers(lams)
+    return r, ints, thomae_products((0, r, *ints))
 
 
 def igusa_from_rosenhain(l1, l2, l3):

@@ -388,40 +388,22 @@ def discriminant(p):
     return sign * resultant(P, P.derivative()) * lc ** (2 * d - 2) / r ** (d * (d - 1))
 
 
-def root_differences(p, den, nums):
-    """prod_{i<j} (nums[i] - nums[j]) for a monic p with the rational roots
-    r_i = nums[i] / den (ints, den > 0), so that disc(p) is its square over
-    den^(n(n-1)).
-
-    p = prod (x - r_i) is checked first, exactly: prod (den x - nums[i])
-    is an integer polynomial, den^n times p; a mismatch raises
-    IdentityViolationError.
+def root_differences(p, roots):
+    """prod_{i<j} (r_i - r_j) over the exact ``roots`` r_i of a monic p,
+    so that disc(p) is its square.  p = prod (x - r_i) is checked first,
+    exactly; a mismatch raises IdentityViolationError.
     """
     prod = [1]
-    for x in nums:   # times den t - x
-        prod = [a * den - b * x for a, b in zip([0] + prod, prod + [0])]
-    scale = den ** len(nums)
-    if len(prod) != len(p.coeffs) or any(
-            a * c.denominator != scale * c.numerator
-            for a, c in zip(prod, p.coeffs)):
+    for x in roots:   # times t - x
+        prod = [a - b * x for a, b in zip([0] + prod, prod + [0])]
+    if tuple(prod) != p.coeffs:
         raise IdentityViolationError(
             "the polynomial is not the product of x - r over its given roots")
     diff = 1
-    for i, x in enumerate(nums):
-        for y in nums[i + 1:]:
+    for i, x in enumerate(roots):
+        for y in roots[i + 1:]:
             diff *= x - y
     return diff
-
-
-def discriminant_from_roots(p, den, nums):
-    """disc(p) of a monic p read off its rational roots r_i = nums[i] / den
-    (ints, den > 0): prod_{i<j} (r_i - r_j)^2, once ``root_differences``
-    has checked the roots.  The product of the differences is reduced
-    against den^(n(n-1)/2) once and then squared, so that the gcd runs on
-    numbers half the size of the result's.
-    """
-    n = len(nums)
-    return Fraction(root_differences(p, den, nums), den ** (n * (n - 1) // 2)) ** 2
 
 
 # ---------------------------------------------------------------------------

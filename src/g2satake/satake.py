@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations
 from math import comb, gcd, isqrt
 
@@ -21,11 +22,11 @@ from .errors import (DegeneratePointError, DomainError, IdentityViolationError,
 from .igusa import (SIEGEL_WEIGHTS, AbsoluteInvariants, IgusaInvariants,
                     IgusaPoint, SiegelPoint, absolute_invariants,
                     igusa_from_absolute, igusa_from_sextic, q_form,
-                    rosenhain_integers, siegel_from_igusa)
+                    rosenhain_thomae, siegel_from_igusa)
 from .qpoly import (ExactTuple, Poly, discriminant, integral_representative,
                     root_differences)
 from .theta import (SATAKE_MATRIX, rosenhain_from_theta4, theta4_from_satake,
-                    thomae_fourth_powers, thomae_products)
+                    thomae_fourth_powers)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +164,7 @@ def satake_sextic(ps, s4=None):
                  for k, c in enumerate(_sextic_1440(*S).coeffs)])
 
 
-def satake_sextic_on_point(s):
+def satake_sextic_on_point(s, f=None):
     """The power sums and the Satake sextic of the integral Siegel point
     ``s`` (an ``igusa.SiegelPoint`` of unit v), on integers.
 
@@ -171,12 +172,13 @@ def satake_sextic_on_point(s):
     v^(2j), and the sextic in the weighted coordinate X = v^2 x, F(X) =
     v^12 f(X / v^2), a monic integer Poly whose roots are v^2 x_i.  Both
     constructions are computed and compared over Z: the power-sum sextic
-    (Bell and closed forms) and ``satake_sextic_from_siegel``; a mismatch
-    raises IdentityViolationError.  S2 = 12 psi4', so S2^2 / 4 is an
-    integer.
+    (Bell and closed forms) and ``satake_sextic_from_siegel``, or ``f`` if
+    that is already built; a mismatch raises IdentityViolationError.
+    S2 = 12 psi4', so S2^2 / 4 is an integer.
     """
     S2, S3, S5, S6 = S = _power_sums_siegel(*s.astuple())
-    f = satake_sextic_from_siegel(s)
+    if f is None:
+        f = satake_sextic_from_siegel(s)
     if _sextic_1440(0, S2, S3, S2 * S2 // 4, S5, S6) != 1440 * f:
         raise IdentityViolationError(
             "power-sum and Siegel-form constructions of the sextic disagree")
@@ -193,7 +195,7 @@ def satake_sextic_from_siegel(s):
     return cube * cube + Poly([-3 * 2**14 * 3**5 * c12, 2**14 * 3**5 * c10])
 
 
-def satake_roots_from_rosenhain(lams):
+def satake_roots_from_rosenhain(lams, thomae=None):
     """The six Satake roots of the curve with Rosenhain parameters ``lams``,
     in closed form: (d, X) with x_i = X_i / d.
 
@@ -204,45 +206,57 @@ def satake_roots_from_rosenhain(lams):
     With L the lcm of the denominators, the branch points L (0, 1, l1, l2,
     l3) are integers, and so are their P_T, L^4 times those of the curve:
     x = SATAKE_MATRIX P / L^4, returned with the common content of L^4 and
-    the six numerators divided out.
+    the six numerators divided out.  ``thomae``, if given, is
+    ``igusa.rosenhain_thomae(lams)``, already evaluated.
     """
-    L, ints = rosenhain_integers(lams)
-    p = thomae_products((0, L, *ints))
+    L, _, p = thomae or rosenhain_thomae(lams)
     xs = [sum(c * t for c, t in zip(row, p)) for row in SATAKE_MATRIX]
     g = gcd(L**4, *xs)
     return L**4 // g, [x // g for x in xs]
 
 
-def satake_discriminant_identity(s, f, roots=None):
-    """disc(f) = 2^52 3^21 Q exactly, for the Satake sextic ``f`` of the
-    Siegel form values ``s`` (chi10 = 0 included); returns (disc(f), Q).
+class SatakeSextic:
+    """The Satake sextic of an integral Siegel point of unit v, in the
+    weighted coordinate X = v^2 x: ``F`` is F(X) = v^12 f(X / v^2), the
+    monic integer Poly of ``satake_sextic_from_siegel`` at the point, and
+    ``roots`` are its roots v^2 x_i as integers where they are known in
+    closed form (``satake_roots_from_rosenhain``), else None.  Built once
+    per point, so that disc(F) is found once."""
 
-    Given the closed-form Satake roots (d, X) of the curve
-    (``satake_roots_from_rosenhain``), disc(f) is read off them, after f
-    is checked to be prod (x - x_i) exactly; else it is the subresultant
-    discriminant.  A mismatch raises IdentityViolationError.
+    def __init__(self, F, roots=None):
+        self.F, self.roots = F, roots
 
-    ``s`` may be an integral ``SiegelPoint`` of unit v, with f and the
-    roots in its weighted coordinate X = v^2 x (``satake_sextic_on_point``):
-    both sides have weight 60, so the identity is checked there over Z, and
-    the values returned are those at the point itself, disc(f) =
-    disc(F) / v^60 reduced once (at half the size, from the root
-    differences, when the roots are given) and Q = disc(f) / (2^52 3^21).
+    @cached_property
+    def _disc(self):
+        """(r, k) with disc(F) = r^k: the product of the root differences,
+        once F = prod (X - X_i) is checked exactly, and k = 2; else the
+        subresultant discriminant and k = 1."""
+        if self.roots is None:
+            return discriminant(self.F), 1
+        return root_differences(self.F, self.roots), 2
+
+    def discriminant(self, v=1):
+        """disc(F) / v^60 reduced: disc(f) at the point of unit v, and
+        disc(F) itself at v = 1.  From the roots, the product of their
+        differences is reduced against v^30 and then squared, so that the
+        gcd runs at half the size."""
+        r, k = self._disc
+        return Fraction(r, v ** (60 // k)) ** k
+
+
+def satake_discriminant_identity(s, sextic):
+    """disc(f) = 2^52 3^21 Q exactly, for the integral Siegel point ``s``
+    of unit v (chi10 = 0 included) and its ``SatakeSextic``; returns
+    (disc(f), Q) at the point itself.
+
+    Both sides have weight 60, so the identity is checked over Z, as
+    disc(F) = 2^52 3^21 Q(s) on the integers of the point, before disc(f)
+    = disc(F) / v^60 is reduced once; a mismatch raises
+    IdentityViolationError.
     """
-    if roots is None:
-        diff, disc = None, discriminant(f)
-    else:
-        den, nums = roots
-        diff = root_differences(f, den, nums)
-        disc = Fraction(diff, den**15) ** 2
-    point = isinstance(s, SiegelPoint)
-    q = s.q() if point else q_form(s)
-    if disc != 2**52 * 3**21 * q:
+    if sextic.discriminant() != 2**52 * 3**21 * s.q():
         raise IdentityViolationError("disc(f) = 2^52 3^21 Q fails on this input")
-    if not point:
-        return disc, q
-    disc = (disc / s.v**60 if diff is None
-            else Fraction(diff, den**15 * s.v**30) ** 2)
+    disc = sextic.discriminant(s.v)
     return disc, disc / (2**52 * 3**21)
 
 

@@ -3,6 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from g2satake.cli import CurvePoint
+from g2satake.igusa import igusa_from_rosenhain
+from g2satake.satake import (SatakeSextic, power_sums_from_igusa,
+                             satake_roots_from_rosenhain, satake_sextic)
+
 # Q = 0 inputs (c, b, c/b), where x -> c/x permutes the branch points, and
 # the Humbert-surface input -1, 2, -2: the Satake sextic has a double root
 Q0_LAMBDAS = [(Fraction(2), Fraction(3), Fraction(2, 3)),
@@ -43,3 +48,20 @@ def seeded_integer_points(rng, arity):
     zeros = [[0 if i == k else v for i, v in enumerate(pt)]
              for pt in points[::6] for k in range(arity)]
     return points + zeros + [[0] * arity]
+
+
+def satake_in_x(lams):
+    """The ``SatakeSextic`` of a Rosenhain curve in x itself: its Satake
+    sextic f from the power sums, and the closed-form roots x_i = X_i / d
+    as Fractions."""
+    d, xs = satake_roots_from_rosenhain(lams)
+    f = satake_sextic(power_sums_from_igusa(igusa_from_rosenhain(*lams)))
+    return SatakeSextic(f, [Fraction(x, d) for x in xs])
+
+
+def satake_on_point(lams):
+    """The integral Siegel point s of a Rosenhain curve, over v = 12 u, and
+    its ``SatakeSextic`` in X = v^2 x with the closed-form roots v^2 x_i,
+    as a CLI job builds them."""
+    point = CurvePoint("rosenhain", lams)
+    return point.siegel, point.satake

@@ -15,16 +15,16 @@ from g2satake.fibrations import (FibrationParams, alternate_model,
                                  kumfib2_model, kummer_quartic_model,
                                  qvanish_bracket, radicand, standard_model,
                                  type_iii_siegel_identity)
-from g2satake.igusa import (SiegelForms, absolute_invariants,
+from g2satake.igusa import (SiegelForms, SiegelPoint, absolute_invariants,
                             igusa_from_rosenhain, igusa_from_sextic,
                             igusa_from_siegel, q_form, rosenhain_poly,
                             siegel_from_igusa)
 from g2satake.qpoly import Poly
 from g2satake.roots import gaussian_roots
-from g2satake.satake import (phi_map, power_sums_from_igusa,
+from g2satake.satake import (SatakeSextic, phi_map, power_sums_from_igusa,
                              reconstruct_from_satake_roots,
                              satake_discriminant_identity, satake_sextic,
-                             satake_sextic_from_siegel,
+                             satake_sextic_from_siegel, satake_sextic_on_point,
                              theta_power_sum_consistency)
 from g2satake.theta import (PeriodMatrix, check_frobenius, even_theta_constants,
                             rosenhain_from_theta, satake_from_theta)
@@ -89,9 +89,10 @@ SIEGEL_40 = _siegel_points(1004, 40, 50)
 def test_criterion_1_discriminant_identity():
     t0 = time.perf_counter()
     for lams in TRIPLES_20:
-        inv = igusa_from_rosenhain(*lams)
-        disc, q = satake_discriminant_identity(
-            siegel_from_igusa(inv), satake_sextic(power_sums_from_igusa(inv)))
+        s = SiegelPoint.of(siegel_from_igusa(igusa_from_rosenhain(*lams)))
+        # the Bell and closed-form sextic, checked against the Siegel-form one
+        _, f = satake_sextic_on_point(s)
+        disc, q = satake_discriminant_identity(s, SatakeSextic(f))
         assert disc == 2**52 * 3**21 * q   # exact, zero tolerance
     _report(1, "disc(Satake sextic) = 2^52 3^21 Q, 20 triples", t0, 10)
 

@@ -598,6 +598,9 @@ def test_roundtrip_on_q0_recovers_the_double_root(capsys):
     ["fibration", "--model", "kummer23", "--siegel=3,5,7,11"],
     ["fibration", "--model", "alternate-ftheory", "--sextic=0,-1,0,0,0,1"],
     ["fibration", "--model", "alternate-ftheory", "--siegel=3/2,-5/7,0,11/4"],
+    # Q read off disc(f) = 2^52 3^21 Q, chi10 = 0 included
+    ["predicates", "--siegel=3,5,7,11"],
+    ["predicates", "--siegel=3/2,-5/7,0,11/4"],
 ], ids=" ".join)
 def test_a_wrong_closed_form_root_is_exit_3(capsys, monkeypatch, argv):
     """A wrong Satake root, or on other input a wrong Satake sextic (off by
@@ -609,8 +612,8 @@ def test_a_wrong_closed_form_root_is_exit_3(capsys, monkeypatch, argv):
     else:
         roots = cli.satake_roots_from_rosenhain
 
-        def one_wrong(lams):
-            d, xs = roots(lams)
+        def one_wrong(*args):
+            d, xs = roots(*args)
             return d, [xs[0] + d] + xs[1:]
 
         monkeypatch.setattr(cli, "satake_roots_from_rosenhain", one_wrong)

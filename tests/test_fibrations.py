@@ -15,13 +15,13 @@ from g2satake.fibrations import (INFINITY, FibrationParams, KodairaFiber,
                                  standard_model, type_iii_siegel_identity,
                                  _integral_factor, _integral_model,
                                  _integral_short_form)
-from g2satake.igusa import (IgusaInvariants, SiegelForms, igusa_from_rosenhain,
-                            igusa_from_sextic, rosenhain_poly, siegel_from_igusa)
+from g2satake.igusa import (IgusaInvariants, IgusaPoint, SiegelForms,
+                            igusa_from_rosenhain, igusa_from_sextic,
+                            rosenhain_poly, siegel_from_igusa)
 from g2satake.qpoly import Poly, integer_gcd, integer_squarefree, primitive_part
-from g2satake.satake import (power_sums_from_igusa, satake_roots_from_rosenhain,
-                             satake_sextic)
+from g2satake.satake import SatakeSextic, power_sums_from_igusa, satake_sextic
 from conftest import (Q0_LAMBDAS, lambdas_of_height, random_lambdas,
-                      seeded_integer_points)
+                      satake_in_x, satake_on_point, seeded_integer_points)
 from oracle_invariants import qvanish_expanded
 
 EVEN_SEXTIC = Poly.from_roots([F(1), F(-1), F(2), F(-2), F(3), F(-3)])
@@ -373,9 +373,9 @@ def test_failed_degeneration_identities_raise(monkeypatch):
         type_iii_siegel_identity(p, other)
     form = fib._qvanish_form
     monkeypatch.setattr(fib, "_qvanish_form", lambda *v: form(*v) + 1)
-    for roots in (None, satake_roots_from_rosenhain((2, 3, 5))):
+    for sextic in (None, satake_in_x((2, 3, 5))):
         with pytest.raises(IdentityViolationError, match="bracket"):
-            degeneration_predicates(p, roots)
+            degeneration_predicates(p, sextic)
 
 
 def test_standard_to_alternate_birational_transform(rng):
@@ -658,16 +658,16 @@ def test_factored_discriminant_vanishing_identically(A, B):
 # ---------------------------------------------------------------------------
 
 
-def models_with_known_factors(lams, roots=None):
+def models_with_known_factors(lams, sextic=None):
     """The four models whose discriminant factors are known linear ones on
     Rosenhain input: three from the Satake roots, kummer1 from the 2x2
     determinants of its quartic."""
     inv = igusa_from_rosenhain(*lams)
-    roots = roots or satake_roots_from_rosenhain(lams)
+    sextic = sextic or satake_in_x(lams)
     p = FibrationParams.from_igusa(inv)
-    return {"alternate": alternate_model(p, roots),
-            "kummer23": kumfib2_model(inv, roots),
-            "alternate-ftheory": alternate_model_ftheory(siegel_from_igusa(inv), roots),
+    return {"alternate": alternate_model(p, sextic),
+            "kummer23": kumfib2_model(inv, sextic),
+            "alternate-ftheory": alternate_model_ftheory(siegel_from_igusa(inv), sextic),
             "kummer1": kummer_quartic_model(*lams).jacobian_model()}
 
 
@@ -715,15 +715,19 @@ def test_known_linear_factors_skip_squarefree_and_lifting(rng, monkeypatch):
 
 def test_one_wrong_satake_root_is_an_identity_violation():
     lams = (F(2), F(3), F(5))
-    d, xs = satake_roots_from_rosenhain(lams)
-    wrong = (d, [xs[0] + 1] + xs[1:])
+    sextic = satake_in_x(lams)
+    wrong = SatakeSextic(sextic.F, [sextic.roots[0] + 1] + sextic.roots[1:])
     models = models_with_known_factors(lams, wrong)
     del models["kummer1"]
     for model in models.values():
         with pytest.raises(IdentityViolationError):
             classify_fibers(model)
-    with pytest.raises(IdentityViolationError):
+    with pytest.raises(IdentityViolationError, match="product of x - r"):
         degeneration_predicates(params_for(*lams), wrong)
+    # and a wrong sextic, with or without its roots, fails F(-3 t)
+    for off in (SatakeSextic(sextic.F + 1), SatakeSextic(sextic.F + 1, sextic.roots)):
+        with pytest.raises(IdentityViolationError, match="F\\(-3 t\\)"):
+            degeneration_predicates(params_for(*lams), off)
 
 
 def test_known_factors_name_their_piece_by_exponent():
@@ -738,6 +742,13 @@ def test_known_factors_name_their_piece_by_exponent():
 def test_predicates_from_satake_roots_match_the_subresultant(rng):
     for lams in [lambdas_of_height(rng, d) for d in (2, 10, 30)] + Q0_LAMBDAS:
         p = params_for(*lams)
-        roots = satake_roots_from_rosenhain(lams)
-        # each route raises on a mismatch with the same right side
-        assert degeneration_predicates(p, roots) == degeneration_predicates(p)
+        sextic = satake_in_x(lams)
+        # each route raises on a mismatch with the same right side, in t
+        # and on the integral point, in T = v^2 t
+        flags = degeneration_predicates(p)
+        assert degeneration_predicates(p, sextic) == flags
+        assert degeneration_predicates(p, SatakeSextic(sextic.F)) == flags
+        _, on_point = satake_on_point(lams)
+        integral = FibrationParams.from_igusa(
+            IgusaInvariants(*IgusaPoint.from_rosenhain(lams).scaled(12).astuple()))
+        assert degeneration_predicates(integral, on_point) == flags

@@ -11,19 +11,19 @@ from fractions import Fraction as F
 
 import pytest
 
-from g2satake import cli, fibrations, igusa, qpoly, satake
+from g2satake import cli, fibrations, igusa, qpoly, satake, theta
 from g2satake.fibrations import (FibrationParams, alternate_model,
                                  alternate_model_ftheory, classify_fibers,
                                  kumfib2_model, kummer_quartic_model,
                                  standard_model)
 from g2satake.igusa import (IGUSA_WEIGHTS, IgusaInvariants, IgusaPoint,
-                            SiegelForms, igusa_from_rosenhain, igusa_from_siegel,
-                            siegel_from_igusa)
-from g2satake.qpoly import integral_representative
-from g2satake.satake import (power_sums_from_siegel, satake_discriminant_identity,
-                             satake_roots_from_rosenhain, satake_sextic,
-                             satake_sextic_on_point)
-from conftest import Q0_LAMBDAS, lambdas_of_height
+                            SiegelForms, SiegelPoint, igusa_from_rosenhain,
+                            igusa_from_siegel, q_form, siegel_from_igusa)
+from g2satake.qpoly import discriminant, integral_representative
+from g2satake.satake import (SatakeSextic, power_sums_from_siegel,
+                             satake_discriminant_identity, satake_sextic,
+                             satake_sextic_from_siegel)
+from conftest import Q0_LAMBDAS, lambdas_of_height, satake_in_x, satake_on_point
 
 _RNG = random.Random(20261019)
 
@@ -69,16 +69,15 @@ def test_the_siegel_point_is_the_dictionary_over_12u():
 
 def test_the_discriminant_identity_on_the_point_gives_the_curves_values():
     lams = ROSENHAIN["h10-1"]
-    s = IgusaPoint.from_rosenhain(lams).siegel()
-    _, F_ = satake_sextic_on_point(s)   # in X = v^2 x
-    d, xs = satake_roots_from_rosenhain(lams)
-    roots = [s.v**2 // d * x for x in xs]
     forms = siegel_from_igusa(igusa_from_rosenhain(*lams))
-    expected = satake_discriminant_identity(
-        forms, satake_sextic(power_sums_from_siegel(forms)), (d, xs))
-    # the roots with denominators 1 and 2, and the subresultant route
-    for given in ((1, roots), (2, [2 * x for x in roots]), None):
-        assert satake_discriminant_identity(s, F_, given) == expected
+    expected = (discriminant(satake_sextic(power_sums_from_siegel(forms))),
+                q_form(forms))
+    s, sextic = satake_on_point(lams)   # in X = v^2 x, over v = 12 u
+    minimal = SiegelPoint.of(forms)
+    # the roots and the subresultant route, and the point of least unit
+    for point, value in ((s, sextic), (s, SatakeSextic(sextic.F)),
+                         (minimal, SatakeSextic(satake_sextic_from_siegel(minimal)))):
+        assert satake_discriminant_identity(point, value) == expected
 
 
 def _run(argv):
@@ -96,7 +95,7 @@ def _fibers(census_fibers):
 
 def _fraction_model(key, val, model):
     """The model on the reduced Fraction invariants, in t, with the Satake
-    roots (d, X) of Rosenhain input: the route of the point's parent."""
+    roots x_i of Rosenhain input: the route of the point's parent."""
     if key == "siegel" and model == "alternate-ftheory":
         return alternate_model_ftheory(val)
     if model == "kummer1":
@@ -104,12 +103,12 @@ def _fraction_model(key, val, model):
     inv = {"rosenhain": lambda: igusa_from_rosenhain(*val),
            "siegel": lambda: igusa_from_siegel(val),
            "igusa": lambda: val}[key]()
-    roots = satake_roots_from_rosenhain(val) if key == "rosenhain" else None
+    sextic = satake_in_x(val) if key == "rosenhain" else None
     p = FibrationParams.from_igusa(inv)
-    return {"kummer23": lambda: kumfib2_model(inv, roots),
-            "alternate": lambda: alternate_model(p, roots),
+    return {"kummer23": lambda: kumfib2_model(inv, sextic),
+            "alternate": lambda: alternate_model(p, sextic),
             "alternate-ftheory": lambda: alternate_model_ftheory(
-                siegel_from_igusa(inv), roots),
+                siegel_from_igusa(inv), sextic),
             "standard": lambda: standard_model(p)}[model]()
 
 
@@ -140,18 +139,18 @@ def test_the_census_of_the_point_is_that_of_the_fractions(name, model):
     assert env["result"]["euler_sum"] == 24
 
 
-def _spy_on(monkeypatch, names):
-    """Count the calls of the qpoly functions ``names`` through every
-    binding in the package."""
+def _spy_on(monkeypatch, names, source=qpoly):
+    """Count the calls of the functions ``names`` of ``source`` through
+    every binding in the package."""
     calls = Counter()
     for name in names:
-        original = getattr(qpoly, name)
+        original = getattr(source, name)
 
         def spy(*args, _original=original, _name=name, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        for module in (qpoly, igusa, satake, fibrations, cli):
+        for module in (qpoly, theta, igusa, satake, fibrations, cli):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, spy)
     return calls
@@ -170,3 +169,38 @@ def test_a_job_builds_its_point_once(argv, monkeypatch):
     # one coprime base, the point's reduction; no representative is rebuilt
     # from Fractions on the way
     assert calls == {"_coprime_base": 1}
+
+
+H10 = ",".join(map(str, ROSENHAIN["h10-0"]))
+
+
+@pytest.mark.parametrize("argv", (["predicates"], ["satake-sextic"],
+                                  ["fibration", "--model", "alternate"]),
+                         ids=" ".join)
+def test_a_rosenhain_job_evaluates_its_thomae_products_once(argv, monkeypatch):
+    # for the Igusa point and the closed-form Satake roots both
+    calls = _spy_on(monkeypatch, ("thomae_products",), theta)
+    code, env = _run(argv + [f"--rosenhain={H10}"])
+    assert code == cli.EXIT_OK, env
+    assert calls == {"thomae_products": 1}
+
+
+@pytest.mark.parametrize("command", ("predicates", "satake-sextic"))
+@pytest.mark.parametrize("source", (
+    f"--rosenhain={H10}", "--rosenhain=2,3,5", "--rosenhain=2,3,3",
+    "--siegel=3,5,7,11", "--siegel=3/2,-5/7,0,11/4",
+    "--igusa=550,8272,1399200,2073600", "--sextic=1,0,0,0,0,0,1"))
+def test_a_job_builds_its_satake_sextic_and_its_discriminant_once(
+        command, source, monkeypatch):
+    """F once, and disc(F) once, from the roots or by the subresultant; the
+    input sextic's own discriminant (its I10) is not the Satake sextic's."""
+    input_discriminant = igusa.discriminant
+    built = _spy_on(monkeypatch, ("satake_sextic_from_siegel",), satake)
+    disc = _spy_on(monkeypatch, ("root_differences", "discriminant"))
+    monkeypatch.setattr(igusa, "discriminant", input_discriminant)
+    code, env = _run([command, source])
+    assert code == cli.EXIT_OK, env
+    assert built == {"satake_sextic_from_siegel": 1}
+    assert sum(disc.values()) == 1
+    assert disc["root_differences"] == source.startswith("--rosenhain")
+

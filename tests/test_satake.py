@@ -6,23 +6,24 @@ import pytest
 
 from g2satake.errors import (DegeneratePointError, DomainError,
                              IdentityViolationError, InversionSingularError)
-from g2satake.igusa import (IgusaInvariants, SiegelForms, absolute_invariants,
-                            igusa_from_rosenhain, igusa_from_sextic, q_form,
-                            siegel_from_igusa)
-from g2satake.qpoly import Poly, discriminant, discriminant_from_roots
+from g2satake.igusa import (IgusaInvariants, SiegelForms, SiegelPoint,
+                            absolute_invariants, igusa_from_rosenhain,
+                            igusa_from_sextic, q_form, siegel_from_igusa)
+from g2satake.qpoly import Poly, discriminant
 from g2satake.roots import gaussian_roots
-from g2satake.satake import (PowerSums, complete_bell, igusa_from_power_sums,
-                             is_rational_square, phi_map, power_sums_from_igusa,
-                             reconstruct_from_satake_roots,
+from g2satake.satake import (PowerSums, SatakeSextic, complete_bell,
+                             igusa_from_power_sums, is_rational_square, phi_map,
+                             power_sums_from_igusa, reconstruct_from_satake_roots,
                              satake_discriminant_identity,
                              satake_roots_from_rosenhain, satake_sextic,
-                             satake_sextic_from_siegel,
+                             satake_sextic_from_siegel, satake_sextic_on_point,
                              theta_power_sum_consistency)
 from g2satake.theta import (SATAKE_MATRIX, PeriodMatrix, even_theta_constants,
                             rosenhain_from_theta, rosenhain_from_theta4,
                             satake_from_theta, theta4_from_satake,
                             thomae_fourth_powers)
-from conftest import Q0_LAMBDAS, lambdas_of_height, random_lambdas
+from conftest import (Q0_LAMBDAS, lambdas_of_height, random_lambdas,
+                      satake_on_point)
 
 EVEN_SEXTIC = Poly.from_roots([F(1), F(-1), F(2), F(-2), F(3), F(-3)])
 
@@ -162,43 +163,51 @@ def test_integer_sextic_matches_the_fraction_route(rng, digits):
         satake_sextic(PowerSums(1j, 0, 0, 0))
 
 
-def _discriminant_identity(inv, roots=None):
+def _discriminant_identity(forms):
+    """The identity on the integral point of the form values, with the
+    sextic that the power sums (Bell and closed forms) give."""
+    s = SiegelPoint.of(forms)
     return satake_discriminant_identity(
-        siegel_from_igusa(inv), satake_sextic(power_sums_from_igusa(inv)), roots)
+        s, SatakeSextic(satake_sextic_on_point(s)[1]))
 
 
 def test_discriminant_identity_random(rng):
     for _ in range(6):
         lams = random_lambdas(rng, 30)
-        inv = igusa_from_rosenhain(*lams)
-        disc, q = _discriminant_identity(inv)
+        forms = siegel_from_igusa(igusa_from_rosenhain(*lams))
+        disc, q = _discriminant_identity(forms)
         assert disc == 2**52 * 3**21 * q != 0
-        # the closed-form roots give the same discriminant
-        assert _discriminant_identity(
-            inv, satake_roots_from_rosenhain(lams)) == (disc, q)
+        assert q == q_form(forms)
+        # the closed-form roots, on the point over v = 12 u, give the same
+        # discriminant, and so does the subresultant there
+        s, sextic = satake_on_point(lams)
+        assert satake_discriminant_identity(s, sextic) == (disc, q)
+        assert satake_discriminant_identity(s, SatakeSextic(sextic.F)) == (disc, q)
 
 
 def test_discriminant_identity_unit_i10():
-    disc, q = _discriminant_identity(IgusaInvariants(0, 0, 0, 1))
+    disc, q = _discriminant_identity(siegel_from_igusa(IgusaInvariants(0, 0, 0, 1)))
     assert q == q_form(SiegelForms(F(0), F(0), F(-1, 2**14), F(0)))
     assert disc == 2**52 * 3**21 * q
 
 
 def test_discriminant_identity_even_sextic_vanishes():
-    assert _discriminant_identity(igusa_from_sextic(EVEN_SEXTIC)) == (0, 0)
+    forms = siegel_from_igusa(igusa_from_sextic(EVEN_SEXTIC))
+    assert _discriminant_identity(forms) == (0, 0)
 
 
 def test_discriminant_identity_on_chi10_zero():
-    s = SiegelForms(F(38, 69), F(-21, 82), F(0), F(-39, 56))
-    disc, q = satake_discriminant_identity(s, satake_sextic_from_siegel(s))
+    forms = SiegelForms(F(38, 69), F(-21, 82), F(0), F(-39, 56))
+    disc, q = _discriminant_identity(forms)
     assert disc == 2**52 * 3**21 * q != 0
+    assert q == q_form(forms)
 
 
 def test_discriminant_identity_mismatch_raises():
-    s = siegel_from_igusa(igusa_from_rosenhain(2, 3, 5))
-    other = satake_sextic_from_siegel(siegel_from_igusa(igusa_from_rosenhain(2, 3, 7)))
+    s = SiegelPoint.of(siegel_from_igusa(igusa_from_rosenhain(2, 3, 5)))
+    other = satake_sextic_from_siegel(s) + 1
     with pytest.raises(IdentityViolationError, match="2\\^52 3\\^21 Q"):
-        satake_discriminant_identity(s, other)
+        satake_discriminant_identity(s, SatakeSextic(other))
 
 
 def test_phi_dual_path_and_structure(rng):
@@ -295,9 +304,8 @@ def test_thomae_rescaling_is_stable_under_one_ulp():
 def _check_thomae_route(lams):
     """Thomae's table gives the Satake roots x = SATAKE_MATRIX (P_T1, ...,
     P_T5) of the curve and, back through theta4_from_satake, all ten P_T.
-    The integer closed form (d, X) gives the same roots, their product
-    discriminant is disc(f) = 2^52 3^21 Q, and lambda -> x -> theta^4 ->
-    lambda is exact."""
+    The integer closed form (d, X) gives the same roots, disc(f) read off
+    them is 2^52 3^21 Q, and lambda -> x -> theta^4 -> lambda is exact."""
     p = thomae_fourth_powers(lams)
     x = [sum(c * v for c, v in zip(row, p)) for row in SATAKE_MATRIX]
     inv = igusa_from_rosenhain(*lams)
@@ -306,7 +314,7 @@ def _check_thomae_route(lams):
     assert theta4_from_satake(x) == p
     d, xs = satake_roots_from_rosenhain(lams)
     assert d > 0 and [F(v, d) for v in xs] == x
-    disc = discriminant_from_roots(f, d, xs)
+    disc = SatakeSextic(f, x).discriminant()
     assert disc == discriminant(f) == 2**52 * 3**21 * q_form(siegel_from_igusa(inv))
     assert rosenhain_from_theta4(theta4_from_satake(x)) == tuple(map(F, lams))
 
@@ -331,13 +339,13 @@ def test_thomae_table_on_special_inputs(lams):
     _check_thomae_route(lams)
 
 
-def test_discriminant_from_roots_rejects_a_wrong_root():
-    lams = (F(2), F(3), F(5))
-    d, xs = satake_roots_from_rosenhain(lams)
-    f = satake_sextic(power_sums_from_igusa(igusa_from_rosenhain(*lams)))
+def test_the_root_check_rejects_a_wrong_root():
+    _, sextic = satake_on_point((F(2), F(3), F(5)))
+    xs = sextic.roots
+    assert SatakeSextic(sextic.F, xs).discriminant() == discriminant(sextic.F)
     for wrong in ([xs[0] + 1] + xs[1:], xs[:-1], xs + [0]):
-        with pytest.raises(IdentityViolationError):
-            discriminant_from_roots(f, d, wrong)
+        with pytest.raises(IdentityViolationError, match="product of x - r"):
+            SatakeSextic(sextic.F, wrong).discriminant()
 
 
 @pytest.mark.parametrize("digits", [2, 10, 30, 60])
