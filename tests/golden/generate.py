@@ -63,6 +63,22 @@ IGUSA_GENERIC = "550,8272,1399200,2073600"
 # the invariants that igusa --rosenhain=H10 prints
 IGUSA_H10 = ",".join(str(v) for v in igusa_from_rosenhain(
     *map(Fraction, H10.split(","))).astuple())
+# a 60-digit lambda whose standard census has a quintic cluster with a
+# simple root modulo the lifting prime but no rational root over it
+H60_NO_ROOT = (
+    "114068682701332794302271082844427384786906489624944471077808/"
+    "190089293490611415399013257464987971340603450100430929694667,"
+    "-33580077956246699181480956192137070840655271545256310385669/"
+    "50660349373732307189632015268027226039338605216099353724741,"
+    "865304357468169192140360611500162632294677793384504345591445/"
+    "147818301182134897318494459399485142426322462269185198470349")
+# the invariants of a 30-digit lambda (perfbench/jobs.py: lambdas at seed
+# 7): about 3.5k digits, whose six rational I1/I2 locations are lifted
+H30_B = ("230890691289625457733191455609/199723338236895937510002597876,"
+         "-14015298079294870262477645961/26401461887432185693254972482,"
+         "-412749186809999235244047307471/621760346241240602648274940145")
+IGUSA_H30 = ",".join(str(v) for v in igusa_from_rosenhain(
+    *map(Fraction, H30_B.split(","))).astuple())
 TAU = "0.44,1.86,-0.26,0.81,-0.1,1.93"
 TAU_SMALL = "0.12,1.25,0.31,0.42,-0.37,1.4"
 TAU_DIAGONAL = "0.1,1.2,0,0,0.2,1.5"  # z = 0: theta_10 vanishes (chi10 = 0)
@@ -194,6 +210,11 @@ def cases():
     later += [["predicates", source]
               for source in ("--siegel=3,5,7,11", f"--igusa={IGUSA_GENERIC}",
                              "--sextic=1,0,0,0,0,0,1", f"--igusa={I2_ZERO}")]
+    # rational roots of large clusters: a 60-digit standard census whose
+    # lifts end at the root bound, and the census on 30-digit invariants
+    later.append(["fibration", "--model", "standard", f"--rosenhain={H60_NO_ROOT}"])
+    later += [["fibration", "--model", m, f"--igusa={IGUSA_H30}"]
+              for m in ("kummer23", "alternate", "alternate-ftheory")]
     out +=[(argv, None, None) for argv in later]
     return out
 
