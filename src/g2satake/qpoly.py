@@ -840,7 +840,7 @@ def _lifting_prime(cs):
     the prime with the fewest roots is kept: a prime without roots ends
     the search (cs has no rational root), and otherwise the first three
     such primes are compared.  Fewer roots than the degree prove an
-    irrational root, whose residue would be lifted up to the Loos bound
+    irrational root, whose residue would be lifted up to the root bound
     for nothing, so then up to ten primes are compared."""
     best = None
     tries = 0
@@ -857,32 +857,26 @@ def _lifting_prime(cs):
                 or tries >= 3 and len(best[1]) == len(cs) - 1):
             return best
     if best is None:
-        raise DomainError("no prime below 1000 separates the roots; "
-                          "the polynomial is not squarefree")
+        raise DomainError("no prime below 1000 leaves every root simple")
     return best
 
 
-def _rational_reconstruction(x, m, nbound, dbound):
-    """u/v = x mod m with |u| <= nbound and 0 < v <= dbound, if any."""
-    r0, r1, t0, t1 = m, x, 0, 1
-    while r1 > nbound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        t0, t1 = t1, t0 - q * t1
-    if t1 == 0 or abs(t1) > dbound:
-        return None
-    if t1 < 0:
-        r1, t1 = -r1, -t1
-    return (r1, t1) if _int_gcd(r1, t1) == 1 else None
+def _root_bound(cs):
+    """A power of two B >= 2 max |a_i / a_n|^(1 / (n - i)), Fujiwara's
+    bound on the absolute values of the roots of cs, read off bit lengths:
+    |a_i / a_n| < 2^(bits(a_i) - bits(a_n) + 1)."""
+    n = len(cs) - 1
+    lead = abs(cs[-1]).bit_length() - 1
+    e = 0
+    for i, c in enumerate(cs[:-1]):
+        e = max(e, -((lead - abs(c).bit_length()) // (n - i)))
+    return 2 << e
 
 
-def _is_root(cs, cand):
-    """Whether the candidate (u, v) is a root u/v of cs, whose constant
-    term is nonzero: u | a0 and v | an first, then exact substitution."""
-    if cand is None:
-        return False
-    u, v = cand
-    if not u or cs[0] % u or cs[-1] % v:
+def _is_root(cs, u, v):
+    """Whether u/v is a root of cs, whose constant term is nonzero: u | a0
+    first, then exact substitution."""
+    if not u or cs[0] % u:
         return False
     acc, vpow = 0, 1
     for c in reversed(cs):
@@ -892,31 +886,32 @@ def _is_root(cs, cand):
 
 
 def _lift_rational_root(cs, x, p):
-    """The rational root of cs that is congruent to the simple root x mod p,
-    or None.  x is lifted by Newton's method (the inverse of the
-    derivative too), squaring the modulus m each step.  Below the Loos
-    bound 2 |a0| |an|, a step tries the candidate with |u|, v below
-    sqrt(m / 2) and stops once it is a root; the tries begin where that
-    leaves room for |u| and v the size of the d-th roots of |a0| and |an|
-    (d = deg cs), the mean size of the roots when all are rational.  Past
-    the bound, the one candidate with |u| <= |a0| and v <= |an| decides."""
+    """The rational root (u, v), v > 0, of cs that is congruent to the
+    simple root x mod p, or None.  x is lifted by Newton's method (the
+    inverse of the derivative too), squaring the modulus m each step.  A
+    rational root u/v has v | a_n, so a_n u/v is an integer congruent to
+    a_n x mod m, of absolute value at most |a_n| B with B = _root_bound(cs).
+    Each step tries the symmetric residue y of a_n x mod m as a_n u/v:
+    u/v = y/a_n in lowest terms.  Once m > 2 |a_n| B, y is a_n u/v itself,
+    so a failed try there proves that no rational root lies over x."""
+    an = cs[-1]
     ds = _derivative(cs)
-    nbound, dbound = abs(cs[0]), abs(cs[-1])
-    bound = 2 * nbound * dbound
-    first = 1 << 2 * max(nbound.bit_length(), dbound.bit_length()) // (len(cs) - 1)
+    bound = 2 * abs(an) * _root_bound(cs)
     m = p
     w = pow(_horner_mod(ds, x, p), -1, p)
-    while m <= bound:
+    while True:
+        y = an * x % m
+        if y > m >> 1:
+            y -= m
+        g = _int_gcd(y, an) if an > 0 else -_int_gcd(y, an)
+        u, v = y // g, an // g
+        if _is_root(cs, u, v):
+            return u, v
+        if m > bound:
+            return None
         m *= m
         x = (x - _horner_mod(cs, x, m) * w) % m
         w = w * (2 - _horner_mod(ds, x, m) * w) % m
-        if first <= m <= bound:
-            s = isqrt(m >> 1)
-            cand = _rational_reconstruction(x, m, min(s, nbound), min(s, dbound))
-            if _is_root(cs, cand):
-                return cand
-    cand = _rational_reconstruction(x, m, nbound, dbound)
-    return cand if _is_root(cs, cand) else None
 
 
 def _low_degree_roots(cs):
@@ -942,14 +937,12 @@ def split_rational_roots(p):
 
     Returns (roots, rest): the rational roots as Fractions in ascending
     order and the primitive cofactor without them.  Each root of p modulo
-    a small prime is lifted p-adically and turned into candidates u/v by
-    rational reconstruction as the modulus grows; a candidate counts only
-    if v | an, u | a0 and p(u/v) = 0 hold exactly, and lifting stops
-    there.  A rational root of p has |u| <= |a0| and v <= |an|, so a lift
-    past 2 |a0| |an| (Loos 1983) without a root proves that none lies
-    over that residue: the bound is reached only to rule a root out.
-    Each root found is divided out, and a cofactor of degree 1 or 2 is
-    solved in closed form instead of lifted.
+    a small prime is lifted p-adically; every lifting step reads one
+    candidate u/v off a_n x (`_lift_rational_root`), and it counts only if
+    p(u/v) = 0 holds exactly.  Past 2 |a_n| B, B a power of two above
+    Fujiwara's root bound, a failed candidate proves that no rational root
+    lies over that residue.  Each root found is divided out, and a
+    cofactor of degree 1 or 2 is solved in closed form instead of lifted.
     """
     cs = list(p.coeffs)
     roots = []

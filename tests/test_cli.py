@@ -125,6 +125,24 @@ def test_a_failed_discriminant_identity_is_exit_3(capsys, monkeypatch, flag):
     assert doc["status"] == "identity-violation"
 
 
+@pytest.mark.parametrize("lams", [
+    "2,3,5",
+    # 30 digits: j_image has about 10,700 digits, past int-to-str's limit
+    "950902429462863423267844418538/412424907062292339370358934491,"
+    "-505109913325698786106015836731/594904487478826583684050905250,"
+    "-972548800835053393263893270341/280599199777734174142979873442"],
+    ids=("h2", "h30"))
+def test_a_failed_moduli_map_identity_is_exit_3(capsys, monkeypatch, lams):
+    from g2satake import satake
+
+    absolute = satake.absolute_invariants
+    monkeypatch.setattr(satake, "absolute_invariants",
+                        lambda inv: (j := absolute(inv))._replace(j1=j.j1 + 1))
+    code, doc = invoke(capsys, "phi", f"--rosenhain={lams}")
+    assert code == 3
+    assert doc["status"] == "identity-violation"
+
+
 def test_deterministic_output(capsys):
     code1 = run(["igusa", "--rosenhain", "2,3,5"])
     out1 = capsys.readouterr().out

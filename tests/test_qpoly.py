@@ -319,6 +319,11 @@ def test_split_rational_roots_exact(rng):
         assert rest == primitive_part(irreducible)
     assert split_rational_roots(Poly([-3, 2])) == ([F(3, 2)], Poly([1]))
     assert split_rational_roots(Poly([2, 0, 1])) == ([], Poly([2, 0, 1]))
+    # (t - 1)(t^2 - D), D the product of the odd primes below 1000, is
+    # squarefree, but t^2 - D has a double root modulo each of those primes
+    D = math.prod(qpoly._small_primes()[1:])
+    with pytest.raises(DomainError, match="no prime below 1000 leaves every root simple"):
+        split_rational_roots(Poly([-1, 1]) * Poly([-D, 0, 1]))
 
 
 def test_lifting_primes_are_the_primes_below_1000():
@@ -336,6 +341,18 @@ def _rational(rng, num_digits, den_digits):
             return F(u, v)
 
 
+def _check_root_bound(p, roots):
+    """B = _root_bound bounds every root, and lies within a factor 8 of
+    Fujiwara's bound 2 max r_i^(1/(n-i)), r_i = |a_i / a_n| (exactly:
+    (B/2)^(n-i) >= r_i for every i, and (B/16)^(n-i) <= r_i for some i)."""
+    cs = p.coeffs
+    n, bound = len(cs) - 1, qpoly._root_bound(cs)
+    assert all(abs(r) <= bound for r in roots)
+    ratios = [(F(abs(c), abs(cs[-1])), n - i) for i, c in enumerate(cs[:-1])]
+    assert all(F(bound, 2) ** k >= r for r, k in ratios)
+    assert bound == 2 or any(F(bound, 16) ** k <= r for r, k in ratios)
+
+
 @pytest.mark.parametrize("num_digits,den_digits",
                          ((60, 1), (1, 60), (30, 30), (2, 2)),
                          ids=("u>>v", "v>>u", "balanced-30", "balanced-2"))
@@ -348,8 +365,10 @@ def test_split_rational_roots_finds_planted_roots(num_digits, den_digits, rng):
         for extra in ([], [F(0)]):
             planted = sorted(roots + extra)
             p = primitive_part(Poly.from_roots(planted))
+            _check_root_bound(p, planted)
             assert split_rational_roots(p) == (planted, Poly([1]))
             p = primitive_part(Poly.from_roots(planted) * irreducible)
+            _check_root_bound(p, planted)
             assert split_rational_roots(p) == (planted, irreducible)
 
 
@@ -362,7 +381,7 @@ def test_split_rational_roots_without_rational_roots(rng):
               Poly([3, 0, 1, 0, 0, 1]) * Poly([-7, 0, 0, 0, 1])):
         assert split_rational_roots(p) == ([], p)
     # a quartic with 30-digit coefficients and no rational root, times a
-    # linear factor: the quartic's residues are ruled out at the Loos bound
+    # linear factor: the quartic's residues are ruled out at the root bound
     q = primitive_part(Poly([_big_rational(rng, 30) for _ in range(4)] + [1])
                        * Poly([_big_rational(rng, 30), 1]))
     found, rest = split_rational_roots(q)
