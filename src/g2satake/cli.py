@@ -38,8 +38,7 @@ from .roots import gaussian_roots
 from .satake import (PowerSums, SatakeSextic, phi_map, power_sums_from_igusa,
                      reconstruct_from_satake_roots, satake_discriminant_identity,
                      satake_roots_from_rosenhain, satake_sextic,
-                     satake_sextic_from_siegel, satake_sextic_on_point,
-                     theta_power_sum_consistency)
+                     satake_sextic_on_point, theta_power_sum_consistency)
 from .theta import (MAX_RADIUS, PeriodMatrix, check_frobenius,
                     even_theta_constants, rosenhain_from_theta,
                     satake_from_theta)
@@ -114,16 +113,17 @@ class CurvePoint:
     """One curve input and its integral weighted point, built on first use
     and once per job; the exact handlers read from it.
 
-    ``igusa`` is the ``IgusaPoint`` (u; I2', I4', I6', I10'), built on
-    Rosenhain input from the integer forms alone.  ``siegel`` is the
-    ``SiegelPoint`` over v = 12 u, the unit on which the Siegel forms and
-    the fibration parameters are integers; on Siegel input with chi10 = 0,
-    where there are no Igusa invariants, it is built from the forms
-    (``SiegelPoint.of``).  ``satake`` is the ``SatakeSextic`` of that
-    point, in X = v^2 x: F, and on Rosenhain input its closed-form roots
-    v^2 x_i, integers since the denominator d of the x_i divides v^2.  The
-    integer branch points of Rosenhain input and their Thomae products
-    (``thomae``) are evaluated once, for the Igusa point and the roots both.
+    The point holds ints; only printed values become Fractions.  ``igusa``
+    is the ``IgusaPoint`` (u; I2', I4', I6', I10'), built on Rosenhain input
+    from the integer forms alone.  ``siegel`` is the ``SiegelPoint`` over
+    v = 12 u, on which the Siegel forms and ``params`` are ints, divided
+    exactly; on Siegel input with chi10 = 0, where there are no Igusa
+    invariants, it is built from the forms (``SiegelPoint.of``).  ``satake``
+    is the ``SatakeSextic`` of that point in X = v^2 x: F, built on first
+    use, and on Rosenhain input its closed-form roots v^2 x_i, ints since
+    the denominator of the x_i divides v^2.  The integer branch points of
+    Rosenhain input and their Thomae products (``thomae``) are evaluated
+    once, for the Igusa point and the roots both.
     """
 
     def __init__(self, key, val):
@@ -163,14 +163,9 @@ class CurvePoint:
             return SiegelPoint.of(self.val)
         return self.igusa.siegel()
 
-    def integral_invariants(self):
-        """The Igusa invariants over v, integers in the weighted coordinate
-        from which the fibration parameters are built."""
-        return IgusaInvariants(*self.igusa.scaled(12).astuple())
-
     def params(self):
-        """The fibration parameters over v, integers."""
-        return FibrationParams.from_igusa(self.integral_invariants())
+        """The fibration parameters over v, ints."""
+        return FibrationParams.from_igusa(self.igusa.scaled(12))
 
     @functools.cached_property
     def satake(self):
@@ -178,7 +173,7 @@ class CurvePoint:
         if self.key == "rosenhain":
             d, xs = satake_roots_from_rosenhain(self.val, self.thomae)
             roots = [s.v**2 // d * x for x in xs]
-        return SatakeSextic(satake_sextic_from_siegel(s), roots)
+        return SatakeSextic(roots=roots, siegel=s)
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +209,7 @@ def cmd_satake_sextic(key, val):
     else:
         s = val.siegel
         S, f = satake_sextic_on_point(s, val.satake.F)   # in X = v^2 x
-        out["discriminant"], out["Q"] = satake_discriminant_identity(
-            s, val.satake)
+        out["discriminant"], out["Q"] = satake_discriminant_identity(s, val.satake)
         out["discriminant_identity"] = True
         ps = PowerSums(*_reduced(S, SIEGEL_WEIGHTS, s.v))
         coefficients = _reduced(f.coeffs, range(12, -1, -2), s.v)
@@ -262,10 +256,9 @@ def cmd_fibration(key, point, model):
             weierstrass = standard_model(point.params())
             rho = v**4              # ... and -4 in the standard model
         elif model == "alternate-ftheory":
-            weierstrass = alternate_model_ftheory(
-                point.siegel.integral_forms(), point.satake)
+            weierstrass = alternate_model_ftheory(point.siegel, point.satake)
         elif model == "kummer23":
-            weierstrass = kumfib2_model(point.integral_invariants(), point.satake)
+            weierstrass = kumfib2_model(point.igusa.scaled(12), point.satake)
         else:
             weierstrass = alternate_model(point.params(), point.satake)
     census = classify_fibers(weierstrass, rho)

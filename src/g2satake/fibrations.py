@@ -50,7 +50,7 @@ from itertools import combinations
 from math import gcd, lcm
 
 from .errors import DomainError, IdentityViolationError, NonMinimalModelError
-from .qpoly import (ExactTuple, Poly, discriminant, integer_gcd,
+from .qpoly import (Poly, discriminant, exact_quotient, integer_gcd,
                     integer_quotient, integer_squarefree, integral_representative,
                     primitive_part, promote_int, root_multiplicities,
                     split_rational_roots)
@@ -338,16 +338,18 @@ def classify_fibers(model, rho=1):
 # ---------------------------------------------------------------------------
 
 
-class FibrationParams(ExactTuple, namedtuple("FibrationParams", "a b c d e")):
+class FibrationParams(namedtuple("FibrationParams", "a b c d e")):
     """(a, b, c, d, e) = (-I4/12, (I2 I4 - 3 I6)/108, -1, I2/24, I10/4)."""
 
     __slots__ = ()
 
     @classmethod
     def from_igusa(cls, inv):
+        """Ints of the ints of an Igusa point over v = 12 u, else Fractions."""
         I2, I4, I6, I10 = inv.astuple()
-        return cls(a=-I4 / 12, b=(I2 * I4 - 3 * I6) / 108, c=-1,
-                   d=I2 / 24, e=I10 / 4)
+        return cls(exact_quotient(-I4, 12, "a"),
+                   exact_quotient(I2 * I4 - 3 * I6, 108, "b"), -1,
+                   exact_quotient(I2, 24, "d"), exact_quotient(I10, 4, "e"))
 
     def cubic(self):
         """t^3 + a t + b"""
@@ -404,12 +406,12 @@ def alternate_model_ftheory(s, satake=None):
     """y^2 = x^3 + (t^3 - psi4/48 t - psi6/864) x^2 - (4 chi10 t - chi12) x.
 
     Stays well-defined on chi10 = 0, where the I2 and I10* fibers merge
-    into I12*.  A^2 - 4B is f(12 t) / 1728^2 for the Satake sextic f:
-    ``satake``, if given, is its ``SatakeSextic``, the known factor of
-    A^2 - 4B.
+    into I12*.  ``s`` holds the form values, or the ints of a Siegel point.
+    A^2 - 4B is f(12 t) / 1728^2 for the Satake sextic f: ``satake``, if
+    given, is its ``SatakeSextic``, the known factor of A^2 - 4B.
     """
     p4, p6, c10, c12 = s.astuple()
-    A = Poly([-p6 / 864, -p4 / 48, 0, 1])
+    A = Poly([-promote_int(p6) / 864, -promote_int(p4) / 48, 0, 1])
     B = Poly([c12, -4 * c10])
     return WeierstrassModel(A=A, B=B, C=Poly(),
                             disc_factors=_satake_factors(satake, 12, 1))
@@ -605,19 +607,16 @@ def qvanish_bracket(p):
     two I1 fibers of the alternate fibration into an I2.
 
     The bracket is weighted homogeneous of weight 30 in (a, b, d, e) of
-    weights (4, 6, 2, 10), and c has weight 0: exact parameters are
-    evaluated on the integer representative of (a, b, d, e), with c as
-    it is, in the nested form of ``_qvanish_form`` (Horner in e), and
-    divided by r^30 once; integral parameters (an integral weighted point)
-    are their own representative.  Exact only: other values raise
-    DomainError.
+    weights (4, 6, 2, 10), and c has weight 0.  It is evaluated in the
+    nested form of ``_qvanish_form`` (Horner in e): on the ints of an
+    integral point as they are, else on the integer representative of (a,
+    b, d, e), with c as it is, and divided by r^30 once.  Exact only.
     """
-    vals = p.astuple()
-    if not all(isinstance(v, Fraction) for v in vals):   # ints are Fractions here
-        raise DomainError("the bracket needs exact (int/Fraction) parameters")
-    a, b, c, d, e = (v.numerator if v.denominator == 1 else v for v in vals)
-    if all(isinstance(v, int) for v in (a, b, d, e)):   # an integral point
+    a, b, c, d, e = p
+    if all(isinstance(v, int) for v in p):   # an integral point
         return _qvanish_form(a, b, c, d, e)
+    if not isinstance(c, (int, Fraction)):
+        raise DomainError("the bracket needs exact (int/Fraction) parameters")
     r, (a, b, d, e) = integral_representative((a, b, d, e), (4, 6, 2, 10))
     return Fraction(_qvanish_form(a, b, c, d, e), r**30)
 
@@ -639,14 +638,12 @@ def degeneration_predicates(p, satake=None):
     """
     bracket = qvanish_bracket(p)
     rad = radicand(p)
-    rhs = 2**12 * p.e**3 * bracket
     if satake is None:
-        lhs = discriminant(rad)
+        lhs, rhs = discriminant(rad), 2**12 * p.e**3 * bracket
+    elif 729 * rad != _at(satake.F, -3):
+        raise IdentityViolationError("729 radicand(t) = F(-3 t) fails on this input")
     else:
-        if 729 * rad != _at(satake.F, -3):
-            raise IdentityViolationError(
-                "729 radicand(t) = F(-3 t) fails on this input")
-        lhs, rhs = satake.discriminant(), 3**30 * rhs
+        lhs, rhs = satake.discriminant(), 3**30 * 2**12 * p.e**3 * bracket
     if lhs != rhs:
         raise IdentityViolationError(
             "disc_t(radicand) = 2^12 e^3 * bracket fails on this input")
@@ -658,17 +655,16 @@ def degeneration_predicates(p, satake=None):
 
 
 def type_iii_siegel_identity(p, s):
-    """e^3 (a c^2 d - b c^3 + d^3) = -(2^36/27)(2 psi6 chi10^3 + 9 psi4 chi10^2 chi12 - 27 chi12^3).
+    """27 e^3 (a c^2 d - b c^3 + d^3) = -2^36 (2 psi6 chi10^3 + 9 psi4 chi10^2 chi12 - 27 chi12^3).
 
-    Ties the parameter-space type-III condition to its Siegel-form
-    expression through the dictionary, for the parameters ``p`` and the
-    form values ``s`` of one curve; the constant -(2^36)/27 is frozen.
-    Returns both sides; a mismatch raises IdentityViolationError.
+    Ties the type-III condition to its Siegel-form expression, for the
+    parameters ``p`` and form values ``s`` of one curve, or the integers of
+    one point (both sides have weight 36); the constant is frozen.  Returns
+    both sides; a mismatch raises IdentityViolationError.
     """
-    lhs = p.e**3 * type_iii_bracket(p)
-    rhs = -Fraction(2**36, 27) * (2 * s.psi6 * s.chi10**3
-                                  + 9 * s.psi4 * s.chi10**2 * s.chi12
-                                  - 27 * s.chi12**3)
+    lhs = 27 * p.e**3 * type_iii_bracket(p)
+    rhs = -(2**36) * (2 * s.psi6 * s.chi10**3 + 9 * s.psi4 * s.chi10**2 * s.chi12
+                      - 27 * s.chi12**3)
     if lhs != rhs:
         raise IdentityViolationError(
             "the type-III Siegel-form identity fails on this input")

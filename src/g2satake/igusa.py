@@ -25,8 +25,8 @@ from itertools import combinations, permutations
 from math import comb, factorial, gcd, lcm, prod
 
 from .errors import DomainError, ProductLocusError
-from .qpoly import (ExactTuple, Poly, discriminant, integral_representative,
-                    reduce_representative)
+from .qpoly import (ExactTuple, Poly, discriminant, exact_quotient,
+                    integral_representative, reduce_representative)
 from .theta import THOMAE_SUBSETS, thomae_products
 
 # weights of (I2, I4, I6, I10) and of (psi4, psi6, chi10, chi12)
@@ -108,10 +108,8 @@ class _IntegralPoint:
     @classmethod
     def of(cls, values):
         """The point of exact values, on ``integral_representative``."""
-        rep = integral_representative(values.astuple(), cls.WEIGHTS)
-        if rep is None:
-            raise DomainError(f"{type(values).__name__} needs int/Fraction values")
-        return cls(rep[0], *rep[1])
+        r, ints = integral_representative(values.astuple(), cls.WEIGHTS)
+        return cls(r, *ints)
 
     def astuple(self):
         """The integers, without the unit."""
@@ -153,12 +151,11 @@ class IgusaPoint(_IntegralPoint, namedtuple("IgusaPoint", "u I2 I4 I6 I10")):
         return cls(u, *vals)
 
     def siegel(self):
-        """The Siegel point over v = 12 u, on which the dictionary
-        ``siegel_from_igusa`` and the parameters of the fibrations
-        (``FibrationParams.from_igusa``) are integers."""
+        """The Siegel point over v = 12 u, on which the Siegel forms and the
+        parameters of the fibrations (``FibrationParams.from_igusa``) are
+        integers, divided exactly out of the Igusa integers over v."""
         v = self.scaled(12)
-        s = siegel_from_igusa(IgusaInvariants(*v.astuple()))
-        return SiegelPoint(v.u, *(x.numerator for x in s))
+        return SiegelPoint(v.u, *_siegel_values(*v.astuple()))
 
 
 class SiegelPoint(_IntegralPoint,
@@ -172,11 +169,6 @@ class SiegelPoint(_IntegralPoint,
 
     __slots__ = ()
     WEIGHTS = SIEGEL_WEIGHTS
-
-    def integral_forms(self):
-        """The integers as SiegelForms, for the form-level functions that
-        divide (``alternate_model_ftheory``)."""
-        return SiegelForms(*self.astuple())
 
     def q(self):
         """Q at the integers, of weight 60 (``q_form``)."""
@@ -382,14 +374,17 @@ def igusa_from_absolute(j):
     return IgusaInvariants(1, j2 / j1, j3 / j1, 1 / j1)
 
 
+def _siegel_values(I2, I4, I6, I10):
+    """(psi4, psi6, chi10, chi12) of the invariants, by ``exact_quotient``."""
+    return (exact_quotient(I4, 4, "psi4"),
+            exact_quotient(I2 * I4 - 3 * I6, 8, "psi6"),
+            exact_quotient(-I10, 2**14, "chi10"),
+            exact_quotient(I2 * I10, 3 * 2**17, "chi12"))
+
+
 def siegel_from_igusa(inv):
     """Invert the dictionary: even Siegel form values from invariants."""
-    I2, I4, I6, I10 = inv.astuple()
-    psi4 = I4 / Fraction(4)
-    psi6 = (I2 * I4 - 3 * I6) / Fraction(8)
-    chi10 = -I10 / Fraction(2**14)
-    chi12 = I2 * I10 / Fraction(3 * 2**17)
-    return SiegelForms(psi4, psi6, chi10, chi12)
+    return SiegelForms(*_siegel_values(*inv.astuple()))
 
 
 def igusa_from_siegel(s):

@@ -4,10 +4,10 @@ Scalars are plain Python numbers: ``fractions.Fraction`` (or ``int``) for
 exact work, ``complex`` for numeric work.  ``Poly`` is a dense univariate
 polynomial over any such coefficient ring, stored lowest degree first.
 
-Ints become Fractions in one place: ``ExactTuple``, the mixin of the exact
-value records (namedtuples), stores int fields as Fractions (``promote_int``
-does the same for a scalar); complex and GaussianRational values pass
-through.
+Ints become Fractions in one place: ``ExactTuple``, the mixin of the
+printed value records, stores int fields as Fractions (``promote_int`` does
+the same for a scalar); complex and GaussianRational values pass through.
+The integers of a weighted point stay ints (``exact_quotient``).
 
 The exact algorithms run on integers: a weighted point with rational
 coordinates is carried as an integer representative
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import count
 from math import gcd as _int_gcd, isqrt, lcm as _int_lcm
 
 from .errors import DomainError, IdentityViolationError
@@ -475,7 +476,7 @@ def integral_representative(values, weights):
     """Integer representative of a point of weighted projective space.
 
     Returns ``(r, ints)`` with ``values[i] == ints[i] / r**weights[i]`` for
-    a positive integer r, or None when some value is not int/Fraction.
+    a positive integer r; a value that is not int/Fraction is a DomainError.
     r is assembled from a coprime base of the denominators, each element
     raised only as far as the weights require, so the integers stay about
     as small as the point allows.  Weighted-homogeneous formulas
@@ -483,7 +484,7 @@ def integral_representative(values, weights):
     give the exact values at the original point.
     """
     if not _exact(values):
-        return None
+        raise DomainError("a weighted point needs exact (int/Fraction) values")
     fracs = [Fraction(v) for v in values]
     dens = [f.denominator for f in fracs]
     r = 1
@@ -530,10 +531,18 @@ def promote_int(v):
     return Fraction(v) if isinstance(v, int) else v
 
 
+def exact_quotient(n, k, what):
+    """n / k with no float from exact n: n / k for a Fraction n; for an int
+    n, the integer of a point whose value ``what`` is n / k, n // k if k | n."""
+    if isinstance(n, int) and n % k:
+        raise IdentityViolationError(f"{what} is not an integer on this point")
+    return n // k if isinstance(n, int) else n / k
+
+
 class ExactTuple:
-    """Mixin of the value records, listed before their ``namedtuple`` base:
-    int fields are stored as Fractions, whether passed by position or by
-    keyword (``_replace`` builds through ``_make`` and so does the same)."""
+    """Mixin of the printed value records, listed before their ``namedtuple``
+    base: int fields, by position or keyword (``_replace`` builds through
+    ``_make``), are stored as Fractions, which print as "p/q", not numbers."""
 
     __slots__ = ()
 
@@ -839,9 +848,9 @@ def _lifting_prime(cs):
     cs is simple, with those roots.  Each root is a candidate to lift, so
     the prime with the fewest roots is kept: a prime without roots ends
     the search (cs has no rational root), and otherwise the first three
-    such primes are compared.  Fewer roots than the degree prove an
-    irrational root, whose residue would be lifted up to the root bound
-    for nothing, so then up to ten primes are compared."""
+    such primes are compared; fewer roots than the degree prove an
+    irrational root, lifted up to the root bound for nothing, so then up to
+    ten.  Failing all, the first larger prime not dividing disc(cs) serves."""
     best = None
     tries = 0
     for p in _small_primes():
@@ -857,7 +866,11 @@ def _lifting_prime(cs):
                 or tries >= 3 and len(best[1]) == len(cs) - 1):
             return best
     if best is None:
-        raise DomainError("no prime below 1000 leaves every root simple")
+        if integer_gcd(Poly(cs), primitive_part(Poly(_derivative(cs)))).degree() > 0:
+            raise DomainError("the polynomial is not squarefree")
+        for p in filter(_is_prime, count(1001, 2)):
+            if cs[-1] % p and (roots := _simple_roots_mod(cs, p)) is not None:
+                return p, roots
     return best
 
 

@@ -155,11 +155,8 @@ def satake_sextic(ps, s4=None):
     and the coefficient of x^k is divided by 1440 r^(12-2k) once.
     """
     s4 = ps.s4 if s4 is None else s4
-    rep = integral_representative((ps.s1, ps.s2, ps.s3, s4, ps.s5, ps.s6),
-                                  (2, 4, 6, 8, 10, 12))
-    if rep is None:
-        raise DomainError("satake_sextic needs exact (int/Fraction) power sums")
-    r, S = rep
+    r, S = integral_representative((ps.s1, ps.s2, ps.s3, s4, ps.s5, ps.s6),
+                                   (2, 4, 6, 8, 10, 12))
     return Poly([Fraction(c, 1440 * r ** (12 - 2 * k))
                  for k, c in enumerate(_sextic_1440(*S).coeffs)])
 
@@ -177,8 +174,7 @@ def satake_sextic_on_point(s, f=None):
     S2 = 12 psi4', so S2^2 / 4 is an integer.
     """
     S2, S3, S5, S6 = S = _power_sums_siegel(*s.astuple())
-    if f is None:
-        f = satake_sextic_from_siegel(s)
+    f = satake_sextic_from_siegel(s) if f is None else f
     if _sextic_1440(0, S2, S3, S2 * S2 // 4, S5, S6) != 1440 * f:
         raise IdentityViolationError(
             "power-sum and Siegel-form constructions of the sextic disagree")
@@ -218,13 +214,19 @@ def satake_roots_from_rosenhain(lams, thomae=None):
 class SatakeSextic:
     """The Satake sextic of an integral Siegel point of unit v, in the
     weighted coordinate X = v^2 x: ``F`` is F(X) = v^12 f(X / v^2), the
-    monic integer Poly of ``satake_sextic_from_siegel`` at the point, and
-    ``roots`` are its roots v^2 x_i as integers where they are known in
-    closed form (``satake_roots_from_rosenhain``), else None.  Built once
-    per point, so that disc(F) is found once."""
+    monic integer Poly of ``satake_sextic_from_siegel`` at the point, built
+    on first use from the ``siegel`` point unless given, and ``roots`` are
+    its roots v^2 x_i as integers where they are known in closed form
+    (``satake_roots_from_rosenhain``), else None: F and disc(F) once."""
 
-    def __init__(self, F, roots=None):
-        self.F, self.roots = F, roots
+    def __init__(self, F=None, roots=None, siegel=None):
+        if F is not None:
+            self.F = F
+        self.roots, self.siegel = roots, siegel
+
+    @cached_property
+    def F(self):
+        return satake_sextic_from_siegel(self.siegel)
 
     @cached_property
     def _disc(self):
@@ -408,10 +410,7 @@ def phi_map(j):
     """
     if j.j1 == 0:
         raise DomainError("j1 = 0: moduli map undefined (I2 = 0 locus)")
-    rep = integral_representative(j.astuple(), (1, 1, 1))
-    if rep is None:
-        raise DomainError("phi_map needs exact (int/Fraction) invariants")
-    h, (J1, J2, J3) = rep
+    h, (J1, J2, J3) = integral_representative(j.astuple(), (1, 1, 1))
     qv = _phi_q(J1, J2, J3, h)      # h^12 q(j)
     if qv == 0:
         raise DegeneratePointError(

@@ -71,10 +71,11 @@ class PeriodMatrix(namedtuple("PeriodMatrix", "tau1 z tau2")):
 
     def __new__(cls, tau1, z, tau2):
         self = super().__new__(cls, tau1, z, tau2)
-        if not (tau1.imag * tau2.imag > z.imag**2 and tau2.imag > 0):
+        mu = self.min_eigenvalue
+        if not (mu > 0 and tau2.imag > 0):
             raise DomainError(
                 "imaginary part of the period matrix is not positive definite")
-        if self.min_eigenvalue < sys.float_info.min:   # the tail bound overflows
+        if mu < sys.float_info.min:   # the tail bound overflows
             raise DomainError("the smallest eigenvalue of the imaginary part "
                               "of the period matrix is below the double range")
         return self
@@ -85,11 +86,14 @@ class PeriodMatrix(namedtuple("PeriodMatrix", "tau1 z tau2")):
 
     @property
     def min_eigenvalue(self):
-        """Smallest eigenvalue mu of Im tau, as det / largest eigenvalue
-        (no cancellation when mu is small against the largest)."""
-        y1, y12, y2 = self.tau1.imag, self.z.imag, self.tau2.imag
+        """Smallest eigenvalue mu of Im tau, det / largest eigenvalue (0 if
+        that is 0: no cancellation), on Im tau over the power of two 2^e just
+        above its largest entry: no product overflows, the scaling is exact."""
+        ys = (self.tau1.imag, self.z.imag, self.tau2.imag)
+        e = math.frexp(max(map(abs, ys)))[1]
+        y1, y12, y2 = (math.ldexp(y, -e) for y in ys)
         largest = (y1 + y2) / 2 + math.hypot((y1 - y2) / 2, y12)
-        return (y1 * y2 - y12 * y12) / largest
+        return math.ldexp((y1 * y2 - y12 * y12) / largest, e) if largest else 0.0
 
 
 class ThetaValue(namedtuple("ThetaValue", "value tail")):

@@ -3,11 +3,17 @@
 Each line holds ``argv`` (the arguments after the program name), the job
 document or stdin text a ``run`` case needs, the exit code and the exact
 stdout of ``g2satake.cli.run``.  ``tests/test_golden.py`` replays every
-line and requires the same exit code and output, so a refactor that is
-meant to keep the CLI output must pass it unchanged.  Regenerate only for
-an intended change of output, and say so in the change log:
+line and requires the same exit code and output (``mismatch``), so a
+refactor that is meant to keep the CLI output must pass it unchanged.
+Regenerate only for an intended change of output, and say so in the change
+log:
 
     PYTHONPATH=src python tests/golden/generate.py
+
+``--check`` replays the corpus instead, with the standard library alone
+(no pytest, no numpy), and exits 1 if any case differs:
+
+    PYTHONPATH=src python tests/golden/generate.py --check
 
 Job documents are written into the working directory under the file name
 that ``argv`` gives, so the recording and the replay both run in a scratch
@@ -18,9 +24,11 @@ out: the encoder cannot print them yet (``phi`` above 2-digit heights).
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -31,6 +39,11 @@ from g2satake.cli import run
 from g2satake.igusa import igusa_from_rosenhain
 
 CORPUS = Path(__file__).with_name("corpus.jsonl")
+
+# the numeric commands: their floats come from the C library's exp (theta
+# sums, Aberth starting points), which may differ in the last place between
+# CPUs, so they are compared to 1e-12 relative or 1e-15 absolute
+NUMERIC_COMMANDS = ("theta", "roundtrip")
 
 MODELS = ("kummer1", "kummer23", "alternate", "alternate-ftheory", "standard")
 
@@ -236,22 +249,90 @@ def record(argv, doc=None, stdin=None):
     return code, buf.getvalue()
 
 
-def main():
-    lines = []
+def _command(case):
+    """The command a corpus line runs, also through a job document."""
+    if case["argv"][0] == "run":
+        return case.get("doc", {}).get("command")
+    return case["argv"][0]
+
+
+def _close(got, want):
+    if isinstance(want, float) and isinstance(got, float):
+        return math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-15)
+    if isinstance(want, dict) and isinstance(got, dict):
+        return got.keys() == want.keys() and all(
+            _close(got[k], want[k]) for k in want)
+    if isinstance(want, list) and isinstance(got, list):
+        return len(got) == len(want) and all(map(_close, got, want))
+    return type(got) is type(want) and got == want
+
+
+def mismatch(case, code, stdout):
+    """How a replay (exit ``code``, ``stdout``) differs from its corpus line
+    ``case``, or None: exact commands must print the same bytes; numeric
+    ones the same strings, integers and flags, and floats within
+    ``_close``."""
+    if code != case["exit"]:
+        return f"exit {code}, recorded {case['exit']}"
+    if stdout == case["stdout"] or (
+            _command(case) in NUMERIC_COMMANDS
+            and _close(json.loads(stdout), json.loads(case["stdout"]))):
+        return None
+    return "output differs from the corpus"
+
+
+def load():
+    return [json.loads(line) for line in CORPUS.read_text().splitlines()]
+
+
+def _in_scratch(run_all):
+    """``run_all()`` inside a fresh temporary working directory."""
     with tempfile.TemporaryDirectory() as tmp:
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
-            for argv, doc, stdin in cases():
-                code, stdout = record(argv, doc, stdin)
-                line = {"argv": argv, "exit": code, "stdout": stdout}
-                if doc is not None:
-                    line["doc"] = doc
-                if stdin is not None:
-                    line["stdin"] = stdin
-                lines.append(json.dumps(line, sort_keys=True))
+            return run_all()
         finally:
             os.chdir(cwd)
+
+
+def check():
+    """Replay every corpus line; the number of lines that differ."""
+    cases = load()
+
+    def replay():
+        bad = 0
+        for case in cases:
+            why = mismatch(case, *record(case["argv"], case.get("doc"),
+                                         case.get("stdin")))
+            if why is not None:
+                bad += 1
+                print(f"{' '.join(case['argv'])}: {why}")
+        return bad
+    bad = _in_scratch(replay)
+    print(f"{len(cases)} cases, {bad} differ (Python {sys.version.split()[0]})")
+    return bad
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help="replay the corpus instead of recording it")
+    if parser.parse_args().check:
+        sys.exit(1 if check() else 0)
+
+    def record_all():
+        lines = []
+        for argv, doc, stdin in cases():
+            code, stdout = record(argv, doc, stdin)
+            line = {"argv": argv, "exit": code, "stdout": stdout}
+            if doc is not None:
+                line["doc"] = doc
+            if stdin is not None:
+                line["stdin"] = stdin
+            lines.append(json.dumps(line, sort_keys=True))
+        return lines
+    lines = _in_scratch(record_all)
     CORPUS.write_text("\n".join(lines) + "\n")
     print(f"{len(lines)} cases -> {CORPUS}")
 

@@ -9,8 +9,10 @@ from fractions import Fraction
 
 import pytest
 
-from g2satake import cli
+from g2satake import cli, fibrations, satake
 from g2satake.cli import run
+from g2satake.fibrations import FibrationParams
+from g2satake.igusa import IgusaPoint
 
 
 def invoke(capsys, *argv):
@@ -125,22 +127,74 @@ def test_a_failed_discriminant_identity_is_exit_3(capsys, monkeypatch, flag):
     assert doc["status"] == "identity-violation"
 
 
-@pytest.mark.parametrize("lams", [
+H2_AND_H30 = [
     "2,3,5",
-    # 30 digits: j_image has about 10,700 digits, past int-to-str's limit
+    # 30 digits: j_image has about 10,700 digits, and the values predicates
+    # prints pass it too, past int-to-str's limit
     "950902429462863423267844418538/412424907062292339370358934491,"
     "-505109913325698786106015836731/594904487478826583684050905250,"
-    "-972548800835053393263893270341/280599199777734174142979873442"],
-    ids=("h2", "h30"))
-def test_a_failed_moduli_map_identity_is_exit_3(capsys, monkeypatch, lams):
-    from g2satake import satake
+    "-972548800835053393263893270341/280599199777734174142979873442"]
 
+
+@pytest.mark.parametrize("lams", H2_AND_H30, ids=("h2", "h30"))
+def test_a_failed_moduli_map_identity_is_exit_3(capsys, monkeypatch, lams):
     absolute = satake.absolute_invariants
     monkeypatch.setattr(satake, "absolute_invariants",
                         lambda inv: (j := absolute(inv))._replace(j1=j.j1 + 1))
     code, doc = invoke(capsys, "phi", f"--rosenhain={lams}")
     assert code == 3
     assert doc["status"] == "identity-violation"
+
+
+def _off_by(monkeypatch, owner, name, change):
+    """Patch ``owner.name`` to return ``change`` of what it returned."""
+    original = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a: change(original(*a)))
+
+
+def _params_off(monkeypatch):
+    # I2' + 12 leaves d = I2'/24 a remainder of 12 on the point over v
+    from_igusa = FibrationParams.from_igusa
+    monkeypatch.setattr(FibrationParams, "from_igusa", classmethod(
+        lambda cls, inv: from_igusa(inv._replace(I2=inv.I2 + 12))))
+
+
+# check -> (patch of one value, commands that run the check, error message)
+INJECTED = {
+    "params-remainder": (_params_off, ("predicates", "alternate"),
+                         "d is not an integer"),
+    "siegel-remainder": (
+        # I4' + 1 leaves psi4 = I4'/4 a remainder
+        lambda mp: _off_by(mp, IgusaPoint, "scaled",
+                           lambda v: v._replace(I4=v.I4 + 1)),
+        ("predicates", "alternate"), "psi4 is not an integer"),
+    "bracket": (lambda mp: _off_by(mp, fibrations, "_qvanish_form",
+                                   lambda b: b + 1),
+                ("predicates",), "2^12 e^3 * bracket"),
+    "radicand": (lambda mp: _off_by(mp, fibrations, "radicand", lambda r: r + 1),
+                 ("predicates",), "729 radicand"),
+    "type-III": (lambda mp: _off_by(mp, fibrations, "type_iii_bracket",
+                                    lambda b: b + 1),
+                 ("predicates",), "type-III"),
+}
+
+
+@pytest.mark.parametrize("lams", H2_AND_H30, ids=("h2", "h30"))
+@pytest.mark.parametrize("check,command", [
+    (check, command) for check, (_, commands, _) in INJECTED.items()
+    for command in commands])
+def test_a_failed_check_on_the_integral_point_is_exit_3(capsys, monkeypatch,
+                                                        check, command, lams):
+    """Each check of the point's ints fails on one patched value; the
+    alternate fibration runs only the remainder checks of the point."""
+    patch, _, message = INJECTED[check]
+    patch(monkeypatch)
+    argv = (["predicates"] if command == "predicates"
+            else ["fibration", "--model", "alternate"])
+    code, doc = invoke(capsys, *argv, f"--rosenhain={lams}")
+    assert code == 3
+    assert doc["status"] == "identity-violation"
+    assert message in doc["error"], doc["error"]
 
 
 def test_deterministic_output(capsys):
@@ -385,6 +439,27 @@ def test_non_finite_numeric_input_is_a_schema_error(command, flags, form,
     assert f"--{list(flags)[-1]}" in doc["error"]
 
 
+# Im tau whose entries square past the double range: two not positive
+# definite, whose envelope is that of any such tau, and one that is
+HUGE_TAU = {"not-pd": "0,1,0,1e200,0,1",
+            "not-pd-mixed": "0,1e200,0,1e200,0,1e-200",
+            "pd": "0,1e200,0,5e199,0,1e200"}
+
+
+@pytest.mark.parametrize("form", ("argv", "run"))
+@pytest.mark.parametrize("name", sorted(HUGE_TAU))
+def test_a_huge_imaginary_part_ends_in_one_envelope(name, form, tmp_path, capsys):
+    code, doc = invoke(capsys, *_argv("theta", {"tau": HUGE_TAU[name]}, form,
+                                      tmp_path))
+    if name == "pd":
+        assert code == 0 and doc["status"] == "ok"
+        return
+    assert code == 2
+    assert doc == invoke(capsys, "theta", "--tau=0,1,0,2,0,1")[1]
+    assert doc["error"] == ("imaginary part of the period matrix is not "
+                            "positive definite")
+
+
 CURVE_FLAGS = {"rosenhain": "2,3,5", "igusa": "550,12,-7,2073600",
                "siegel": "3,5,7,11", "sextic": "0,30,-61,41,-11,1"}
 CURVE_PAIRS = list(itertools.combinations(CURVE_FLAGS, 2))
@@ -624,8 +699,8 @@ def test_a_wrong_closed_form_root_is_exit_3(capsys, monkeypatch, argv):
     """A wrong Satake root, or on other input a wrong Satake sextic (off by
     one), fails the identity that checks it."""
     if argv[-1].startswith("--"):
-        sextic = cli.satake_sextic_from_siegel
-        monkeypatch.setattr(cli, "satake_sextic_from_siegel",
+        sextic = satake.satake_sextic_from_siegel
+        monkeypatch.setattr(satake, "satake_sextic_from_siegel",
                             lambda s: sextic(s) + 1)
     else:
         roots = cli.satake_roots_from_rosenhain

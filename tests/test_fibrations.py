@@ -346,7 +346,7 @@ def test_integer_bracket_matches_its_fraction_value(rng, digits):
     p = params_for(*lambdas_of_height(rng, digits))
     for q in (p, p._replace(e=0), p._replace(c=F(2, 3)), p._replace(c=5),
               p._replace(b=0, d=F(1, 7**digits))):
-        assert qvanish_bracket(q) == _qvanish_form(*map(F, q.astuple()))
+        assert qvanish_bracket(q) == _qvanish_form(*map(F, q))
 
 
 def test_bracket_rejects_inexact_parameters():

@@ -204,3 +204,30 @@ def test_a_job_builds_its_satake_sextic_and_its_discriminant_once(
     assert sum(disc.values()) == 1
     assert disc["root_differences"] == source.startswith("--rosenhain")
 
+
+@pytest.mark.parametrize("name", ("h2-0", "h30-0", "h60-0"))
+def test_the_point_carries_ints(name):
+    lams = ROSENHAIN[name]
+    point = cli.CurvePoint("rosenhain", lams)
+    assert all(type(v) is int for v in point.params())
+    assert all(type(v) is int for v in point.siegel)
+    # the one constructor: exact division on ints, Fraction division on
+    # Fraction invariants, and never a float
+    on_point = FibrationParams.from_igusa(point.igusa.scaled(12))
+    assert on_point == point.params()
+    inv = igusa_from_rosenhain(*lams)
+    p = FibrationParams.from_igusa(inv)
+    assert [type(v) for v in p] == [F, F, int, F, F]
+    assert all(F(n, point.siegel.v**w) == x for n, w, x in
+               zip(on_point, (4, 6, 0, 2, 10), p))
+
+
+@pytest.mark.parametrize("model", ("kummer23", "alternate", "alternate-ftheory"))
+def test_a_rosenhain_fibration_never_builds_the_satake_sextic(model, monkeypatch):
+    """They read the closed-form roots alone; that predicates and
+    satake-sextic build F once is checked by
+    ``test_a_job_builds_its_satake_sextic_and_its_discriminant_once``."""
+    calls = _spy_on(monkeypatch, ("satake_sextic_from_siegel",), satake)
+    code, env = _run(["fibration", "--model", model, f"--rosenhain={H10}"])
+    assert code == cli.EXIT_OK, env
+    assert calls["satake_sextic_from_siegel"] == 0

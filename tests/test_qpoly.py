@@ -320,10 +320,14 @@ def test_split_rational_roots_exact(rng):
     assert split_rational_roots(Poly([-3, 2])) == ([F(3, 2)], Poly([1]))
     assert split_rational_roots(Poly([2, 0, 1])) == ([], Poly([2, 0, 1]))
     # (t - 1)(t^2 - D), D the product of the odd primes below 1000, is
-    # squarefree, but t^2 - D has a double root modulo each of those primes
+    # squarefree, but t^2 - D has a double root modulo each of those
+    # primes: the root 1 is lifted at a larger prime
     D = math.prod(qpoly._small_primes()[1:])
-    with pytest.raises(DomainError, match="no prime below 1000 leaves every root simple"):
-        split_rational_roots(Poly([-1, 1]) * Poly([-D, 0, 1]))
+    assert split_rational_roots(Poly([-1, 1]) * Poly([-D, 0, 1])) == (
+        [1], Poly([-D, 0, 1]))
+    # a square factor has a multiple root modulo every prime
+    with pytest.raises(DomainError, match="not squarefree"):
+        split_rational_roots(Poly([-1, 1]) ** 2 * Poly([-D, 0, 1]))
 
 
 def test_lifting_primes_are_the_primes_below_1000():

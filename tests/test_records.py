@@ -1,5 +1,5 @@
-"""The value records: immutable namedtuples whose exact int fields are
-stored as Fractions."""
+"""The value records: immutable namedtuples.  The printed ones store their
+exact int fields as Fractions; the fibration parameters keep ints."""
 
 from fractions import Fraction as F
 
@@ -34,9 +34,9 @@ RECORDS = [
     SatakeCoordinates((0,) * 6),
 ]
 
-# the records whose int fields become Fractions, with a field count
+# the printed records, whose int fields become Fractions, with a field count
 EXACT = [(IgusaInvariants, 4), (AbsoluteInvariants, 3), (SiegelForms, 4),
-         (PowerSums, 4), (FibrationParams, 5)]
+         (PowerSums, 4)]
 
 
 def _name(record):
@@ -64,10 +64,19 @@ def test_int_fields_are_fractions_by_position_and_keyword(cls, n):
     assert replaced[0] == 7
 
 
+def test_fibration_params_keep_ints_by_position_and_keyword():
+    by_position = FibrationParams(1, 2, 3, 4, 5)
+    by_keyword = FibrationParams(a=1, b=2, c=3, d=4, e=5)
+    for record in (by_position, by_keyword, by_position._replace(a=7)):
+        assert all(type(v) is int for v in record)
+    assert by_position == by_keyword == (1, 2, 3, 4, 5)
+
+
 def test_from_igusa_builds_fractions_from_keywords():
+    # Fraction invariants divide as Fractions; c = -1 is passed as an int
     p = FibrationParams.from_igusa(IgusaInvariants(24, 12, 0, 4))
     assert p == (-1, F(8, 3), -1, 1, 1)
-    assert all(type(v) is F for v in p)   # c = -1 is passed as an int
+    assert [type(v) for v in p] == [F, F, int, F, F]
 
 
 def test_defaults():
