@@ -36,7 +36,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from g2satake.cli import run
-from g2satake.igusa import igusa_from_rosenhain
+from g2satake.igusa import absolute_invariants, igusa_from_rosenhain
 
 CORPUS = Path(__file__).with_name("corpus.jsonl")
 
@@ -92,6 +92,11 @@ H30_B = ("230890691289625457733191455609/199723338236895937510002597876,"
          "-412749186809999235244047307471/621760346241240602648274940145")
 IGUSA_H30 = ",".join(str(v) for v in igusa_from_rosenhain(
     *map(Fraction, H30_B.split(","))).astuple())
+# the absolute invariants of Q0: the moduli map's denominator q vanishes
+ABSOLUTE_Q0 = ",".join(str(v) for v in absolute_invariants(igusa_from_rosenhain(
+    *map(Fraction, Q0.split(",")))).astuple())
+H3 = "123/457,-389/211,702/913"
+H4 = "4821/7393,-2937/5519,8011/3167"
 TAU = "0.44,1.86,-0.26,0.81,-0.1,1.93"
 TAU_SMALL = "0.12,1.25,0.31,0.42,-0.37,1.4"
 TAU_DIAGONAL = "0.1,1.2,0,0,0.2,1.5"  # z = 0: theta_10 vanishes (chi10 = 0)
@@ -228,7 +233,17 @@ def cases():
     later.append(["fibration", "--model", "standard", f"--rosenhain={H60_NO_ROOT}"])
     later += [["fibration", "--model", m, f"--igusa={IGUSA_H30}"]
               for m in ("kummer23", "alternate", "alternate-ftheory")]
-    out +=[(argv, None, None) for argv in later]
+    # the moduli map on every input flag, on negative I2 and at 3 and 4
+    # digits (from 5 digits on it prints values past the encoder's limit),
+    # and its refusals: I10 = 0, chi10 = 0, j1 = 0 and q = 0
+    later += [["phi", source] for source in (
+        "--igusa=550,12,-7,2073600", "--igusa=-3,0,0,5", "--igusa=1,2,3,0",
+        "--siegel=3,5,7,11", f"--siegel={CHI10_ZERO}",
+        "--sextic=0,30,-61,41,-11,1", "--sextic=3,-1,0,2,1,4",
+        "--sextic=1,2,-3,0,5,-1,2", "--sextic=0,0,1,2,3,4,5",
+        "--absolute=-3/7,5/2,11/3", "--absolute=0,1,1",
+        f"--absolute={ABSOLUTE_Q0}", f"--rosenhain={H3}", f"--rosenhain={H4}")]
+    out += [(argv, None, None) for argv in later]
     return out
 
 
