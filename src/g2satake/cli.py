@@ -70,6 +70,14 @@ def _json_value(v):
     raise TypeError(f"cannot serialize {type(v)}")
 
 
+def _printed(v):
+    """``v`` as the JSON value that ``_json_value`` prints it as, each
+    Fraction converted to its string once."""
+    if isinstance(v, Poly):
+        return {"cluster": [_printed(c) for c in v.coeffs]}
+    return str(v) if isinstance(v, Fraction) else v
+
+
 def _dumps(envelope, args):
     return json.dumps(envelope, sort_keys=True, default=_json_value,
                       indent=2 if args and args.pretty else None)
@@ -219,8 +227,15 @@ def cmd_satake_sextic(key, val):
 
 
 def cmd_phi(key, val):
-    j = val if key == "absolute" else absolute_invariants(val.invariants())
-    diagnostics = phi_map(j)._asdict()
+    """The moduli map on the job's point; j, of weight 0, is read off its
+    integers.  ``--absolute`` input has no curve, and ``phi_map`` builds
+    its point at I2 = 1."""
+    if key == "absolute":
+        j = val
+        diagnostics = phi_map(j)._asdict()
+    else:
+        j = absolute_invariants(IgusaInvariants(*val.igusa.astuple()))
+        diagnostics = phi_map(j, val.igusa, val.satake)._asdict()
     return {"j_source": j._asdict(),
             "j_image": diagnostics.pop("j_image")._asdict(),
             "diagnostics": diagnostics}
@@ -262,10 +277,10 @@ def cmd_fibration(key, point, model):
         else:
             weierstrass = alternate_model(point.params(), point.satake)
     census = classify_fibers(weierstrass, rho)
-    fibers = [{"type": f.fiber_type, "location": f.location, "orders": f.orders,
-               "count": f.count, "euler": f.euler} for f in census.fibers]
-    fibers.sort(key=lambda d: (d["type"],
-                               json.dumps(d["location"], default=_json_value)))
+    fibers = [{"type": f.fiber_type, "location": _printed(f.location),
+               "orders": f.orders, "count": f.count, "euler": f.euler}
+              for f in census.fibers]
+    fibers.sort(key=lambda d: (d["type"], json.dumps(d["location"])))
     return {"model": model, "fibers": fibers, "euler_sum": census.euler_sum}
 
 

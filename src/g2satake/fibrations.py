@@ -50,10 +50,10 @@ from itertools import combinations
 from math import gcd, lcm
 
 from .errors import DomainError, IdentityViolationError, NonMinimalModelError
-from .qpoly import (Poly, discriminant, exact_quotient, integer_gcd,
-                    integer_quotient, integer_squarefree, integral_representative,
-                    primitive_part, promote_int, root_multiplicities,
-                    split_rational_roots)
+from .qpoly import (Poly, discriminant, exact_quotient, exact_ratio,
+                    integer_gcd, integer_quotient, integer_squarefree,
+                    integral_representative, primitive_part, promote_int,
+                    root_multiplicities, split_rational_roots)
 
 INFINITY = "infinity"
 
@@ -406,12 +406,14 @@ def alternate_model_ftheory(s, satake=None):
     """y^2 = x^3 + (t^3 - psi4/48 t - psi6/864) x^2 - (4 chi10 t - chi12) x.
 
     Stays well-defined on chi10 = 0, where the I2 and I10* fibers merge
-    into I12*.  ``s`` holds the form values, or the ints of a Siegel point.
-    A^2 - 4B is f(12 t) / 1728^2 for the Satake sextic f: ``satake``, if
-    given, is its ``SatakeSextic``, the known factor of A^2 - 4B.
+    into I12*.  ``s`` holds the form values, or the ints of a Siegel point;
+    over v = 12 u, 48 divides psi4 and 864 divides psi6, and A stays
+    integral (``exact_ratio``).  A^2 - 4B is f(12 t) / 1728^2 for the
+    Satake sextic f: ``satake``, if given, is its ``SatakeSextic``, the
+    known factor of A^2 - 4B.
     """
     p4, p6, c10, c12 = s.astuple()
-    A = Poly([-promote_int(p6) / 864, -promote_int(p4) / 48, 0, 1])
+    A = Poly([exact_ratio(-p6, 864), exact_ratio(-p4, 48), 0, 1])
     B = Poly([c12, -4 * c10])
     return WeierstrassModel(A=A, B=B, C=Poly(),
                             disc_factors=_satake_factors(satake, 12, 1))
@@ -454,13 +456,16 @@ class QuarticModel(namedtuple("QuarticModel", "coeffs disc_factors",
     def quartic_invariants(self):
         """Classical I and J of the X-quartic.  The coefficients, in Q[t],
         are taken to the integer multiple n q, and I and J divided by n^2
-        and n^3 once.  Exact only: other coefficients raise DomainError."""
+        and n^3 once; integer coefficients (n = 1) give int I and J.
+        Exact only: other coefficients raise DomainError."""
         if not all(isinstance(c, (int, Fraction))
                    for a in self.coeffs for c in a.coeffs):
             raise DomainError("quartic invariants need int/Fraction coefficients")
         n = lcm(*(c.denominator for a in self.coeffs for c in a.coeffs))
         i, j = _quartic_ij(*(Poly([c.numerator * (n // c.denominator)
                                    for c in a.coeffs]) for a in self.coeffs))
+        if n == 1:
+            return i, j
         return (Poly([Fraction(c, n**2) for c in i.coeffs]),
                 Poly([Fraction(c, n**3) for c in j.coeffs]))
 

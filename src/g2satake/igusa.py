@@ -303,29 +303,40 @@ def _form_mul(a, b):
 
 
 def _transvectant(fc, m, gc, n, k):
-    pref = Fraction(factorial(m - k) * factorial(n - k), factorial(m) * factorial(n))
+    """The k-th transvectant of binary forms of degrees m and n (coefficients
+    low first) without its factor (m-k)! (n-k)! / (m! n!): integer on
+    integer forms."""
     acc = None
     for j in range(k + 1):
-        term = _form_mul(_mixed(list(fc), m, k - j, j),
-                         _mixed(list(gc), n, j, k - j))
+        term = _form_mul(_mixed(fc, m, k - j, j), _mixed(gc, n, j, k - j))
         sign = (-1) ** j * comb(k, j)
         term = [sign * t for t in term]
         acc = term if acc is None else [x + y for x, y in zip(acc, term)]
-    return [pref * t for t in acc]
+    return acc
 
 
-def _even_invariants(cs):
-    """(I2, I4, I6) of the binary sextic with coefficients cs (low first)."""
+# 6!^2, the factor that the transvectants of the sextic with itself drop
+_D = factorial(6) ** 2
+
+
+def even_invariants(cs):
+    """(I2, I4, I6) of the binary sextic with integer coefficients cs (low
+    first), integers.
+
+    With the transvectants taken without their factors, A = A'/D, i = 4 i'/D,
+    B = B'/(36 D^2), H = H'/(9 D^2) and C = (i', H')_4/(1296 D^3), D = 6!^2;
+    the factors are multiplied in once per invariant, and each quotient is
+    exact (``exact_quotient``)."""
     c6 = list(cs) + [0] * (7 - len(cs))
     A = _transvectant(c6, 6, c6, 6, 6)[0]
     i4 = _transvectant(c6, 6, c6, 6, 4)
     B = _transvectant(i4, 4, i4, 4, 4)[0]
     H = _transvectant(i4, 4, i4, 4, 2)
     C = _transvectant(i4, 4, H, 4, 4)[0]
-    I2 = -120 * A
-    I4 = -720 * A**2 + 6750 * B
-    I6 = 8640 * A**3 - 108000 * A * B + 202500 * C
-    return I2, I4, I6
+    return (exact_quotient(-A, 4320, "I2"),
+            exact_quotient(375 * B - 1440 * A * A, 2 * _D**2, "I4"),
+            exact_quotient(625 * C - 12000 * A * B + 34560 * A**3, 4 * _D**3,
+                           "I6"))
 
 
 def igusa_from_sextic(f):
@@ -346,7 +357,7 @@ def igusa_from_sextic(f):
     r, ints = integral_representative([c / lc for c in f.coeffs[:-1]],
                                       range(6, 6 - deg, -1))
     I2, I4, I6 = (lc**k * v / r ** (3 * k) for k, v in
-                  zip((2, 4, 6), _even_invariants(ints + [r ** (6 - deg)])))
+                  zip((2, 4, 6), even_invariants(ints + [r ** (6 - deg)])))
     I10 = discriminant(f)
     if deg == 5:
         I10 = f.lead() ** 2 * I10

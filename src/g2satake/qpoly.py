@@ -531,6 +531,11 @@ def promote_int(v):
     return Fraction(v) if isinstance(v, int) else v
 
 
+def exact_ratio(n, k):
+    """n / k exactly: n // k for an int n that k divides, else a Fraction."""
+    return n // k if isinstance(n, int) and not n % k else promote_int(n) / k
+
+
 def exact_quotient(n, k, what):
     """n / k with no float from exact n: n / k for a Fraction n; for an int
     n, the integer of a point whose value ``what`` is n / k, n // k if k | n."""

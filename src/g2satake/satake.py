@@ -20,9 +20,8 @@ from math import comb, gcd, isqrt
 from .errors import (DegeneratePointError, DomainError, IdentityViolationError,
                      InversionSingularError)
 from .igusa import (SIEGEL_WEIGHTS, AbsoluteInvariants, IgusaInvariants,
-                    IgusaPoint, SiegelPoint, absolute_invariants,
-                    igusa_from_absolute, igusa_from_sextic, q_form,
-                    rosenhain_thomae, siegel_from_igusa)
+                    IgusaPoint, SiegelForms, SiegelPoint, even_invariants,
+                    igusa_from_absolute, q_form, rosenhain_thomae)
 from .qpoly import (ExactTuple, Poly, discriminant, integral_representative,
                     root_differences)
 from .theta import (SATAKE_MATRIX, rosenhain_from_theta4, theta4_from_satake,
@@ -395,18 +394,36 @@ PhiResult = namedtuple("PhiResult", "j_image K L M N_squared psi4_image "
                        "psi6_image chi10_image chi12_image Q_source Q_image")
 
 
-def phi_map(j):
+def _phi_components(mv, kv, wv, den):
+    """j' = (64 m^5, 4 m^3 k, m^2 w) / (729 q), the explicit rational
+    components, from the homogenized values and den = 729 h^3 q."""
+    return AbsoluteInvariants(Fraction(64 * mv**5, den),
+                              Fraction(4 * mv**3 * kv, den),
+                              Fraction(mv**2 * wv, den))
+
+
+def phi_map(j, point=None, sextic=None):
     """The moduli map on absolute invariants, with its built-in oracle.
 
     Evaluates the explicit rational components and, side by side, the
-    direct route (build the sextic, take its invariants); any
-    disagreement raises IdentityViolationError.  Requires j1 != 0 and
-    the denominator polynomial q != 0.
+    direct route (the invariants of the Satake sextic); any disagreement
+    raises IdentityViolationError.  Requires j1 != 0 and the denominator
+    polynomial q != 0.
 
     The components are evaluated on homogeneous integer coordinates
-    (J1, J2, J3, h) of j and divided by their powers of h once; the
-    direct route runs on integer representatives inside the power sums,
-    the sextic invariants and Q.
+    (J1, J2, J3, h) of j and divided by their powers of h once.  The direct
+    route runs on the integral point of j: ``point``, the ``IgusaPoint`` of
+    the curve (I_k = I_k' / u^k), and ``sextic``, the ``SatakeSextic`` of
+    its Siegel point s of unit v = 12 u, or else both built from j at
+    I2 = 1 (``igusa_from_absolute``).  The image invariants are those of F
+    in X = v^2 x: I2, I4 and I6 by transvectants over Z
+    (``even_invariants``) and I10 = disc(F).  The printed values keep the
+    normalization I2 = 1 of the source, which moves the Satake roots x_i
+    to x_i / I2 = X_i / e, with e = 144 I2' the source I2 over v: a source
+    value of weight w is s_w' / e^(w/2), and an image value of weight k is
+    I_k(F) / e^(3k).  The six identities, then j' against the direct
+    route, are compared over Z by cross-multiplication; only the printed
+    values are reduced.
     """
     if j.j1 == 0:
         raise DomainError("j1 = 0: moduli map undefined (I2 = 0 locus)")
@@ -418,48 +435,54 @@ def phi_map(j):
     mv = _phi_m(J1, J2, J3, h)      # h^3 m(j)
     kv = _phi_k(J1, J2, J3, h)      # h^6 k(j)
     wv = _phi_w(J1, J2, J3, h)      # h^9 w(j)
-    den = 729 * h**3 * qv
-    j1p = Fraction(64 * mv**5, den)
-    j2p = Fraction(4 * mv**3 * kv, den)
-    j3p = Fraction(mv**2 * wv, den)
+    j_image = _phi_components(mv, kv, wv, 729 * h**3 * qv)
 
-    # direct route
-    inv = igusa_from_absolute(j)
-    f = satake_sextic(power_sums_from_igusa(inv))
-    inv_f = igusa_from_sextic(f)
-    j_direct = absolute_invariants(inv_f)
-    if (j1p, j2p, j3p) != j_direct.astuple():
+    # direct route: the image's invariants and its Siegel point over
+    # 12 |e|^3 (the weights are even), and the source's Q and M, of
+    # weights 60 and 12, over v
+    if point is None:
+        point = IgusaPoint.of(igusa_from_absolute(j))
+        sextic = SatakeSextic(siegel=point.siegel())
+    s, e = sextic.siegel, 144 * point.I2
+    I2, I4, I6 = even_invariants(sextic.F.coeffs)
+    I10 = sextic.discriminant().numerator
+    img = IgusaPoint(abs(e) ** 3, I2, I4, I6, I10).siegel()
+    Q = s.q()
+    p4, p6, _, c12 = s.astuple()
+    M = p4**3 - p6**2 + 2**13 * 3**4 * 5 * c12
+
+    # the proof-side scalings, on the integers of both points
+    if img.chi10 != -(2**38) * 3**21 * 12**10 * Q:
+        raise IdentityViolationError("chi10(tau') scaling fails")
+    if img.chi12 != 2**40 * 3**23 * 12**12 * Q * M:
+        raise IdentityViolationError("chi12(tau') = 2^40 3^23 Q M fails")
+    # appendix polynomials versus the proof-side weight-0 reductions at
+    # I2 = 1, multiplied through by the powers of h and of e: K = psi4' /
+    # (2^4 3^6) and L = -psi6' / (2^6 3^9), psi_w' = img_w / (12 e^3)^w
+    if mv * e**6 != 2**6 * J1**3 * M:
+        raise IdentityViolationError("m-polynomial disagrees with 2^6 j1^3 M / I2^6")
+    if kv * 3**10 * e**12 != J1**6 * img.psi4:
+        raise IdentityViolationError("k-polynomial disagrees with 2^12 j1^6 K / I2^12")
+    if (3 * wv - 4 * kv * mv) * 3**15 * e**18 != -J1**9 * img.psi6:
+        raise IdentityViolationError("g3 factor disagrees with (l + 4 k m)/3")
+    if qv * h**3 * e**30 != 2**63 * J1**15 * Q:
+        raise IdentityViolationError("q-polynomial disagrees with 2^63 j1^15 Q / I2^30")
+    # and j' = (I2^5, I4 I2^3, I6 I2^2) / I10 at the image
+    if any(p.numerator * I10 != p.denominator * v for p, v in
+           zip(j_image.astuple(), (I2**5, I4 * I2**3, I6 * I2**2))):
         raise IdentityViolationError(
             "moduli-map components disagree with the direct invariant route")
 
-    # image form values and the proof-side scalings
-    src = siegel_from_igusa(inv)
-    img = siegel_from_igusa(inv_f)
-    Q_src = q_form(src)
-    Q_img = q_form(img)
-    K = img.psi4 / Fraction(2**4 * 3**6)
-    L = -img.psi6 / Fraction(2**6 * 3**9)
-    M = src.psi4**3 - src.psi6**2 + 2**13 * 3**4 * 5 * src.chi12
-    if img.chi10 != -(2**38) * 3**21 * Q_src:
-        raise IdentityViolationError("chi10(tau') scaling fails")
-    if img.chi12 != 2**40 * 3**23 * Q_src * M:
-        raise IdentityViolationError("chi12(tau') = 2^40 3^23 Q M fails")
-    # appendix polynomials versus the proof-side weight-0 reductions at
-    # I2 = 1, multiplied through by the powers of h
-    if mv != 2**6 * J1**3 * M:
-        raise IdentityViolationError("m-polynomial disagrees with 2^6 j1^3 M / I2^6")
-    if kv != 2**12 * J1**6 * K:
-        raise IdentityViolationError("k-polynomial disagrees with 2^12 j1^6 K / I2^12")
-    if 3 * wv != 2**18 * J1**9 * L + 4 * kv * mv:
-        raise IdentityViolationError("g3 factor disagrees with (l + 4 k m)/3")
-    if qv * h**3 != 2**63 * J1**15 * Q_src:
-        raise IdentityViolationError("q-polynomial disagrees with 2^63 j1^15 Q / I2^30")
-
-    n_sq = Q_img / (2**210 * 3**132 * Q_src**3)
+    image = SiegelForms(*(Fraction(v, img.v**w) for v, w in
+                          zip(img.astuple(), SIEGEL_WEIGHTS)))
+    Q_src = Fraction(Q, e**30)
+    Q_img = q_form(image)
     return PhiResult(
-        j_image=AbsoluteInvariants(j1p, j2p, j3p),
-        K=K, L=L, M=M, N_squared=n_sq,
-        psi4_image=img.psi4, psi6_image=img.psi6,
-        chi10_image=img.chi10, chi12_image=img.chi12,
+        j_image=j_image,
+        K=image.psi4 / (2**4 * 3**6), L=-image.psi6 / (2**6 * 3**9),
+        M=Fraction(M, e**6),
+        N_squared=Q_img / (2**210 * 3**132 * Q_src**3),
+        psi4_image=image.psi4, psi6_image=image.psi6,
+        chi10_image=image.chi10, chi12_image=image.chi12,
         Q_source=Q_src, Q_image=Q_img,
     )

@@ -12,7 +12,7 @@ import pytest
 from g2satake import cli, fibrations, satake
 from g2satake.cli import run
 from g2satake.fibrations import FibrationParams
-from g2satake.igusa import IgusaPoint
+from g2satake.igusa import IgusaPoint, SiegelPoint
 
 
 def invoke(capsys, *argv):
@@ -127,6 +127,12 @@ def test_a_failed_discriminant_identity_is_exit_3(capsys, monkeypatch, flag):
     assert doc["status"] == "identity-violation"
 
 
+def _off_by(monkeypatch, owner, name, change):
+    """Patch ``owner.name`` to return ``change`` of what it returned."""
+    original = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a: change(original(*a)))
+
+
 H2_AND_H30 = [
     "2,3,5",
     # 30 digits: j_image has about 10,700 digits, and the values predicates
@@ -138,18 +144,50 @@ H2_AND_H30 = [
 
 @pytest.mark.parametrize("lams", H2_AND_H30, ids=("h2", "h30"))
 def test_a_failed_moduli_map_identity_is_exit_3(capsys, monkeypatch, lams):
-    absolute = satake.absolute_invariants
-    monkeypatch.setattr(satake, "absolute_invariants",
-                        lambda inv: (j := absolute(inv))._replace(j1=j.j1 + 1))
+    # j1' of the explicit components off by one: the direct route disagrees
+    _off_by(monkeypatch, satake, "_phi_components",
+            lambda j: j._replace(j1=j.j1 + 1))
     code, doc = invoke(capsys, "phi", f"--rosenhain={lams}")
     assert code == 3
     assert doc["status"] == "identity-violation"
 
 
-def _off_by(monkeypatch, owner, name, change):
-    """Patch ``owner.name`` to return ``change`` of what it returned."""
-    original = getattr(owner, name)
-    monkeypatch.setattr(owner, name, lambda *a: change(original(*a)))
+# check of phi_map -> (patch of the one value it reads first, error message)
+PHI_INJECTED = {
+    "direct-route": (lambda mp: _off_by(mp, satake, "_phi_components",
+                                        lambda j: j._replace(j3=j.j3 + 1)),
+                     "disagree with the direct invariant route"),
+    # Q of the source: its first reader is chi10(tau') = -2^38 3^21 Q
+    "chi10": (lambda mp: _off_by(mp, SiegelPoint, "q", lambda q: q + 1),
+              "chi10(tau') scaling fails"),
+    # I2 of the image: chi10' holds, chi12' = 2^40 3^23 Q M does not
+    "chi12": (lambda mp: _off_by(mp, satake, "even_invariants",
+                                 lambda v: (v[0] + 1, *v[1:])),
+              "chi12(tau') = 2^40 3^23 Q M fails"),
+    "m": (lambda mp: _off_by(mp, satake, "_phi_m", lambda v: v + 1),
+          "m-polynomial"),
+    "k": (lambda mp: _off_by(mp, satake, "_phi_k", lambda v: v + 1),
+          "k-polynomial"),
+    "w": (lambda mp: _off_by(mp, satake, "_phi_w", lambda v: v + 1),
+          "g3 factor"),
+    "q": (lambda mp: _off_by(mp, satake, "_phi_q", lambda v: v + 1),
+          "q-polynomial"),
+}
+
+
+@pytest.mark.parametrize("source", [f"--rosenhain={lams}" for lams in H2_AND_H30]
+                         + ["--absolute=1/2,-3,7"], ids=("h2", "h30", "absolute"))
+@pytest.mark.parametrize("check", PHI_INJECTED)
+def test_each_failed_moduli_map_check_is_exit_3(capsys, monkeypatch, check,
+                                                source):
+    """One patched value fails each check of ``phi_map`` on its own, with
+    the message of that check."""
+    patch, message = PHI_INJECTED[check]
+    patch(monkeypatch)
+    code, doc = invoke(capsys, "phi", source)
+    assert code == 3
+    assert doc["status"] == "identity-violation"
+    assert message in doc["error"], doc["error"]
 
 
 def _params_off(monkeypatch):

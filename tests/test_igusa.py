@@ -4,7 +4,8 @@ import pytest
 
 from g2satake.errors import DomainError, ProductLocusError
 from g2satake.igusa import (IgusaInvariants, SiegelForms, absolute_invariants,
-                            chi35_squared, derived_forms, humbert_predicates,
+                            chi35_squared, derived_forms, even_invariants,
+                            humbert_predicates,
                             igusa_from_absolute, igusa_from_rosenhain,
                             igusa_from_sextic, igusa_from_siegel, q_form,
                             rosenhain_poly, siegel_from_igusa)
@@ -43,6 +44,19 @@ def test_sextic_route_matches_oracle_on_general_sextics(rng):
         inv = igusa_from_sextic(p)
         pairs = [(r, F(1)) for r in roots]
         assert tuple(map(F, inv.astuple())) == invariants_from_root_pairs(pairs, lead)
+
+
+def test_transvectants_over_z_give_the_integer_invariants(rng):
+    # the invariants of an integer sextic are integers, and the factors the
+    # transvectants drop are multiplied in exactly
+    for _ in range(5):
+        roots = rng.sample(range(-40, 41), 6)
+        lead = rng.choice((-3, -1, 1, 2, 7))
+        p = Poly.from_roots(roots, lead=lead)
+        values = even_invariants([int(c) for c in p.coeffs])
+        assert all(type(v) is int for v in values)
+        oracle = invariants_from_root_pairs([(F(r), F(1)) for r in roots], lead)
+        assert values == oracle[:3]
 
 
 def test_sextic_equals_rosenhain_route(rng):

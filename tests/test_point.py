@@ -17,7 +17,8 @@ from g2satake.fibrations import (FibrationParams, alternate_model,
                                  kumfib2_model, kummer_quartic_model,
                                  standard_model)
 from g2satake.igusa import (IGUSA_WEIGHTS, IgusaInvariants, IgusaPoint,
-                            SiegelForms, SiegelPoint, igusa_from_rosenhain,
+                            SiegelForms, SiegelPoint, absolute_invariants,
+                            igusa_from_rosenhain,
                             igusa_from_siegel, q_form, siegel_from_igusa)
 from g2satake.qpoly import discriminant, integral_representative
 from g2satake.satake import (SatakeSextic, power_sums_from_siegel,
@@ -231,3 +232,49 @@ def test_a_rosenhain_fibration_never_builds_the_satake_sextic(model, monkeypatch
     code, env = _run(["fibration", "--model", model, f"--rosenhain={H10}"])
     assert code == cli.EXIT_OK, env
     assert calls["satake_sextic_from_siegel"] == 0
+
+
+PHI_CURVES = {
+    **{name: CURVES[name] for name in ("h2-0", "h10-0", "shared-0", "siegel")},
+    "igusa-negative-I2": ("igusa", IgusaInvariants(-3, 0, 0, 5)),
+    "sextic-degree-5": ("sextic", qpoly.Poly([3, -1, 0, 2, 1, 4])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PHI_CURVES))
+def test_the_moduli_map_on_the_point_is_that_of_j(name):
+    """The job's point and its Satake sextic give the moduli map of j, whose
+    own point phi_map builds at I2 = 1."""
+    point = cli.CurvePoint(*PHI_CURVES[name])
+    j = absolute_invariants(point.invariants())
+    assert satake.phi_map(j, point.igusa, point.satake) == satake.phi_map(j)
+
+
+# phi at 10 digits prints values past Python's int-to-str limit
+@pytest.mark.parametrize("source", ("--rosenhain=123/457,-389/211,702/913",
+                                    "--siegel=3,5,7,11"))
+def test_a_phi_job_runs_the_direct_route_on_its_satake_sextic(source, monkeypatch):
+    """F once, disc(F) once, from the closed-form roots on Rosenhain input;
+    no power-sum sextic and no Fraction invariants of a sextic."""
+    built = _spy_on(monkeypatch, ("satake_sextic_from_siegel", "satake_sextic"),
+                    satake)
+    fraction_route = _spy_on(monkeypatch, ("igusa_from_sextic",), igusa)
+    disc = _spy_on(monkeypatch, ("root_differences", "discriminant"))
+    code, env = _run(["phi", source])
+    assert code == cli.EXIT_OK, env
+    assert built == {"satake_sextic_from_siegel": 1}
+    assert not fraction_route
+    assert sum(disc.values()) == 1
+    assert disc["root_differences"] == source.startswith("--rosenhain")
+
+
+@pytest.mark.parametrize("name", ("h2-0", "h30-0"))
+def test_point_built_models_keep_ints(name):
+    """kummer1's I and J on integer branch points, and the F-theory model's
+    A on the Siegel point, whose psi4 and psi6 48 and 864 divide."""
+    lams = ROSENHAIN[name]
+    point = cli.CurvePoint("rosenhain", lams)
+    z, ints = igusa.rosenhain_integers(lams)
+    i, j = kummer_quartic_model(*ints, z=z).quartic_invariants()
+    A = alternate_model_ftheory(point.siegel).A
+    assert all(type(c) is int for p in (i, j, A) for c in p.coeffs)
