@@ -18,8 +18,8 @@ from g2satake.fibrations import (FibrationParams, alternate_model,
                                  standard_model)
 from g2satake.igusa import (IGUSA_WEIGHTS, IgusaInvariants, IgusaPoint,
                             SiegelForms, SiegelPoint, absolute_invariants,
-                            igusa_from_rosenhain,
-                            igusa_from_siegel, q_form, siegel_from_igusa)
+                            igusa_from_rosenhain, igusa_from_siegel, q_form,
+                            siegel_from_igusa)
 from g2satake.qpoly import discriminant, integral_representative
 from g2satake.satake import (SatakeSextic, power_sums_from_siegel,
                              satake_discriminant_identity, satake_sextic,
@@ -271,7 +271,7 @@ def test_a_phi_job_runs_the_direct_route_on_its_satake_sextic(source, monkeypatc
 @pytest.mark.parametrize("name", ("h2-0", "h30-0"))
 def test_point_built_models_keep_ints(name):
     """kummer1's I and J on integer branch points, and the F-theory model's
-    A on the Siegel point, whose psi4 and psi6 48 and 864 divide."""
+    A on the Siegel point, where 48 divides psi4 and 864 divides psi6."""
     lams = ROSENHAIN[name]
     point = cli.CurvePoint("rosenhain", lams)
     z, ints = igusa.rosenhain_integers(lams)
