@@ -97,6 +97,8 @@ ABSOLUTE_Q0 = ",".join(str(v) for v in absolute_invariants(igusa_from_rosenhain(
     *map(Fraction, Q0.split(",")))).astuple())
 H3 = "123/457,-389/211,702/913"
 H4 = "4821/7393,-2937/5519,8011/3167"
+SHARED_PRIMES = "2/3,9/10,35/6"       # numerators share primes with r = 30
+SIEGEL_H10 = "3141592653/2718281829,-1618033988,5772156649/1414213562,-2236067977"
 TAU = "0.44,1.86,-0.26,0.81,-0.1,1.93"
 TAU_SMALL = "0.12,1.25,0.31,0.42,-0.37,1.4"
 TAU_DIAGONAL = "0.1,1.2,0,0,0.2,1.5"  # z = 0: theta_10 vanishes (chi10 = 0)
@@ -243,6 +245,15 @@ def cases():
         "--sextic=1,2,-3,0,5,-1,2", "--sextic=0,0,1,2,3,4,5",
         "--absolute=-3/7,5/2,11/3", "--absolute=0,1,1",
         f"--absolute={ABSOLUTE_Q0}", f"--rosenhain={H3}", f"--rosenhain={H4}")]
+    # igusa on sextics of degree 5 and 6 with a leading coefficient, on
+    # I10 = 0 through --igusa and on 10-digit Siegel forms; igusa and
+    # roundtrip on lambdas whose numerators share primes with the common
+    # denominator, and roundtrip on 2,3,6
+    later += [["igusa", source] for source in (
+        "--sextic=3,-1,0,2,1,4", "--sextic=2,0,1,0,-3,0,5", "--igusa=550,12,-7,0",
+        f"--rosenhain={SHARED_PRIMES}", f"--siegel={SIEGEL_H10}")]
+    later += [["roundtrip", f"--rosenhain={source}"]
+              for source in (SHARED_PRIMES, "2,3,6")]
     out += [(argv, None, None) for argv in later]
     return out
 
