@@ -31,11 +31,10 @@ from .fibrations import (FibrationParams, alternate_model, alternate_model_ftheo
 from .igusa import (SIEGEL_WEIGHTS, AbsoluteInvariants, IgusaInvariants,
                     IgusaPoint, SiegelForms, SiegelPoint, absolute_invariants,
                     humbert_predicates, igusa_from_rosenhain, igusa_from_sextic,
-                    igusa_from_siegel, rosenhain_integers, rosenhain_thomae,
-                    siegel_from_igusa)
-from .qpoly import Poly, discriminant
+                    igusa_from_siegel, rosenhain_integers, rosenhain_thomae)
+from .qpoly import Poly, discriminant, weighted_values
 from .roots import gaussian_roots
-from .satake import (PowerSums, SatakeSextic, phi_map, power_sums_from_igusa,
+from .satake import (PowerSums, SatakeSextic, phi_map,
                      reconstruct_from_satake_roots, satake_discriminant_identity,
                      satake_roots_from_rosenhain, satake_sextic,
                      satake_sextic_on_point, theta_power_sum_consistency)
@@ -119,33 +118,24 @@ def _checked(convert, accept, what):
 
 class CurvePoint:
     """One curve input and its integral weighted point, built on first use
-    and once per job; the exact handlers read from it.
+    and once per job; every curve command reads its values from it.
 
     The point holds ints; only printed values become Fractions.  ``igusa``
     is the ``IgusaPoint`` (u; I2', I4', I6', I10'), built on Rosenhain input
-    from the integer forms alone.  ``siegel`` is the ``SiegelPoint`` over
-    v = 12 u, on which the Siegel forms and ``params`` are ints, divided
-    exactly; on Siegel input with chi10 = 0, where there are no Igusa
-    invariants, it is built from the forms (``SiegelPoint.of``).  ``satake``
-    is the ``SatakeSextic`` of that point in X = v^2 x: F, built on first
-    use, and on Rosenhain input its closed-form roots v^2 x_i, ints since
-    the denominator of the x_i divides v^2.  The integer branch points of
-    Rosenhain input and their Thomae products (``thomae``) are evaluated
-    once, for the Igusa point and the roots both.
+    from the integer forms alone, else from the input's invariants.
+    ``siegel`` is the ``SiegelPoint`` over v = 12 u, on which the Siegel
+    forms and ``params`` are ints, divided exactly; on Siegel input with
+    chi10 = 0, where there are no Igusa invariants, it is built from the
+    forms (``SiegelPoint.of``).  ``satake`` is the ``SatakeSextic`` of that
+    point in X = v^2 x: F, built on first use, and on Rosenhain input its
+    closed-form roots v^2 x_i, ints since the denominator of the x_i
+    divides v^2.  The integer branch points of Rosenhain input and their
+    Thomae products (``thomae``) are evaluated once, for the Igusa point
+    and the roots both.
     """
 
     def __init__(self, key, val):
         self.key, self.val = key, val
-
-    def invariants(self):
-        """The Igusa invariants as Fractions."""
-        if self.key == "siegel":
-            return igusa_from_siegel(self.val)
-        if self.key == "sextic":
-            return igusa_from_sextic(self.val)
-        if self.key == "rosenhain":
-            return igusa_from_rosenhain(*self.val)
-        return self.val
 
     def degenerate(self):
         """I10 = 0, where there is no genus-two curve: on Rosenhain input,
@@ -162,8 +152,9 @@ class CurvePoint:
     @functools.cached_property
     def igusa(self):
         if self.key == "rosenhain":
-            return IgusaPoint.from_rosenhain(self.val, self.thomae)
-        return IgusaPoint.of(self.invariants())
+            return IgusaPoint.from_rosenhain(self.thomae)
+        route = {"siegel": igusa_from_siegel, "sextic": igusa_from_sextic}.get(self.key)
+        return IgusaPoint.of(route(self.val) if route else self.val)
 
     @functools.cached_property
     def siegel(self):
@@ -179,7 +170,7 @@ class CurvePoint:
     def satake(self):
         s, roots = self.siegel, None
         if self.key == "rosenhain":
-            d, xs = satake_roots_from_rosenhain(self.val, self.thomae)
+            d, xs = satake_roots_from_rosenhain(self.thomae)
             roots = [s.v**2 // d * x for x in xs]
         return SatakeSextic(roots=roots, siegel=s)
 
@@ -190,19 +181,14 @@ class CurvePoint:
 
 
 def cmd_igusa(_key, point):
-    inv = point.invariants()
+    """The invariants, j and Siegel forms of the job's point, reduced."""
+    inv = point.igusa.reduced()
     out = {"invariants": inv._asdict(), "degenerate": inv.degenerate,
            "absolute": None, "siegel": None}
     if not inv.degenerate:
-        out["absolute"] = absolute_invariants(inv)._asdict()
-        out["siegel"] = siegel_from_igusa(inv)._asdict()
+        out["absolute"] = point.igusa.absolute()._asdict()
+        out["siegel"] = point.siegel.reduced()._asdict()
     return out
-
-
-def _reduced(values, weights, unit):
-    """The values of an integral point over ``unit``, reduced: only values
-    that are printed are reduced, each once."""
-    return [Fraction(v, unit**w) for v, w in zip(values, weights)]
 
 
 def cmd_satake_sextic(key, val):
@@ -216,11 +202,11 @@ def cmd_satake_sextic(key, val):
         coefficients = list(f.coeffs)
     else:
         s = val.siegel
-        S, f = satake_sextic_on_point(s, val.satake.F)   # in X = v^2 x
+        S, f = satake_sextic_on_point(s, val.satake)   # in X = v^2 x
         out["discriminant"], out["Q"] = satake_discriminant_identity(s, val.satake)
         out["discriminant_identity"] = True
-        ps = PowerSums(*_reduced(S, SIEGEL_WEIGHTS, s.v))
-        coefficients = _reduced(f.coeffs, range(12, -1, -2), s.v)
+        ps = PowerSums(*weighted_values(S, SIEGEL_WEIGHTS, s.v))
+        coefficients = weighted_values(f.coeffs, range(12, -1, -2), s.v)
     out["power_sums"] = {f"s{i}": s for i, s in enumerate(ps.astuple(), 1)}
     out["coefficients"] = coefficients
     return out
@@ -234,7 +220,7 @@ def cmd_phi(key, val):
         j = val
         diagnostics = phi_map(j)._asdict()
     else:
-        j = absolute_invariants(IgusaInvariants(*val.igusa.astuple()))
+        j = val.igusa.absolute()
         diagnostics = phi_map(j, val.igusa, val.satake)._asdict()
     return {"j_source": j._asdict(),
             "j_image": diagnostics.pop("j_image")._asdict(),
@@ -285,12 +271,13 @@ def cmd_fibration(key, point, model):
 
 
 def cmd_roundtrip(_key, point, tol):
-    inv = igusa_from_rosenhain(*point.val)
-    f = satake_sextic(power_sums_from_igusa(inv))
-    roots = gaussian_roots(f)
+    """Lambdas rebuilt from the roots of the point's checked Satake sextic."""
+    s = point.siegel
+    _, F = satake_sextic_on_point(s, point.satake)
+    roots = gaussian_roots(Poly(weighted_values(F.coeffs, range(12, -1, -2), s.v)))
     rec_lams, ordering = reconstruct_from_satake_roots(roots)
     j_rec = absolute_invariants(igusa_from_rosenhain(*rec_lams))
-    j_src = absolute_invariants(inv)
+    j_src = point.igusa.absolute()
     max_rel = max(
         abs(complex(a) - complex(b)) / (1.0 + abs(complex(b)))
         for a, b in zip(j_rec.astuple(), j_src.astuple()))

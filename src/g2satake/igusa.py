@@ -26,7 +26,8 @@ from math import comb, factorial, gcd, lcm, prod
 
 from .errors import DomainError, ProductLocusError
 from .qpoly import (ExactTuple, Poly, discriminant, exact_quotient,
-                    integral_representative, reduce_representative)
+                    integral_representative, reduce_representative,
+                    weighted_values)
 from .theta import THOMAE_SUBSETS, thomae_products
 
 # weights of (I2, I4, I6, I10) and of (psi4, psi6, chi10, chi12)
@@ -120,28 +121,33 @@ class _IntegralPoint:
         return self._make([k * self[0], *(v * k**w for v, w in
                                           zip(self.astuple(), self.WEIGHTS))])
 
+    def reduced(self):
+        """The reduced values, as the printed record ``VALUES``."""
+        return self.VALUES(*weighted_values(self.astuple(), self.WEIGHTS, self[0]))
+
 
 class IgusaPoint(_IntegralPoint, namedtuple("IgusaPoint", "u I2 I4 I6 I10")):
     """The Igusa invariants on integers: I_k = I_k' / u^k, u > 0."""
 
     __slots__ = ()
     WEIGHTS = IGUSA_WEIGHTS
+    VALUES = IgusaInvariants
 
     @classmethod
-    def from_rosenhain(cls, lams, thomae=None):
-        """The point of the Rosenhain parameters ``lams``, with no Fraction
-        in between: the forms of degrees 4, 8, 12 and 20 at the integer
-        branch points 0, r, L1, L2, L3 of ``rosenhain_integers``
-        (``_branch_point_forms``) are I2, I4, I6 and I10 over u = r^2.  u is
-        then reduced (``reduce_representative``) over the lambda
-        denominators and the gcds of r with the differences a - b of the
-        branch points and with the numerators (a - b) / gcd(a - b, r) of the
-        lambda differences, which split the primes of r by how close the
-        branch points lie; u usually comes out near r.  ``thomae``, if
-        given, is ``rosenhain_thomae(lams)``, already evaluated."""
-        r, ints, products = thomae or rosenhain_thomae(lams)
+    def from_rosenhain(cls, thomae):
+        """The point of Rosenhain parameters li = Li / r, with no Fraction
+        in between, from their ``rosenhain_thomae`` triple (r, [L1, L2, L3],
+        P): the forms of degrees 4, 8, 12 and 20 at the integer branch
+        points 0, r, L1, L2, L3 (``_branch_point_forms`` on the Thomae
+        products P) are I2, I4, I6 and I10 over u = r^2.  u is then reduced
+        (``reduce_representative``) over the lambda denominators r // gcd(r,
+        Li) and the gcds of r with the differences a - b of the branch
+        points and with the numerators (a - b) / gcd(a - b, r) of the lambda
+        differences, which split the primes of r by how close the branch
+        points lie; u usually comes out near r."""
+        r, ints, products = thomae
         branch = (0, r, *ints)
-        parts = [Fraction(v).denominator for v in lams]
+        parts = [r // gcd(r, v) for v in ints]
         for i, a in enumerate(branch):
             for b in branch[i + 1:]:
                 g = gcd(r, a - b)
@@ -149,6 +155,10 @@ class IgusaPoint(_IntegralPoint, namedtuple("IgusaPoint", "u I2 I4 I6 I10")):
         u, vals = reduce_representative(
             r * r, _branch_point_forms(branch, products), IGUSA_WEIGHTS, parts)
         return cls(u, *vals)
+
+    def absolute(self):
+        """(j1, j2, j3), of weight 0, read off the integers."""
+        return absolute_invariants(IgusaInvariants(*self.astuple()))
 
     def siegel(self):
         """The Siegel point over v = 12 u, on which the Siegel forms and the
@@ -169,6 +179,7 @@ class SiegelPoint(_IntegralPoint,
 
     __slots__ = ()
     WEIGHTS = SIEGEL_WEIGHTS
+    VALUES = SiegelForms
 
     def q(self):
         """Q at the integers, of weight 60 (``q_form``)."""
@@ -209,15 +220,15 @@ def _splits():
 _SPLITS = _splits()
 
 
-def _branch_point_forms(a, products=None):
+def _branch_point_forms(a, products):
     """(I2', I4', I6', I10') of the sextic with the five finite branch points
     a = (a_0, ..., a_4) and infinity: forms of degrees 4, 8, 12 and 20 in a.
 
     With D_ij = (a_i - a_j)^2 (and D = 1 on a pair through infinity) and the
-    Thomae products P_T (``theta.thomae_products``, unless given as
-    ``products``), the triangle products of the split of the six points into
-    T and its complement with infinity, these are the Igusa-Clebsch
-    root-difference sums (Igusa 1960; Mestre 1991):
+    Thomae products P_T = ``products`` (``theta.thomae_products`` of a), the
+    triangle products of the split of the six points into T and its
+    complement with infinity, these are the Igusa-Clebsch root-difference
+    sums (Igusa 1960; Mestre 1991):
 
         I2'  = sum over the 15 pairings of D D
         I4'  = sum_T P_T^2
@@ -229,7 +240,7 @@ def _branch_point_forms(a, products=None):
     """
     d = [a[i] - a[j] for i, j in _PAIRS]
     D = [v * v for v in d]
-    p2 = [p * p for p in products or thomae_products(a)]
+    p2 = [p * p for p in products]
     I6 = 0
     for pp, split in zip(p2, _SPLITS):
         I6 += pp * sum([D[m] * D[n] for m, n in split])
@@ -248,8 +259,8 @@ def rosenhain_integers(lams):
 def rosenhain_thomae(lams):
     """(r, [L1, L2, L3], P): ``rosenhain_integers`` and the Thomae products
     P of the integer branch points 0, r, L1, L2, L3
-    (``theta.thomae_products``), on which both ``IgusaPoint.from_rosenhain``
-    and ``satake.satake_roots_from_rosenhain`` are built."""
+    (``theta.thomae_products``), which ``IgusaPoint.from_rosenhain`` and
+    ``satake.satake_roots_from_rosenhain`` take."""
     r, ints = rosenhain_integers(lams)
     return r, ints, thomae_products((0, r, *ints))
 
@@ -257,18 +268,14 @@ def rosenhain_thomae(lams):
 def igusa_from_rosenhain(l1, l2, l3):
     """Invariants of Y^2 = X(X-1)(X-l1)(X-l2)(X-l3), exact in the lambdas.
 
-    Rational lambdas are evaluated once on the integer branch points 0, r,
-    L1, L2, L3 of ``rosenhain_integers`` (``_branch_point_forms``), and the
-    form of weight w is divided by r^(2w); other values (``GaussianRational``,
-    complex) on 0, 1, l1, l2, l3.  Repeated or 0/1 lambdas are not rejected:
-    they surface as I10 = 0 and the ``degenerate`` flag.
+    ``_branch_point_forms`` at the branch points 0, 1, l1, l2, l3, in the
+    arithmetic of the lambdas: int, Fraction, ``GaussianRational`` or
+    complex; ``IgusaPoint.from_rosenhain`` is the integral route of rational
+    lambdas.  Repeated or 0/1 lambdas are not rejected: they surface as
+    I10 = 0 and the ``degenerate`` flag.
     """
-    lams = (l1, l2, l3)
-    if not all(isinstance(v, (int, Fraction)) for v in lams):
-        return IgusaInvariants(*_branch_point_forms((0, 1, *lams)))
-    r, ints = rosenhain_integers(lams)
-    return IgusaInvariants(*(Fraction(v, r ** (2 * w)) for v, w in
-                             zip(_branch_point_forms((0, r, *ints)), IGUSA_WEIGHTS)))
+    a = (0, 1, l1, l2, l3)
+    return IgusaInvariants(*_branch_point_forms(a, thomae_products(a)))
 
 
 # ---------------------------------------------------------------------------
@@ -457,12 +464,11 @@ def chi35_squared(s):
     return derived_forms(s).chi35_squared
 
 
-def humbert_predicates(s, q=None):
-    """Membership flags for the Humbert surfaces H_1 and H_4.
+def humbert_predicates(s, q):
+    """Membership flags for the Humbert surfaces H_1 and H_4 of the form
+    values ``s`` and their Q = ``q`` (``q_form``).
 
     H_1 (product of elliptic curves) is chi10 = 0; H_4 (Bolza extra
-    involution) is Q = 0.  ``q`` is Q if already known.
+    involution) is Q = 0.
     """
-    if q is None:
-        q = q_form(s)
     return {"on_H1": s.chi10 == 0, "on_H4": q == 0}

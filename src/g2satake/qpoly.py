@@ -515,6 +515,12 @@ def reduce_representative(r, ints, weights, parts):
     return r, ints
 
 
+def weighted_values(values, weights, unit):
+    """The values v / unit^w, reduced, of a weighted point of unit ``unit``
+    whose numerators ``values`` have the weights ``weights``."""
+    return [Fraction(v, unit**w) for v, w in zip(values, weights)]
+
+
 def _quotients(ints, weights, g):
     """[n / g^w], or None as soon as some g^w does not divide its n."""
     out = []

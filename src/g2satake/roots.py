@@ -74,12 +74,16 @@ def complex_roots(p):
     """All deg(p) roots of p, with multiplicity, as a list of complex.
 
     ``p`` may be a Poly or a lowest-degree-first coefficient sequence;
-    coefficients are coerced to complex.  Raises RootFindingError (with
-    roots and residuals attached) if the relative residual bound
-    DEFAULT_TOL is not met within MAX_ITER Aberth sweeps.
+    coefficients are coerced to complex (past the double range, a
+    DomainError).  Raises RootFindingError (with roots and residuals
+    attached) if the relative residual bound DEFAULT_TOL is not met within
+    MAX_ITER Aberth sweeps.
     """
     coeffs = list(p.coeffs) if isinstance(p, Poly) else list(p)
-    c = [complex(v) for v in coeffs]
+    try:
+        c = [complex(v) for v in coeffs]
+    except OverflowError:
+        raise DomainError("a coefficient lies beyond the double range")
     if len(c) <= 1:
         raise DomainError("complex_roots needs degree >= 1")
     if abs(c[-1]) <= DEFAULT_TOL:

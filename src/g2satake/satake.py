@@ -20,10 +20,10 @@ from math import comb, gcd, isqrt
 from .errors import (DegeneratePointError, DomainError, IdentityViolationError,
                      InversionSingularError)
 from .igusa import (SIEGEL_WEIGHTS, AbsoluteInvariants, IgusaInvariants,
-                    IgusaPoint, SiegelForms, SiegelPoint, even_invariants,
-                    igusa_from_absolute, q_form, rosenhain_thomae)
+                    IgusaPoint, SiegelPoint, even_invariants, igusa_from_absolute,
+                    q_form)
 from .qpoly import (ExactTuple, Poly, discriminant, integral_representative,
-                    root_differences)
+                    root_differences, weighted_values)
 from .theta import (SATAKE_MATRIX, rosenhain_from_theta4, theta4_from_satake,
                     thomae_fourth_powers)
 
@@ -71,10 +71,9 @@ def _power_sums_siegel(p4, p6, c10, c12):
 
 def _power_sums(point, body):
     """``body`` (weighted homogeneous, values of the Siegel weights) on the
-    integers of the integral ``point``, each divided by its unit to the
-    weight once."""
-    return PowerSums(*(Fraction(v) / point[0]**w
-                       for v, w in zip(body(*point.astuple()), SIEGEL_WEIGHTS)))
+    integers of the integral ``point``, reduced once (``weighted_values``)."""
+    return PowerSums(*weighted_values(body(*point.astuple()), SIEGEL_WEIGHTS,
+                                      point[0]))
 
 
 def power_sums_from_igusa(inv):
@@ -160,24 +159,23 @@ def satake_sextic(ps, s4=None):
                  for k, c in enumerate(_sextic_1440(*S).coeffs)])
 
 
-def satake_sextic_on_point(s, f=None):
+def satake_sextic_on_point(s, sextic):
     """The power sums and the Satake sextic of the integral Siegel point
     ``s`` (an ``igusa.SiegelPoint`` of unit v), on integers.
 
     Returns (S, F): the power sums S = (S2, S3, S5, S6) with s_j = S_j /
     v^(2j), and the sextic in the weighted coordinate X = v^2 x, F(X) =
-    v^12 f(X / v^2), a monic integer Poly whose roots are v^2 x_i.  Both
-    constructions are computed and compared over Z: the power-sum sextic
-    (Bell and closed forms) and ``satake_sextic_from_siegel``, or ``f`` if
-    that is already built; a mismatch raises IdentityViolationError.
-    S2 = 12 psi4', so S2^2 / 4 is an integer.
+    v^12 f(X / v^2), a monic integer Poly whose roots are v^2 x_i.  The
+    three constructions are compared over Z: the power-sum sextic in its
+    Bell and closed forms, and ``sextic.F``, that of the Siegel forms
+    (``satake_sextic_from_siegel``); a mismatch raises
+    IdentityViolationError.  S2 = 12 psi4', so S2^2 / 4 is an integer.
     """
     S2, S3, S5, S6 = S = _power_sums_siegel(*s.astuple())
-    f = satake_sextic_from_siegel(s) if f is None else f
-    if _sextic_1440(0, S2, S3, S2 * S2 // 4, S5, S6) != 1440 * f:
+    if _sextic_1440(0, S2, S3, S2 * S2 // 4, S5, S6) != 1440 * sextic.F:
         raise IdentityViolationError(
             "power-sum and Siegel-form constructions of the sextic disagree")
-    return S, f
+    return S, sextic.F
 
 
 def satake_sextic_from_siegel(s):
@@ -190,21 +188,20 @@ def satake_sextic_from_siegel(s):
     return cube * cube + Poly([-3 * 2**14 * 3**5 * c12, 2**14 * 3**5 * c10])
 
 
-def satake_roots_from_rosenhain(lams, thomae=None):
-    """The six Satake roots of the curve with Rosenhain parameters ``lams``,
-    in closed form: (d, X) with x_i = X_i / d.
+def satake_roots_from_rosenhain(thomae):
+    """The six Satake roots of the curve with Rosenhain parameters li =
+    Li / L, in closed form from their ``igusa.rosenhain_thomae`` triple (L,
+    [L1, L2, L3], P): (d, X) with x_i = X_i / d.
 
     By Thomae's formula the theta fourth powers of the curve are the P_T of
     its branch points 0, 1, l1, l2, l3 (``theta.thomae_fourth_powers``), and
-    x = SATAKE_MATRIX (P_T1, ..., P_T5) are the roots of its Satake sextic
-    ``satake_sextic(power_sums_from_igusa(igusa_from_rosenhain(*lams)))``.
-    With L the lcm of the denominators, the branch points L (0, 1, l1, l2,
-    l3) are integers, and so are their P_T, L^4 times those of the curve:
-    x = SATAKE_MATRIX P / L^4, returned with the common content of L^4 and
-    the six numerators divided out.  ``thomae``, if given, is
-    ``igusa.rosenhain_thomae(lams)``, already evaluated.
+    x = SATAKE_MATRIX (P_T1, ..., P_T5) are the roots of its Satake sextic.
+    L is the lcm of the denominators, so the branch points L (0, 1, l1, l2,
+    l3) are integers, and so are their P = (P_T), L^4 times those of the
+    curve: x = SATAKE_MATRIX P / L^4, returned with the common content of
+    L^4 and the six numerators divided out.
     """
-    L, _, p = thomae or rosenhain_thomae(lams)
+    L, _, p = thomae
     xs = [sum(c * t for c, t in zip(row, p)) for row in SATAKE_MATRIX]
     g = gcd(L**4, *xs)
     return L**4 // g, [x // g for x in xs]
@@ -473,8 +470,7 @@ def phi_map(j, point=None, sextic=None):
         raise IdentityViolationError(
             "moduli-map components disagree with the direct invariant route")
 
-    image = SiegelForms(*(Fraction(v, img.v**w) for v, w in
-                          zip(img.astuple(), SIEGEL_WEIGHTS)))
+    image = img.reduced()
     Q_src = Fraction(Q, e**30)
     Q_img = q_form(image)
     return PhiResult(

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from g2satake.cli import CurvePoint
-from g2satake.igusa import igusa_from_rosenhain
+from g2satake.igusa import igusa_from_rosenhain, rosenhain_thomae
 from g2satake.satake import (SatakeSextic, power_sums_from_igusa,
                              satake_roots_from_rosenhain, satake_sextic)
 
@@ -54,7 +54,7 @@ def satake_in_x(lams):
     """The ``SatakeSextic`` of a Rosenhain curve in x itself: its Satake
     sextic f from the power sums, and the closed-form roots x_i = X_i / d
     as Fractions."""
-    d, xs = satake_roots_from_rosenhain(lams)
+    d, xs = satake_roots_from_rosenhain(rosenhain_thomae(lams))
     f = satake_sextic(power_sums_from_igusa(igusa_from_rosenhain(*lams)))
     return SatakeSextic(f, [Fraction(x, d) for x in xs])
 

@@ -90,9 +90,10 @@ def test_criterion_1_discriminant_identity():
     t0 = time.perf_counter()
     for lams in TRIPLES_20:
         s = SiegelPoint.of(siegel_from_igusa(igusa_from_rosenhain(*lams)))
-        # the Bell and closed-form sextic, checked against the Siegel-form one
-        _, f = satake_sextic_on_point(s)
-        disc, q = satake_discriminant_identity(s, SatakeSextic(f))
+        # the Siegel-form sextic, checked against the Bell and closed forms
+        sextic = SatakeSextic(siegel=s)
+        satake_sextic_on_point(s, sextic)
+        disc, q = satake_discriminant_identity(s, sextic)
         assert disc == 2**52 * 3**21 * q   # exact, zero tolerance
     _report(1, "disc(Satake sextic) = 2^52 3^21 Q, 20 triples", t0, 10)
 

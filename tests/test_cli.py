@@ -190,6 +190,20 @@ def test_each_failed_moduli_map_check_is_exit_3(capsys, monkeypatch, check,
     assert message in doc["error"], doc["error"]
 
 
+@pytest.mark.parametrize("lams", [
+    "2,3,5", "4738291056/8829104735,-1920384756/6473829105,7364519028/2039485716"],
+    ids=("h2", "h10"))
+def test_a_failed_satake_sextic_check_in_a_round_trip_is_exit_3(capsys, monkeypatch,
+                                                                lams):
+    """The round trip compares the Siegel-form sextic of its point with the
+    Bell and closed forms of the power sums over Z before it solves it."""
+    _off_by(monkeypatch, satake, "satake_sextic_from_siegel", lambda f: f + 1)
+    code, doc = invoke(capsys, "roundtrip", f"--rosenhain={lams}")
+    assert code == 3
+    assert doc["status"] == "identity-violation"
+    assert "power-sum and Siegel-form constructions" in doc["error"], doc["error"]
+
+
 def _params_off(monkeypatch):
     # I2' + 12 leaves d = I2'/24 a remainder of 12 on the point over v
     from_igusa = FibrationParams.from_igusa

@@ -17,7 +17,7 @@ from g2satake.fibrations import (INFINITY, FibrationParams, KodairaFiber,
                                  _integral_short_form)
 from g2satake.igusa import (IgusaInvariants, IgusaPoint, SiegelForms,
                             igusa_from_rosenhain, igusa_from_sextic,
-                            rosenhain_poly, siegel_from_igusa)
+                            rosenhain_poly, rosenhain_thomae, siegel_from_igusa)
 from g2satake.qpoly import Poly, integer_gcd, integer_squarefree, primitive_part
 from g2satake.satake import SatakeSextic, power_sums_from_igusa, satake_sextic
 from conftest import (Q0_LAMBDAS, lambdas_of_height, random_lambdas,
@@ -750,5 +750,6 @@ def test_predicates_from_satake_roots_match_the_subresultant(rng):
         assert degeneration_predicates(p, SatakeSextic(sextic.F)) == flags
         _, on_point = satake_on_point(lams)
         integral = FibrationParams.from_igusa(
-            IgusaInvariants(*IgusaPoint.from_rosenhain(lams).scaled(12).astuple()))
+            IgusaInvariants(*IgusaPoint.from_rosenhain(
+                rosenhain_thomae(lams)).scaled(12).astuple()))
         assert degeneration_predicates(integral, on_point) == flags

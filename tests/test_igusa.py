@@ -175,7 +175,7 @@ def test_q_times_chi10_is_chi35sq(rng):
 def test_even_sextic_on_bolza_locus():
     s = siegel_from_igusa(igusa_from_sextic(EVEN_SEXTIC))
     assert q_form(s) == 0
-    assert humbert_predicates(s) == {"on_H1": False, "on_H4": True}
+    assert humbert_predicates(s, q_form(s)) == {"on_H1": False, "on_H4": True}
 
 
 def test_extra_involution_lambdas():
@@ -185,9 +185,11 @@ def test_extra_involution_lambdas():
 
 
 def test_humbert_flags():
-    assert humbert_predicates(SiegelForms(1, 1, 0, 1))["on_H1"]
+    product = SiegelForms(1, 1, 0, 1)
+    assert humbert_predicates(product, q_form(product))["on_H1"]
     generic = siegel_from_igusa(igusa_from_rosenhain(2, 3, 5))
-    assert humbert_predicates(generic) == {"on_H1": False, "on_H4": False}
+    assert humbert_predicates(generic, q_form(generic)) == {
+        "on_H1": False, "on_H4": False}
 
 
 def test_igusa_from_absolute_representative():
@@ -238,7 +240,7 @@ def test_predicate_helpers_accept_a_known_q():
     s = siegel_from_igusa(igusa_from_rosenhain(2, 3, 5))
     forms = derived_forms(s)
     assert forms.q == q_form(s)
-    assert humbert_predicates(s, forms.q) == humbert_predicates(s)
+    assert humbert_predicates(s, forms.q) == {"on_H1": False, "on_H4": False}
     assert forms.chi35_squared == chi35_squared(s)
 
 

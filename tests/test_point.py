@@ -18,7 +18,8 @@ from g2satake.fibrations import (FibrationParams, alternate_model,
                                  standard_model)
 from g2satake.igusa import (IGUSA_WEIGHTS, IgusaInvariants, IgusaPoint,
                             SiegelForms, SiegelPoint, absolute_invariants,
-                            igusa_from_rosenhain, igusa_from_siegel, q_form,
+                            igusa_from_rosenhain, igusa_from_sextic,
+                            igusa_from_siegel, q_form, rosenhain_thomae,
                             siegel_from_igusa)
 from g2satake.qpoly import discriminant, integral_representative
 from g2satake.satake import (SatakeSextic, power_sums_from_siegel,
@@ -48,7 +49,7 @@ MODELS = ("kummer1", "kummer23", "alternate", "alternate-ftheory", "standard")
 @pytest.mark.parametrize("name", sorted(ROSENHAIN))
 def test_the_rosenhain_point_is_right_and_minimal(name):
     lams = ROSENHAIN[name]
-    point = IgusaPoint.from_rosenhain(lams)
+    point = IgusaPoint.from_rosenhain(rosenhain_thomae(lams))
     inv = igusa_from_rosenhain(*lams)
     assert point.u > 0 and all(isinstance(v, int) for v in point)
     assert all(F(v, point.u**w) == x for v, w, x in
@@ -60,7 +61,7 @@ def test_the_rosenhain_point_is_right_and_minimal(name):
 
 def test_the_siegel_point_is_the_dictionary_over_12u():
     lams = ROSENHAIN["h10-0"]
-    point = IgusaPoint.from_rosenhain(lams)
+    point = IgusaPoint.from_rosenhain(rosenhain_thomae(lams))
     s = point.siegel()
     assert s.v == 12 * point.u
     expected = siegel_from_igusa(igusa_from_rosenhain(*lams))
@@ -94,6 +95,13 @@ def _fibers(census_fibers):
                    list(f.orders), f.count) for f in census_fibers)
 
 
+# the Fraction invariants of each input, in Fraction arithmetic apart from
+# the job's integral point
+FRACTION_ROUTE = {"rosenhain": lambda val: igusa_from_rosenhain(*val),
+                  "siegel": igusa_from_siegel, "sextic": igusa_from_sextic,
+                  "igusa": lambda val: val}
+
+
 def _fraction_model(key, val, model):
     """The model on the reduced Fraction invariants, in t, with the Satake
     roots x_i of Rosenhain input: the route of the point's parent."""
@@ -101,9 +109,7 @@ def _fraction_model(key, val, model):
         return alternate_model_ftheory(val)
     if model == "kummer1":
         return kummer_quartic_model(*val).jacobian_model()
-    inv = {"rosenhain": lambda: igusa_from_rosenhain(*val),
-           "siegel": lambda: igusa_from_siegel(val),
-           "igusa": lambda: val}[key]()
+    inv = FRACTION_ROUTE[key](val)
     sextic = satake_in_x(val) if key == "rosenhain" else None
     p = FibrationParams.from_igusa(inv)
     return {"kummer23": lambda: kumfib2_model(inv, sextic),
@@ -245,8 +251,10 @@ PHI_CURVES = {
 def test_the_moduli_map_on_the_point_is_that_of_j(name):
     """The job's point and its Satake sextic give the moduli map of j, whose
     own point phi_map builds at I2 = 1."""
-    point = cli.CurvePoint(*PHI_CURVES[name])
-    j = absolute_invariants(point.invariants())
+    key, val = PHI_CURVES[name]
+    point = cli.CurvePoint(key, val)
+    j = absolute_invariants(FRACTION_ROUTE[key](val))
+    assert point.igusa.absolute() == j
     assert satake.phi_map(j, point.igusa, point.satake) == satake.phi_map(j)
 
 
@@ -266,6 +274,42 @@ def test_a_phi_job_runs_the_direct_route_on_its_satake_sextic(source, monkeypatc
     assert not fraction_route
     assert sum(disc.values()) == 1
     assert disc["root_differences"] == source.startswith("--rosenhain")
+
+
+def _logged(monkeypatch, name, modules):
+    """Log the arguments and result of each call of the function ``name``
+    through its bindings in ``modules``."""
+    log, original = [], getattr(modules[0], name)
+
+    def spy(*args):
+        log.append((args, original(*args)))
+        return log[-1][1]
+
+    for module in modules:
+        monkeypatch.setattr(module, name, spy)
+    return log
+
+
+@pytest.mark.parametrize("argv", [
+    ["igusa", f"--{key}=" + ",".join(map(str, getattr(val, "coeffs", val)))]
+    for key, val in (PHI_CURVES[name] for name in sorted(PHI_CURVES))]
+    + [["roundtrip", f"--rosenhain={lams}"]
+       for lams in (H10, ",".join(map(str, ROSENHAIN["shared-0"])))],
+    ids=" ".join)
+def test_igusa_and_roundtrip_jobs_read_the_point(argv, monkeypatch):
+    """No Siegel forms of Fraction invariants, no power sums of them and no
+    power-sum sextic beside the point; the Fraction route of the lambdas
+    runs only on those that the round trip rebuilds."""
+    beside = _spy_on(monkeypatch, ("siegel_from_igusa",), igusa)
+    beside.update(_spy_on(monkeypatch, ("power_sums_from_igusa", "satake_sextic"),
+                          satake))
+    invariants = _logged(monkeypatch, "igusa_from_rosenhain", (igusa, cli))
+    rebuilt = _logged(monkeypatch, "reconstruct_from_satake_roots", (satake, cli))
+    code, env = _run(argv)
+    assert code == cli.EXIT_OK, env
+    assert not beside
+    assert len(rebuilt) == (argv[0] == "roundtrip")
+    assert [args for args, _ in invariants] == [lams for _, (lams, _) in rebuilt]
 
 
 @pytest.mark.parametrize("name", ("h2-0", "h30-0"))

@@ -8,7 +8,8 @@ from g2satake.errors import (DegeneratePointError, DomainError,
                              IdentityViolationError, InversionSingularError)
 from g2satake.igusa import (IgusaInvariants, SiegelForms, SiegelPoint,
                             absolute_invariants, igusa_from_rosenhain,
-                            igusa_from_sextic, q_form, siegel_from_igusa)
+                            igusa_from_sextic, q_form, rosenhain_thomae,
+                            siegel_from_igusa)
 from g2satake.qpoly import Poly, discriminant
 from g2satake.roots import gaussian_roots
 from g2satake.satake import (PowerSums, SatakeSextic, complete_bell,
@@ -164,11 +165,12 @@ def test_integer_sextic_matches_the_fraction_route(rng, digits):
 
 
 def _discriminant_identity(forms):
-    """The identity on the integral point of the form values, with the
-    sextic that the power sums (Bell and closed forms) give."""
+    """The identity on the integral point of the form values, with its
+    sextic checked against the power sums' Bell and closed forms."""
     s = SiegelPoint.of(forms)
-    return satake_discriminant_identity(
-        s, SatakeSextic(satake_sextic_on_point(s)[1]))
+    sextic = SatakeSextic(siegel=s)
+    satake_sextic_on_point(s, sextic)
+    return satake_discriminant_identity(s, sextic)
 
 
 def test_discriminant_identity_random(rng):
@@ -312,7 +314,7 @@ def _check_thomae_route(lams):
     f = satake_sextic(power_sums_from_igusa(inv))
     assert Poly.from_roots(x) == f
     assert theta4_from_satake(x) == p
-    d, xs = satake_roots_from_rosenhain(lams)
+    d, xs = satake_roots_from_rosenhain(rosenhain_thomae(lams))
     assert d > 0 and [F(v, d) for v in xs] == x
     disc = SatakeSextic(f, x).discriminant()
     assert disc == discriminant(f) == 2**52 * 3**21 * q_form(siegel_from_igusa(inv))
