@@ -85,10 +85,6 @@ def _breaks_power_sum_constraints(value):
     return len(s) == 6 and (s[0] != 0 or s[3] != s[1] ** 2 / 4)
 
 
-def _flag(key):
-    return "--" + key.replace("_", "-")
-
-
 def _jobs(seed=2030, per_input=10):
     """(argv, document or None, stdin or None, may exit 3) of each job."""
     rng = random.Random(seed)
@@ -103,7 +99,7 @@ def _jobs(seed=2030, per_input=10):
                                and _breaks_power_sum_constraints(flags[key]))
                 form = rng.choice(("argv",) * 6 + ("file", "stdin"))
                 if form == "argv":
-                    argv = [command] + [f"{_flag(k)}={v}" for k, v in flags.items()]
+                    argv = [command] + [f"{cli._flag(k)}={v}" for k, v in flags.items()]
                     if rng.random() < 0.2:
                         argv.append("--pretty")
                     jobs.append((argv, None, None, may_violate))
@@ -165,5 +161,5 @@ def test_the_sweep_reaches_every_command_flag_and_form():
     flags = {arg.split("=")[0] for argv, _, _, _ in JOBS for arg in argv}
     documents = [text for _, text, stdin, _ in JOBS if text or stdin]
     assert commands == set(cli.COMMANDS) | {"run"}
-    assert {_flag(k) for k in cli._INPUTS} <= flags
+    assert {cli._flag(k) for k in cli._INPUTS} <= flags
     assert len(JOBS) >= 250 and len(documents) >= 50
