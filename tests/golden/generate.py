@@ -36,7 +36,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from g2satake.cli import run
-from g2satake.igusa import absolute_invariants, igusa_from_rosenhain
+from g2satake.igusa import (absolute_invariants, igusa_from_rosenhain,
+                            rosenhain_poly)
 
 CORPUS = Path(__file__).with_name("corpus.jsonl")
 
@@ -54,6 +55,10 @@ H10_B = "8759677792/9420260951,2195188523/4940602561,-8500710257/2724819962"
 H30 = ("-760052680584135277917699742353/948976433064614170000004856029,"
        "-740311222875247614921391190876/929843575700088097723836082607,"
        "-126650940139843540943465467603/145294969069157102331512933948")
+# the coefficients of the Rosenhain quintic x (x - 1) (x - l1) (x - l2) (x - l3)
+# of H30: igusa --sextic on them prints what igusa --rosenhain=H30 prints
+H30_QUINTIC = ",".join(map(str, rosenhain_poly(
+    *map(Fraction, H30.split(","))).coeffs))
 H60 = ("12348659103603927716851141919225599804700703053726843026920/"
        "22456763511431642145044208825942677913383107567377786617989,"
        "494208935864645487915430707762541360260330217817346688152377/"
@@ -254,7 +259,17 @@ def cases():
         f"--rosenhain={SHARED_PRIMES}", f"--siegel={SIEGEL_H10}")]
     later += [["roundtrip", f"--rosenhain={source}"]
               for source in (SHARED_PRIMES, "2,3,6")]
+    # igusa on the Rosenhain quintic of H30; --power-sums next to a curve
+    # flag, a repeated flag and an --out in a missing directory (exit 1);
+    # and a job document on stdin that sets a boolean option with true
+    later += [["igusa", f"--sextic={H30_QUINTIC}"],
+              ["satake-sextic", "--power-sums=0,4,1,4,2,3", f"--rosenhain={GENERIC}"],
+              ["igusa", "--rosenhain=1/2,3,5", f"--rosenhain={GENERIC}"],
+              ["igusa", f"--rosenhain={GENERIC}", "--out=missing/x.json"]]
     out += [(argv, None, None) for argv in later]
+    out.append((["run", "-"], None, json.dumps(
+        {"command": "igusa", "input": {"rosenhain": [2, 3, 5]},
+         "options": {"pretty": True}})))
     return out
 
 
