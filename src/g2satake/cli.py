@@ -79,7 +79,22 @@ def _printed(v):
 
 def _dumps(envelope, args):
     return json.dumps(envelope, sort_keys=True, default=_json_value,
-                      indent=2 if args and args.pretty else None)
+                      indent=2 if args and args.pretty else None, allow_nan=False)
+
+
+def _unprintable(envelope):
+    """Why ``_dumps`` refused an ok envelope, as a DomainError.  A non-finite
+    float (NaN and infinity are not JSON, RFC 8259) and an int past Python's
+    limit on int-to-str conversion both raise ValueError; only the second
+    still raises when NaN is allowed."""
+    try:
+        json.dumps(envelope, default=_json_value)
+    except ValueError:
+        return DomainError(
+            "the result holds an exact value of more than "
+            f"{sys.get_int_max_str_digits()} digits, which cannot be printed")
+    return DomainError("the result holds a non-finite float (NaN or infinity), "
+                       "which JSON cannot print")
 
 
 def _parse_fraction(s):
@@ -513,10 +528,8 @@ def run(argv=None):
                     "result": _dispatch(args)}
         try:
             text = _dumps(envelope, args)
-        except ValueError:   # Python's limit on int-to-str conversion
-            raise DomainError(
-                "the result holds an exact value of more than "
-                f"{sys.get_int_max_str_digits()} digits, which cannot be printed")
+        except ValueError:
+            raise _unprintable(envelope)
         code = EXIT_OK
     except SchemaError as e:
         envelope = {"status": "schema-error", "error": str(e)}

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb, factorial, gcd, lcm, prod
+from math import comb, factorial, gcd, lcm, perm, prod
 
 from .errors import DomainError, ProductLocusError
 from .qpoly import (ExactTuple, Poly, discriminant, exact_quotient,
@@ -283,22 +283,9 @@ def igusa_from_rosenhain(l1, l2, l3):
 # ---------------------------------------------------------------------------
 
 
-def _dx(c, n):
-    return [i * c[i] for i in range(1, n + 1)]
-
-
-def _dy(c, n):
-    return [(n - i) * c[i] for i in range(n)]
-
-
 def _mixed(c, n, kx, ky):
-    for _ in range(kx):
-        c = _dx(c, n)
-        n -= 1
-    for _ in range(ky):
-        c = _dy(c, n)
-        n -= 1
-    return c
+    """d^(kx+ky) / dx^kx dy^ky of the form sum c_i x^i y^(n-i)."""
+    return [perm(i, kx) * perm(n - i, ky) * c[i] for i in range(kx, n - ky + 1)]
 
 
 def _form_mul(a, b):

@@ -19,7 +19,7 @@ Job documents are written into the working directory under the file name
 that ``argv`` gives, so the recording and the replay both run in a scratch
 directory.  Inputs at every special locus follow the constructions of
 ``perfbench/jobs.py``.  Values of more than 4300 decimal digits are left
-out: the encoder cannot print them yet (``phi`` above 2-digit heights).
+out: the encoder cannot print them yet (``phi`` from 5-digit heights on).
 """
 
 from __future__ import annotations
@@ -270,6 +270,8 @@ def cases():
     out.append((["run", "-"], None, json.dumps(
         {"command": "igusa", "input": {"rosenhain": [2, 3, 5]},
          "options": {"pretty": True}})))
+    # a finite tau whose lattice sums overflow to NaN, which is not JSON
+    out.append((["theta", "--tau=1e308,1,0,0,-1e308,1"], None, None))
     return out
 
 

@@ -130,7 +130,7 @@ def test_a_failed_discriminant_identity_is_exit_3(capsys, monkeypatch, flag):
 def _off_by(monkeypatch, owner, name, change):
     """Patch ``owner.name`` to return ``change`` of what it returned."""
     original = getattr(owner, name)
-    monkeypatch.setattr(owner, name, lambda *a: change(original(*a)))
+    monkeypatch.setattr(owner, name, lambda *a, **k: change(original(*a, **k)))
 
 
 H2_AND_H30 = [
@@ -202,6 +202,28 @@ def test_a_failed_satake_sextic_check_in_a_round_trip_is_exit_3(capsys, monkeypa
     assert code == 3
     assert doc["status"] == "identity-violation"
     assert "power-sum and Siegel-form constructions" in doc["error"], doc["error"]
+
+
+def _first_known_factor_shifted(model):
+    """``model`` with 1 added to the constant coefficient of its first known
+    discriminant factor, so that the known factors no longer multiply to a
+    constant times the discriminant (a constant factor would)."""
+    (f, k), *rest = model.disc_factors
+    return model._replace(disc_factors=((f + 1, k), *rest))
+
+
+@pytest.mark.parametrize("lams", H2_AND_H30, ids=("h2", "h30"))
+@pytest.mark.parametrize("model, build", [("kummer1", "kummer_quartic_model"),
+                                          ("alternate", "alternate_model")])
+def test_wrong_known_discriminant_factors_are_exit_3(capsys, monkeypatch, model,
+                                                     build, lams):
+    """kummer1 (C != 0) checks its known factors against the expanded
+    discriminant, alternate (C = 0) against A^2 - 4B."""
+    _off_by(monkeypatch, cli, build, _first_known_factor_shifted)
+    code, doc = invoke(capsys, "fibration", "--model", model, f"--rosenhain={lams}")
+    assert code == 3
+    assert doc["status"] == "identity-violation"
+    assert "known discriminant factors" in doc["error"], doc["error"]
 
 
 def _params_off(monkeypatch):

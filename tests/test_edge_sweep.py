@@ -1,9 +1,9 @@
 """A seeded sweep of edge inputs through every command.
 
-Each job must end in exactly one JSON envelope on stdout, nothing on
-stderr, an exit code in {0, 1, 2, 3} and the status of that code.  Exit 3
-is allowed only where the input breaks a stated constraint: ``--power-sums``
-with s1 != 0 or s4 != s2^2/4.
+Each job must end in exactly one JSON envelope on stdout, strict JSON
+without NaN or Infinity, nothing on stderr, an exit code in {0, 1, 2, 3}
+and the status of that code.  Exit 3 is allowed only where the input breaks
+a stated constraint: ``--power-sums`` with s1 != 0 or s4 != s2^2/4.
 
 The jobs cover every command and input flag, ``run`` documents from a file
 and from stdin, the special loci of ``perfbench/jobs.py`` (Q = 0, chi10 = 0,
@@ -113,7 +113,8 @@ def _jobs(seed=2030, per_input=10):
                             if form == "file" else
                             (["run", "-"], None, text, may_violate))
     # documents that are not jobs, a file that is not there, flags spelt apart
-    # from their values, two inputs and no input
+    # from their values, two inputs and no input; and a finite tau whose
+    # lattice sums overflow to NaN
     for text in ("", "[]", "null", "{not json", '{"command": 5}',
                  '{"command": "igusa", "input": [2, 3, 5]}',
                  '{"command": "igusa", "input": {"rosenhain": {"a": 1}}}',
@@ -127,11 +128,17 @@ def _jobs(seed=2030, per_input=10):
     jobs += [(argv, None, None, False) for argv in (
         ["run", "missing.json"], ["run", "."], ["igusa", "--rosenhain", "-1,2,3"],
         ["igusa", "--rosenhain", "2,3,5", "--siegel=3,5,7,11"], ["phi"], [],
-        ["fibration", "--rosenhain=2,3,5"], ["theta", "--tau=1,2,3"])]
+        ["fibration", "--rosenhain=2,3,5"], ["theta", "--tau=1,2,3"],
+        ["theta", "--tau=1e308,1,0,0,-1e308,1"])]
     return jobs
 
 
 JOBS = _jobs()
+
+
+def _not_json(constant):
+    """``parse_constant``: NaN, Infinity and -Infinity are not JSON (RFC 8259)."""
+    raise ValueError(f"{constant} in an envelope")
 
 
 @pytest.mark.parametrize("argv,document,stdin,may_violate", JOBS,
@@ -148,7 +155,7 @@ def test_every_edge_job_ends_in_one_typed_envelope(argv, document, stdin,
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.run(list(argv))
     text = out.getvalue()
-    envelope, end = json.JSONDecoder().raw_decode(text)
+    envelope, end = json.JSONDecoder(parse_constant=_not_json).raw_decode(text)
     assert text[end:] == "\n", "more than one envelope"
     assert err.getvalue() == ""
     assert code in STATUS
