@@ -30,8 +30,9 @@ from .fibrations import (FibrationParams, alternate_model, alternate_model_ftheo
                          type_iii_siegel_identity)
 from .igusa import (SIEGEL_WEIGHTS, AbsoluteInvariants, IgusaInvariants,
                     IgusaPoint, SiegelForms, SiegelPoint, absolute_invariants,
-                    humbert_predicates, igusa_from_rosenhain, igusa_from_sextic,
-                    igusa_from_siegel, rosenhain_integers, rosenhain_thomae)
+                    chi35_squared, humbert_predicates, igusa_from_rosenhain,
+                    igusa_from_sextic, igusa_from_siegel, rosenhain_integers,
+                    rosenhain_thomae)
 from .qpoly import Poly, discriminant, weighted_values
 from .roots import gaussian_roots
 from .satake import (PowerSums, SatakeSextic, phi_map,
@@ -310,15 +311,15 @@ def cmd_roundtrip(_key, point, tol):
 
 def cmd_theta(_key, tau, theta_radius):
     tc = even_theta_constants(tau, theta_radius)
-    rep = check_frobenius(tc)
+    residuals = check_frobenius(tc)
     coords = satake_from_theta(tc)
     out = {
         "theta_constants": list(tc.values),
         "tail_estimates": list(tc.tails),
         "radius": tc.radius,
         "precise": tc.precise,
-        "frobenius_residuals": dict(rep.residuals),
-        "max_frobenius_residual": rep.max_residual,
+        "frobenius_residuals": residuals,
+        "max_frobenius_residual": max(residuals.values()),
         "satake_coordinates": list(coords.x),
         "satake_sum_residual": coords.sum_residual,
         "igusa_quartic_residual": coords.quartic_residual(),
@@ -338,7 +339,7 @@ def cmd_predicates(key, point):
     s = point.siegel
     _, q = satake_discriminant_identity(s, point.satake)   # Q off disc(f)
     out = {"humbert": humbert_predicates(s, q), "Q": q,
-           "chi35_squared": Fraction(s.chi10, s.v**10) * q / (2**12 * 3**9)}
+           "chi35_squared": chi35_squared(Fraction(s.chi10, s.v**10), q)}
     if s.chi10 != 0:
         p = point.params()
         out["degeneration"] = degeneration_predicates(p, point.satake)
@@ -471,14 +472,15 @@ def _args_from_job(run_args):
     """The parsed arguments of the job document ``run_args.job`` names: its
     ``input`` and ``options`` become flags of the same parser (``true`` a
     bare flag, ``false`` none), after the run's own --out and --pretty, so
-    that the document's win."""
+    that the document's win.  A file, or a strictly decoding stdin, that
+    is not UTF-8 is a schema error, as an unreadable file is."""
     try:
         if run_args.job == "-":
             text = sys.stdin.read()
         else:
             with open(run_args.job, encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise SchemaError(f"cannot read job document: {e}")
     try:
         doc = json.loads(text)

@@ -52,8 +52,8 @@ from math import gcd, lcm
 from .errors import DomainError, IdentityViolationError, NonMinimalModelError
 from .qpoly import (Poly, discriminant, exact_quotient, exact_ratio,
                     integer_gcd, integer_quotient, integer_squarefree,
-                    integral_representative, primitive_part, promote_int,
-                    root_multiplicities, split_rational_roots)
+                    primitive_part, promote_int, root_multiplicities,
+                    split_rational_roots)
 
 INFINITY = "infinity"
 
@@ -454,20 +454,14 @@ class QuarticModel(namedtuple("QuarticModel", "coeffs disc_factors",
     __slots__ = ()
 
     def quartic_invariants(self):
-        """Classical I and J of the X-quartic.  The coefficients, in Q[t],
-        are taken to the integer multiple n q, and I and J divided by n^2
-        and n^3 once; integer coefficients (n = 1) give int I and J.
-        Exact only: other coefficients raise DomainError."""
+        """Classical I and J of the X-quartic, in the ring of its
+        coefficients: int coefficients give int I and J, Fractions give
+        Fractions (``classify_fibers`` clears the denominators of the
+        Jacobian).  Exact only: other coefficients raise DomainError."""
         if not all(isinstance(c, (int, Fraction))
                    for a in self.coeffs for c in a.coeffs):
             raise DomainError("quartic invariants need int/Fraction coefficients")
-        n = lcm(*(c.denominator for a in self.coeffs for c in a.coeffs))
-        i, j = _quartic_ij(*(Poly([c.numerator * (n // c.denominator)
-                                   for c in a.coeffs]) for a in self.coeffs))
-        if n == 1:
-            return i, j
-        return (Poly([Fraction(c, n**2) for c in i.coeffs]),
-                Poly([Fraction(c, n**3) for c in j.coeffs]))
+        return _quartic_ij(*self.coeffs)
 
     def jacobian_model(self):
         """Weierstrass form y^2 = x^3 - 27 I x - 27 J of the Jacobian, whose
@@ -613,17 +607,13 @@ def qvanish_bracket(p):
 
     The bracket is weighted homogeneous of weight 30 in (a, b, d, e) of
     weights (4, 6, 2, 10), and c has weight 0.  It is evaluated in the
-    nested form of ``_qvanish_form`` (Horner in e): on the ints of an
-    integral point as they are, else on the integer representative of (a,
-    b, d, e), with c as it is, and divided by r^30 once.  Exact only.
+    nested form of ``_qvanish_form`` (Horner in e), on the parameters as
+    they are: the ints of an integral point, or Fractions.  Exact only:
+    other parameters raise DomainError.
     """
-    a, b, c, d, e = p
-    if all(isinstance(v, int) for v in p):   # an integral point
-        return _qvanish_form(a, b, c, d, e)
-    if not isinstance(c, (int, Fraction)):
+    if not all(isinstance(v, (int, Fraction)) for v in p):
         raise DomainError("the bracket needs exact (int/Fraction) parameters")
-    r, (a, b, d, e) = integral_representative((a, b, d, e), (4, 6, 2, 10))
-    return Fraction(_qvanish_form(a, b, c, d, e), r**30)
+    return _qvanish_form(*p)
 
 
 def type_iii_bracket(p):

@@ -88,9 +88,6 @@ class SiegelForms(ExactTuple,
     __slots__ = ()
 
 
-DerivedForms = namedtuple("DerivedForms", "chi35_squared q")
-
-
 # ---------------------------------------------------------------------------
 # integral weighted points
 # ---------------------------------------------------------------------------
@@ -440,15 +437,10 @@ def q_form(s):
     return Fraction(point.q(), point.v**60)
 
 
-def derived_forms(s):
-    """Q and chi35^2 = chi10 * Q / (2^12 3^9), with Q evaluated once."""
-    q = q_form(s)
-    return DerivedForms(chi35_squared=s.chi10 * q / Fraction(2**12 * 3**9), q=q)
-
-
-def chi35_squared(s):
-    """chi35^2 = chi10 * Q / (2^12 3^9), exact."""
-    return derived_forms(s).chi35_squared
+def chi35_squared(chi10, q):
+    """chi35^2 = chi10 * Q / (2^12 3^9), exact, from chi10 and Q =
+    ``q_form``."""
+    return chi10 * q / Fraction(2**12 * 3**9)
 
 
 def humbert_predicates(s, q):

@@ -832,8 +832,7 @@ def _horner_mod(cs, x, m):
 def _small_primes():
     """The primes below 1000, the moduli of the p-adic lifting: built on
     first use, since only the fiber classification lifts roots."""
-    return tuple(n for n in range(2, 1000)
-                 if all(n % k for k in range(2, isqrt(n) + 1)))
+    return tuple(filter(_is_prime, range(2, 1000)))
 
 
 def _derivative(cs):

@@ -211,24 +211,9 @@ REDUCTION_COEFFS = {
 }
 
 
-class FrobeniusReport:
-    """Residuals by identity name; iterating yields (name, residual) pairs."""
-
-    __slots__ = ("residuals",)
-
-    def __init__(self, residuals):
-        self.residuals = residuals
-
-    @property
-    def max_residual(self):
-        return max(self.residuals.values())
-
-    def __iter__(self):
-        return iter(self.residuals.items())
-
-
 def check_frobenius(tc):
-    """Residuals of the eight Frobenius identities and five basis reductions."""
+    """Residuals of the eight Frobenius identities and five basis
+    reductions, by identity name."""
     t2 = [None] + [tc.theta(i) ** 2 for i in range(1, 11)]
     t4 = [None] + [tc.theta(i) ** 4 for i in range(1, 11)]
     res = {}
@@ -238,10 +223,10 @@ def check_frobenius(tc):
     for name, (i, j), terms in _FOURTH_IDENTITIES:
         rhs = sum(s * t4[k] for s, k in terms)
         res[name] = abs(t4[i] + t4[j] - rhs)
-    for i, coeffs in REDUCTION_COEFFS.items():
-        rhs = sum(c * t4[k + 1] for k, c in enumerate(coeffs))
-        res[f"t{i}^4 reduction"] = abs(t4[i] - rhs)
-    return FrobeniusReport(residuals=res)
+    reduced = reduce_fourth_powers(t4[1:6])
+    for i in range(6, 11):
+        res[f"t{i}^4 reduction"] = abs(t4[i] - reduced[i - 1])
+    return res
 
 
 def reduce_fourth_powers(t4_basis):
@@ -305,13 +290,9 @@ def satake_from_theta(tc):
     return SatakeCoordinates(x=x)
 
 
-def theta4_from_satake(coords):
-    """Invert satake_from_theta: all ten fourth powers from x_1..x_6.
-
-    Works for exact (Fraction) and numeric coordinates alike; input may
-    be a SatakeCoordinates or a plain length-6 sequence.
-    """
-    x = coords.x if isinstance(coords, SatakeCoordinates) else tuple(coords)
+def theta4_from_satake(x):
+    """Invert satake_from_theta: all ten fourth powers from the sequence
+    x_1..x_6, exact (Fraction) and numeric coordinates alike."""
     if len(x) != 6:
         raise DomainError("expected six Satake coordinates")
     out = []

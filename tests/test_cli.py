@@ -341,6 +341,23 @@ def test_malformed_job_document_is_a_schema_error(name, source, tmp_path,
     assert doc["status"] == "schema-error"
 
 
+@pytest.mark.parametrize("source", ("stdin", "file"))
+def test_job_document_that_is_not_utf8_is_a_schema_error(source, tmp_path,
+                                                         monkeypatch, capsys):
+    data = b"\xff\xfe{}"
+    if source == "stdin":   # decoded strictly, as on a UTF-8 locale
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+            io.BytesIO(data), encoding="utf-8", errors="strict"))
+        path = "-"
+    else:
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+    code, doc = invoke(capsys, "run", str(path))
+    assert code == 1
+    assert doc["status"] == "schema-error"
+    assert doc["error"].startswith("cannot read job document: 'utf-8' codec")
+
+
 # (the flag given twice, argv); a default (--tol) does not count as given
 REPEATED_FLAGS = [
     ("--rosenhain", ["igusa", "--rosenhain=1/2,3,5", "--rosenhain=2,3,5"]),

@@ -85,6 +85,23 @@ def _breaks_power_sum_constraints(value):
     return len(s) == 6 and (s[0] != 0 or s[3] != s[1] ** 2 / 4)
 
 
+def _inputs_sent(jobs):
+    """(flag, value) of every input the jobs send: a flag=value argument,
+    or an input list of a job document, joined by commas."""
+    sent = set()
+    for argv, document, stdin, _ in jobs:
+        sent.update(tuple(arg.split("=", 1)) for arg in argv if "=" in arg)
+        try:
+            doc = json.loads(document or stdin or "{}")
+        except ValueError:
+            continue
+        inputs = doc.get("input") if isinstance(doc, dict) else None
+        if isinstance(inputs, dict):
+            sent.update((cli._flag(k), ",".join(map(str, v)))
+                        for k, v in inputs.items() if isinstance(v, list))
+    return sent
+
+
 def _jobs(seed=2030, per_input=10):
     """(argv, document or None, stdin or None, may exit 3) of each job."""
     rng = random.Random(seed)
@@ -130,6 +147,14 @@ def _jobs(seed=2030, per_input=10):
         ["igusa", "--rosenhain", "2,3,5", "--siegel=3,5,7,11"], ["phi"], [],
         ["fibration", "--rosenhain=2,3,5"], ["theta", "--tau=1,2,3"],
         ["theta", "--tau=1e308,1,0,0,-1e308,1"])]
+    # every locus the seeded draw missed, by the first command that takes it
+    sent = _inputs_sent(jobs)
+    for key, values in LOCI.items():
+        command = next(c for c, (_, inputs, _) in cli.COMMANDS.items()
+                       if key in inputs)
+        jobs += [([command, f"{cli._flag(key)}={v}"], None, None,
+                  key == "power_sums" and _breaks_power_sum_constraints(v))
+                 for v in values if (cli._flag(key), v) not in sent]
     return jobs
 
 
@@ -170,3 +195,8 @@ def test_the_sweep_reaches_every_command_flag_and_form():
     assert commands == set(cli.COMMANDS) | {"run"}
     assert {cli._flag(k) for k in cli._INPUTS} <= flags
     assert len(JOBS) >= 250 and len(documents) >= 50
+
+
+def test_the_sweep_sends_every_locus():
+    sent = _inputs_sent(JOBS)
+    assert {(cli._flag(k), v) for k, values in LOCI.items() for v in values} <= sent

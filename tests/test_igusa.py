@@ -4,7 +4,7 @@ import pytest
 
 from g2satake.errors import DomainError, ProductLocusError
 from g2satake.igusa import (IgusaInvariants, SiegelForms, absolute_invariants,
-                            chi35_squared, derived_forms, even_invariants,
+                            chi35_squared, even_invariants,
                             humbert_predicates,
                             igusa_from_absolute, igusa_from_rosenhain,
                             igusa_from_sextic, igusa_from_siegel, q_form,
@@ -158,18 +158,20 @@ def test_siegel_pure_chi10_slot():
 def test_chi35_squared_pure_chi10():
     s = SiegelForms(F(0), F(0), F(3), F(0))
     assert q_form(s) == 2**32 * 3**9 * 5**5 * F(3) ** 6
-    assert chi35_squared(s) == 2**20 * 5**5 * F(3) ** 7
+    assert chi35_squared(s.chi10, q_form(s)) == 2**20 * 5**5 * F(3) ** 7
 
 
 def test_chi35_squared_chi10_prefactor():
-    assert chi35_squared(SiegelForms(F(1), F(2), F(0), F(3))) == 0
+    s = SiegelForms(F(1), F(2), F(0), F(3))
+    assert chi35_squared(s.chi10, q_form(s)) == 0
 
 
 def test_q_times_chi10_is_chi35sq(rng):
     for _ in range(6):
         s = SiegelForms(*[F(rng.randint(-9, 9), rng.randint(1, 4))
                           for _ in range(4)])
-        assert q_form(s) * s.chi10 == 2**12 * 3**9 * chi35_squared(s)
+        q = q_form(s)
+        assert q * s.chi10 == 2**12 * 3**9 * chi35_squared(s.chi10, q)
 
 
 def test_even_sextic_on_bolza_locus():
@@ -238,10 +240,7 @@ def test_sextic_invariants_reject_inexact_coefficients():
 
 def test_predicate_helpers_accept_a_known_q():
     s = siegel_from_igusa(igusa_from_rosenhain(2, 3, 5))
-    forms = derived_forms(s)
-    assert forms.q == q_form(s)
-    assert humbert_predicates(s, forms.q) == {"on_H1": False, "on_H4": False}
-    assert forms.chi35_squared == chi35_squared(s)
+    assert humbert_predicates(s, q_form(s)) == {"on_H1": False, "on_H4": False}
 
 
 @pytest.mark.parametrize("digits", [2, 10, 30, 60])
