@@ -1,7 +1,8 @@
 """Command line front end with machine-readable JSON input and output.
 
 Every pipeline is a subcommand; the same handlers also run from a JSON
-job document via ``g2satake run job.json`` (or ``-`` for stdin).  Each
+job document via ``g2satake run job.json`` (or ``-`` for stdin).  One
+parser reads argv and documents alike, off the table ``COMMANDS``.  Each
 envelope is printed by ``json.dumps`` with one ``default`` hook,
 ``_json_value``: exact values are Fractions and print as strings "p/q",
 so no binary64 rounding ever touches an exact result; complex numbers
@@ -15,7 +16,6 @@ Exit codes: 0 success, 1 schema/usage error, 2 domain error,
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
@@ -78,9 +78,9 @@ def _printed(v):
     return str(v) if isinstance(v, Fraction) else v
 
 
-def _dumps(envelope, args):
+def _dumps(envelope, given):
     return json.dumps(envelope, sort_keys=True, default=_json_value,
-                      indent=2 if args and args.pretty else None, allow_nan=False)
+                      indent=2 if "pretty" in given else None, allow_nan=False)
 
 
 def _unprintable(envelope):
@@ -119,15 +119,15 @@ def _parse_tau(s, what):
 
 
 def _checked(convert, accept, what):
-    """argparse type: ``convert(s)`` if ``accept`` takes it, else an error
-    saying that the value must be ``what``."""
-    def parse(s):
+    """Parser of an option value: ``convert(s)`` if ``accept`` takes it,
+    else an error saying that the value of ``flag`` must be ``what``."""
+    def parse(s, flag):
         try:
             v = convert(s)
         except ValueError:
             v = None
         if v is None or not accept(v):
-            raise argparse.ArgumentTypeError(f"must be {what}, got {s!r}")
+            raise SchemaError(f"argument {flag}: must be {what}, got {s!r}")
         return v
     return parse
 
@@ -282,7 +282,10 @@ def cmd_fibration(key, point, model):
     fibers = [{"type": f.fiber_type, "location": _printed(f.location),
                "orders": f.orders, "count": f.count, "euler": f.euler}
               for f in census.fibers]
-    fibers.sort(key=lambda d: (d["type"], json.dumps(d["location"])))
+    # the order of the printed locations: "p/q" and "infinity" need no
+    # escaping, and a cluster's JSON, from "{", sorts after every string
+    fibers.sort(key=lambda d: (d["type"], d["location"] if isinstance(d["location"], str)
+                               else json.dumps(d["location"])))
     return {"model": model, "fibers": fibers, "euler_sum": census.euler_sum}
 
 
@@ -378,11 +381,11 @@ _INPUTS = {
 }
 _CURVE = ("rosenhain", "igusa", "siegel", "sextic")
 
-# option flag -> argparse keywords
+# option flag -> help, "required" or "default", and "type": (value, flag) -> parsed
 _OPTIONS = {
     "model": {"required": True, "help": "|".join(_MODELS)},
-    "tol": {"type": _checked(float, lambda v: 0 < v < math.inf,
-                             "a finite number > 0"), "default": 1e-8},
+    "tol": {"help": "round-trip tolerance on j (default: 1e-8)", "default": 1e-8,
+            "type": _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")},
     "theta_radius": {"type": _checked(int, lambda v: 1 <= v <= MAX_RADIUS,
                                       f"an integer from 1 to {MAX_RADIUS}"),
                      "help": "lattice box radius (default: chosen from Im tau)"},
@@ -405,80 +408,93 @@ def _flag(key):
     return "--" + key.replace("_", "-")
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise SchemaError(message)
+def _parse(argv):
+    """The command of ``argv`` and {key: value} of the flags it gives, read
+    off the table.  A flag's value follows "=" or is the next token, even
+    one starting with "-"; a document gives (flag, "=", value or None if
+    bare).  The first token that is not a flag is the command, the second
+    the job of ``run``.  The flags are None if -h or --help comes first."""
+    tokens, command, keys, given, unread = iter(argv), None, {}, {}, []
+    for token in tokens:
+        flag, eq, value = token if isinstance(token, tuple) else (
+            token.partition("=") if token[:2] == "--" else (token, "", None))
+        key = keys.get(flag)
+        if not eq:
+            value = next(tokens, None) if key not in (None, "pretty") else None
+        if flag in ("-h", "--help") and value is None:
+            return command, None
+        if key is None and (flag[:1] != "-" or flag == "-"):   # not a flag
+            if command is None:
+                if flag not in COMMANDS and flag != "run":
+                    raise SchemaError(f"argument command: invalid choice: {flag!r} "
+                                      f"(choose from {str([*COMMANDS, 'run'])[1:-1]})")
+                command, (_, inputs, options) = flag, COMMANDS.get(flag, (0, (), ()))
+                keys = {_flag(k): k for k in ("out", "pretty", *inputs, *options)}
+                continue
+            if command == "run" and "job" not in given:
+                key, value = "job", flag
+        if key is None:
+            unread.append(flag if value is None else f"{flag}={value}")
+            continue
+        if key == "pretty" and value is not None:
+            raise SchemaError(f"argument {flag}: ignored explicit argument {value!r}")
+        if key != "pretty" and value is None:
+            raise SchemaError(f"argument {flag}: expected one argument")
+        if "type" in _OPTIONS.get(key, ()):
+            value = _OPTIONS[key]["type"](value, flag)
+        if key in given and key not in ("out", "pretty"):
+            raise SchemaError(f"command line gives {flag} more than once")
+        given[key] = value
+    missing = ["command"] if command is None else [
+        _flag(k) for k in options if "required" in _OPTIONS[k] and k not in given]
+    missing += ["job"] * (command == "run" and "job" not in given)
+    if missing:
+        raise SchemaError(f"the following arguments are required: {', '.join(missing)}")
+    if unread:
+        raise SchemaError(f"unrecognized arguments: {' '.join(unread)}")
+    return command, {**{k: _OPTIONS[k].get("default") for k in options}, **given}
 
 
-class _Once(argparse.Action):
-    """``store``, but a flag given twice is a schema error (a default, as
-    --tol has, is not given)."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        if self.dest in vars(namespace).setdefault("given", set()):
-            raise SchemaError(f"command line gives {option_string} more than once")
-        namespace.given.add(self.dest)
-        setattr(namespace, self.dest, values)
+def _usage(command):
+    """The -h/--help listing: a line per flag of ``command``, or of all."""
+    return "\n".join([
+        "usage: g2satake COMMAND --FLAG VALUE ... [--out FILE] [--pretty] | run JOB"
+    ] + [f"{name} {_flag(k)} {_INPUTS[k][0] if k in _INPUTS else _OPTIONS[k]['help']}"
+         for name, (_, inputs, options) in COMMANDS.items() if command in (None, name)
+         for k in inputs + options])
 
 
-def _add_output(p):
-    p.add_argument("--out", help="write JSON here instead of stdout")
-    p.add_argument("--pretty", action="store_true",
-                   help="indent the JSON envelope")
-
-
-@functools.cache
-def build_parser():
-    """The argument parser, built once: it costs far more than a parse, and
-    each parse returns a fresh namespace.  Each command takes only the
-    flags ``COMMANDS`` names, spelt out in full; any other flag, or a
-    prefix of one, is a schema error."""
-    top = _Parser(prog="g2satake", description=__doc__, allow_abbrev=False)
-    sub = top.add_subparsers(dest="command", required=True)
-    for name, (_, inputs, options) in COMMANDS.items():
-        p = sub.add_parser(name, allow_abbrev=False)
-        _add_output(p)
-        for key in inputs:
-            p.add_argument(_flag(key), action=_Once, help=_INPUTS[key][0])
-        for key in options:
-            p.add_argument(_flag(key), action=_Once, **_OPTIONS[key])
-    runp = sub.add_parser("run", allow_abbrev=False)
-    runp.add_argument("job", help="JSON job document path, or - for stdin")
-    _add_output(runp)
-    return top
-
-
-def _dispatch(args):
+def _dispatch(command, given):
     """Check that exactly one input flag is given (an empty value counts),
     parse it and call the handler with it and the command's options; a
     curve input reaches the handler as its ``CurvePoint``."""
-    handler, inputs, options = COMMANDS[args.command]
-    given = [k for k in inputs if getattr(args, k) is not None]
-    if len(given) == 1:
-        key = given[0]
-        value = _INPUTS[key][1](getattr(args, key), _flag(key))
+    handler, inputs, options = COMMANDS[command]
+    present = [k for k in inputs if k in given]
+    if len(present) == 1:
+        key = present[0]
+        value = _INPUTS[key][1](given[key], _flag(key))
         if key in _CURVE:
             value = CurvePoint(key, value)
-        return handler(key, value, **{k: getattr(args, k) for k in options})
+        return handler(key, value, **{k: given[k] for k in options})
     if len(inputs) == 1:
-        raise SchemaError(f"{args.command} needs {_flag(inputs[0])} "
+        raise SchemaError(f"{command} needs {_flag(inputs[0])} "
                           f"{_INPUTS[inputs[0]][0]}")
     # name every input once one beyond the curve flags (--power-sums) is given
-    names = inputs if set(given) - set(_CURVE) else _CURVE
+    names = inputs if set(present) - set(_CURVE) else _CURVE
     raise SchemaError(f"exactly one of {'/'.join(map(_flag, names))} is required")
 
 
-def _args_from_job(run_args):
-    """The parsed arguments of the job document ``run_args.job`` names: its
-    ``input`` and ``options`` become flags of the same parser (``true`` a
-    bare flag, ``false`` none), after the run's own --out and --pretty, so
-    that the document's win.  A file, or a strictly decoding stdin, that
-    is not UTF-8 is a schema error, as an unreadable file is."""
+def _args_from_job(job, run_given):
+    """``_parse`` of the job document ``job``: its ``input`` and
+    ``options`` are flags (``true`` a bare flag, ``false`` none), read
+    after the run's own --out and --pretty, so that the document's win.  A
+    file, or a strictly decoding stdin, that is not UTF-8 is a schema
+    error, as an unreadable file is."""
     try:
-        if run_args.job == "-":
+        if job == "-":
             text = sys.stdin.read()
         else:
-            with open(run_args.job, encoding="utf-8") as fh:
+            with open(job, encoding="utf-8") as fh:
                 text = fh.read()
     except (OSError, UnicodeDecodeError) as e:
         raise SchemaError(f"cannot read job document: {e}")
@@ -496,42 +512,36 @@ def _args_from_job(run_args):
     if unknown:
         raise SchemaError(f"unknown job document fields {unknown}; "
                           "valid: ['command', 'input', 'options']")
-    argv, seen = [command], set()
-    if run_args.out is not None:
-        argv.append(f"--out={run_args.out}")
-    if run_args.pretty:
-        argv.append("--pretty")
+    flags = {}
     for field in ("input", "options"):
         part = doc.get(field, {})
         if not isinstance(part, dict):
             raise SchemaError(f"job document field {field!r} must be an object, "
                               f"got {part!r}")
         for key, val in part.items():
-            flag = _flag(key)
-            if flag in seen:
-                raise SchemaError(f"job document gives {flag} more than once")
-            seen.add(flag)
-            if isinstance(val, bool):
-                argv += [flag] if val else []
-                continue
-            if isinstance(val, (list, tuple)):
-                val = ",".join(str(x) for x in val)
-            argv.append(f"{flag}={val}")   # one token, so "-1/2,..." stays a value
-    return build_parser().parse_args(argv)
+            if _flag(key) in flags:
+                raise SchemaError(f"job document gives {_flag(key)} more than once")
+            flags[_flag(key)] = ",".join(map(str, val)) if isinstance(val, list) else val
+    return _parse([command, *((_flag(k), "=", v) for k, v in run_given.items()),
+                   *((flag, "=", None if val is True else str(val))
+                     for flag, val in flags.items() if val is not False)])
 
 
 def run(argv=None):
-    args = None
+    given = {}
     try:
-        args = build_parser().parse_args(argv)
-        if args.command == "run":
-            args = _args_from_job(args)
-        envelope = {"command": args.command, "status": "ok",
-                    "result": _dispatch(args)}
-        try:
-            text = _dumps(envelope, args)
-        except ValueError:
-            raise _unprintable(envelope)
+        command, given = _parse(sys.argv[1:] if argv is None else argv)
+        if command == "run" and given is not None:
+            command, given = _args_from_job(given.pop("job"), given)
+        if given is None:   # -h or --help
+            given, text = {}, _usage(command)
+        else:
+            envelope = {"command": command, "status": "ok",
+                        "result": _dispatch(command, given)}
+            try:
+                text = _dumps(envelope, given)
+            except ValueError:
+                raise _unprintable(envelope)
         code = EXIT_OK
     except SchemaError as e:
         envelope = {"status": "schema-error", "error": str(e)}
@@ -544,16 +554,16 @@ def run(argv=None):
                     "error_type": type(e).__name__}
         code = EXIT_DOMAIN
     if code != EXIT_OK:
-        text = _dumps(envelope, args)
-    elif args.out:
+        text = _dumps(envelope, given)
+    elif given.get("out"):
         try:
-            with open(args.out, "w") as fh:
+            with open(given["out"], "w") as fh:
                 fh.write(text + "\n")
             return code
         except OSError as e:
             code = EXIT_SCHEMA
             text = _dumps({"status": "schema-error",
-                           "error": f"cannot write --out: {e}"}, args)
+                           "error": f"cannot write --out: {e}"}, given)
     try:
         print(text)
         sys.stdout.flush()

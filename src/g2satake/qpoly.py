@@ -422,16 +422,29 @@ def _iroot(n, k):
         x = y
 
 
+# k -> (p, the k-th powers modulo p) for primes p = 1 mod k: a k-th power
+# is one modulo every p, and a number that is not passes each with a chance
+# of about 1/k
+_POWER_RESIDUES = {k: [(p, frozenset(pow(x, k, p) for x in range(p))) for p in primes]
+                   for k, primes in ((2, (3, 5, 7, 11, 13)), (3, (7, 13, 19, 31)),
+                                     (5, (11, 31, 41)), (7, (29, 43, 71)))}
+
+
 def _perfect_root(b):
-    """The smallest c with b = c^k for k a product of small primes."""
+    """The smallest c with b = c^k for k a product of small primes: a k-th
+    root is taken only where the residues of b allow one."""
     found = True
     while found:
         found = False
-        for k in (2, 3, 5, 7):
-            c = _iroot(b, k)
-            if c > 1 and c**k == b:
-                b, found = c, True
-                break
+        for k, residues in _POWER_RESIDUES.items():
+            for p, powers in residues:
+                if b % p not in powers:
+                    break
+            else:
+                c = _iroot(b, k)
+                if c > 1 and c**k == b:
+                    b, found = c, True
+                    break
     return b
 
 

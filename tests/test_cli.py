@@ -605,12 +605,123 @@ TAKES = {"igusa": {"rosenhain", "igusa", "siegel", "sextic"},
          "run": set()}
 
 
+def _reads(command, flag):
+    """Whether the parser reads ``--flag=x`` for ``command``: any outcome but
+    an unread flag (a bad value or a repeated --model is read)."""
+    given = {"fibration": ["--model=standard"], "run": ["job.json"]}.get(command, [])
+    try:
+        cli._parse([command, *given, f"--{flag}=x"])
+    except cli.SchemaError as e:
+        return not str(e).startswith("unrecognized arguments")
+    return True
+
+
 def test_each_command_takes_the_flags_it_took():
-    sub = next(a for a in cli.build_parser()._actions if a.choices)
-    took = {name: {s[2:] for a in p._actions for s in a.option_strings
-                   if s.startswith("--")} - {"help", "out", "pretty"}
-            for name, p in sub.choices.items()}
-    assert took == TAKES
+    flags = set().union(*TAKES.values()) | {"out", "pretty"}
+    took = {name: {flag for flag in flags if _reads(name, flag)} for name in TAKES}
+    assert all({"out", "pretty"} <= t for t in took.values())
+    assert {name: t - {"out", "pretty"} for name, t in took.items()} == TAKES
+
+
+# argv -> the error text of the parser
+PARSER_ERRORS = {
+    "no-command": ([], "the following arguments are required: command"),
+    "flag-but-no-command": (["--pretty"], "the following arguments are required: command"),
+    "unknown-command": (["x", "--rosenhain=2,3,5"], "argument command: invalid choice: 'x' "
+                        "(choose from 'igusa', 'satake-sextic', 'phi', 'fibration', "
+                        "'roundtrip', 'theta', 'predicates', 'run')"),
+    "no-model": (["fibration", "--rosenhain=2,3,5"],
+                 "the following arguments are required: --model"),
+    # a missing flag is reported before an unread one
+    "no-model-and-unread": (["fibration", "--rosenhain=2,3,5", "--x"],
+                            "the following arguments are required: --model"),
+    "no-job": (["run", "--pretty"], "the following arguments are required: job"),
+    "value-flag-last": (["igusa", "--rosenhain"], "argument --rosenhain: expected one argument"),
+    "tol-last": (["roundtrip", "--rosenhain=2,3,5", "--tol"],
+                 "argument --tol: expected one argument"),
+    "out-last": (["igusa", "--rosenhain=2,3,5", "--out"], "argument --out: expected one argument"),
+    "bad-tol": (["roundtrip", "--rosenhain=2,3,5", "--tol", "x"],
+                "argument --tol: must be a finite number > 0, got 'x'"),
+    # a bad value is reported before the repeat
+    "bad-repeated-tol": (["roundtrip", "--rosenhain=2,3,5", "--tol=1e-3", "--tol="],
+                         "argument --tol: must be a finite number > 0, got ''"),
+    "bad-theta-radius": (["theta", f"--tau={TAU}", "--theta-radius=x"],
+                         "argument --theta-radius: must be an integer from 1 to 100, got 'x'"),
+    "pretty-with-value": (["igusa", "--rosenhain=2,3,5", "--pretty="],
+                          "argument --pretty: ignored explicit argument ''"),
+    # every unread token, in order: a flag before the command too
+    "unread-in-order": (["--x", "igusa", "extra", "--rosenhain=2,3,5", "--y=1", "-z"],
+                        "unrecognized arguments: --x extra --y=1 -z"),
+    "unread-run-job": (["run", "a.json", "b.json"], "unrecognized arguments: b.json"),
+}
+
+
+@pytest.mark.parametrize("argv, error", PARSER_ERRORS.values(), ids=PARSER_ERRORS)
+def test_the_parser_errors_keep_their_text(argv, error, capsys):
+    code, doc = invoke(capsys, *argv)
+    assert code == 1
+    assert doc == {"status": "schema-error", "error": error}
+
+
+# job document -> the error text of the parser
+DOCUMENT_ERRORS = {
+    "unread-keys": ({"command": "igusa", "input": {"rosenhain": [2, 3, 5], "bogus": True,
+                                                   "x": [1, 2], "y": False}},
+                    "unrecognized arguments: --bogus --x=1,2"),
+    "spellings-of-one-flag": ({"command": "theta", "input": {"tau": TAU},
+                               "options": {"theta_radius": 3, "theta-radius": 3}},
+                              "job document gives --theta-radius more than once"),
+    "true-value-flag": ({"command": "igusa", "input": {"rosenhain": True}},
+                        "argument --rosenhain: expected one argument"),
+    "null-tol": ({"command": "roundtrip", "input": {"rosenhain": [2, 3, 5]},
+                  "options": {"tol": None}},
+                 "argument --tol: must be a finite number > 0, got 'None'"),
+    "pretty-string": ({"command": "igusa", "input": {"rosenhain": [2, 3, 5]},
+                       "options": {"pretty": "yes"}},
+                      "argument --pretty: ignored explicit argument 'yes'"),
+    "no-model": ({"command": "fibration", "input": {"rosenhain": [2, 3, 5]}},
+                 "the following arguments are required: --model"),
+}
+
+
+@pytest.mark.parametrize("document, error", DOCUMENT_ERRORS.values(), ids=DOCUMENT_ERRORS)
+def test_the_document_errors_keep_their_text(document, error, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(document)))
+    code, doc = invoke(capsys, "run", "-")
+    assert code == 1
+    assert doc == {"status": "schema-error", "error": error}
+
+
+@pytest.mark.parametrize("argv", (["igusa", "--rosenhain", "-1/2,3,5"],
+                                  ["theta", "--tau", "-0.1,1,0,0,0,1"]), ids=("igusa", "theta"))
+def test_a_value_after_its_flag_may_start_with_a_minus(argv, capsys):
+    code, doc = invoke(capsys, *argv)
+    assert code == 0, doc
+    assert (code, doc) == invoke(capsys, argv[0], f"{argv[1]}={argv[2]}")
+
+
+@pytest.mark.parametrize("argv", (["-h"], ["--help"], ["--x", "-h"], ["fibration", "--help"],
+                                  ["igusa", "--rosenhain=2,3,5", "-h"], ["run", "-h"]),
+                         ids=" ".join)
+def test_help_lists_the_flags_of_the_table_and_returns_0(argv, tmp_path, monkeypatch,
+                                                         capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run([*argv, "--out=help.json"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: g2satake COMMAND")
+    assert not (tmp_path / "help.json").exists()
+    command = None if argv[0].startswith("-") else argv[0]
+    for name, (_, inputs, options) in cli.COMMANDS.items():
+        listed = {k for k in inputs + options if f"\n{name} {cli._flag(k)} " in out}
+        assert listed == (set(inputs + options) if command in (None, name) else set())
+
+
+def test_help_in_a_job_document_lists_its_command(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(
+        {"command": "theta", "input": {"tau": TAU}, "options": {"help": True}})))
+    assert run(["run", "-"]) == 0
+    out = capsys.readouterr().out
+    assert "\ntheta --theta-radius " in out and "\nigusa " not in out
 
 
 # an empty value is a given flag, and a non-curve input is one input too;
@@ -758,7 +869,8 @@ def test_no_command_imports_numpy(tmp_path):
         "for argv, code in json.loads(sys.argv[1]):\n"
         "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
         "        assert run(argv) == code, (argv, out.getvalue())\n"
-        "    assert 'dataclasses' not in sys.modules, f'{argv} imported dataclasses'\n")
+        "    assert 'dataclasses' not in sys.modules, f'{argv} imported dataclasses'\n"
+        "    assert 'argparse' not in sys.modules, f'{argv} imported argparse'\n")
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(jobs)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

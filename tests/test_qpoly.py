@@ -297,6 +297,30 @@ def test_modulus_primality_test():
     assert qpoly._is_prime(2**61 - 1)
 
 
+def _perfect_root_reference(b):
+    """``_perfect_root`` without its residue filter: every k-th root."""
+    found = True
+    while found:
+        found = False
+        for k in (2, 3, 5, 7):
+            c = qpoly._iroot(b, k)
+            if c > 1 and c**k == b:
+                b, found = c, True
+                break
+    return b
+
+
+def test_perfect_root_matches_the_unfiltered_search(rng):
+    small = [2, 3, 6, 10, 12, 30, 210, 997] + [rng.randrange(2, 10**6) for _ in range(12)]
+    large = [2**61 - 1] + [rng.randrange(2, 10**30) for _ in range(8)]
+    cases = [(c, k) for c in small for k in (1, 2, 3, 4, 5, 6, 7, 9, 10, 14, 15, 21, 35)]
+    cases += [(c, k) for c in large for k in (1, 2, 3, 5, 7)]
+    for c, k in cases:
+        for b in (c**k - 1, c**k, c**k + 1):
+            if b > 1:
+                assert qpoly._perfect_root(b) == _perfect_root_reference(b), (c, k, b)
+
+
 def test_importing_the_cli_computes_no_moduli():
     script = ("import g2satake.cli\n"
               "from g2satake.qpoly import _prime_below, _small_primes\n"
